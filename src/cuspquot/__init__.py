@@ -40,9 +40,7 @@ from .series import (
     hilb_from_quot,
     hilb_series,
     matrix_count_formula,
-    nh,
     nh_guess,
-    nq,
     quot_series,
     solve_nh,
     zhat_coefficient,
@@ -91,9 +89,7 @@ __all__ = [
     "hilb_from_quot",
     "hilb_series",
     "matrix_count_formula",
-    "nh",
     "nh_guess",
-    "nq",
     "quot_series",
     "solve_nh",
     "zhat_coefficient",

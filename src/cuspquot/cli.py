@@ -6,10 +6,10 @@ Subcommands:
   verify      run the self-check registry and report pass/fail
   conjecture  scan structural identities of the numerators by rank
 
-Exit codes: 0 success, 1 a verify/conjecture check failed, 2 bad usage
-or out-of-range arguments.  Results can be cached in the directory
-named by CUSPQUOT_CACHE_DIR (append-only text file, one result per
-line, invalidated when the package version changes).
+Exit codes: 0 success, 1 a verify/conjecture check failed, 2 bad usage,
+out-of-range arguments or an enumeration over budget.  Results can be
+cached in the directory named by CUSPQUOT_CACHE_DIR (append-only text
+file, one result per line, invalidated when the package version changes).
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ from typing import Callable, Optional
 
 from . import __version__
 from .qalgebra import (
+    PRIME_TEST_LIMIT,
     LaurentPolyQ,
     gl_order,
+    is_prime,
     q_pascal_inverse,
     q_pascal_matrix,
     series_from_json,
@@ -36,6 +38,8 @@ from .qalgebra import (
     tpoly_from_triples,
 )
 from .series import (
+    AT_PRIME_MAX_D,
+    SYMBOLIC_MAX_D,
     affine_cohen_lenstra_coefficient,
     cyclotomic_divisibility_check,
     functional_equation_check,
@@ -51,6 +55,7 @@ from .series import (
 )
 from .strata import LeadingTermDatum, parse_datum
 from .varieties import (
+    BudgetError,
     MotiveTable,
     VAlphaSpec,
     ab_profile,
@@ -70,6 +75,7 @@ from .oracles import (
 
 MAX_MOTIVE_D = 64
 MAX_CONJECTURE_D = 16
+MAX_ORDER = 200
 
 
 class RangeUsageError(ValueError):
@@ -137,24 +143,22 @@ def _open_cache() -> ResultCache:
 # series / motive commands
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % k for k in range(2, int(p**0.5) + 1))
-
-
 def _cmd_series(args: argparse.Namespace) -> int:
     d, prime, order = args.d, args.prime, args.order
     if d < 0:
         raise RangeUsageError("--d must be >= 0")
-    if prime is not None and not _is_prime(prime):
-        raise RangeUsageError(f"--prime {prime} is not a prime")
-    if prime is None and d > 3:
-        raise RangeUsageError("symbolic series stop at --d 3; pass --prime for rank 4")
-    if prime is not None and d > 4:
-        raise RangeUsageError("at-prime series stop at --d 4")
+    if prime is not None and not (prime < PRIME_TEST_LIMIT and is_prime(prime)):
+        raise RangeUsageError(f"--prime {prime} is not a prime below {PRIME_TEST_LIMIT}")
+    if prime is None and d > SYMBOLIC_MAX_D:
+        raise RangeUsageError(
+            f"symbolic series stop at --d {SYMBOLIC_MAX_D}; pass --prime for rank {SYMBOLIC_MAX_D + 1}"
+        )
+    if prime is not None and d > AT_PRIME_MAX_D:
+        raise RangeUsageError(f"at-prime series stop at --d {AT_PRIME_MAX_D}")
     if order is not None and order < 0:
         raise RangeUsageError("--order must be >= 0")
+    if order is not None and order > MAX_ORDER:
+        raise RangeUsageError(f"--order must be <= {MAX_ORDER}")
 
     cache = _open_cache()
     params = f"d={d},prime={prime}"
@@ -168,9 +172,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     payload = series_to_json(series)
     expansion = None
     if order is not None:
-        expansion = [
-            sorted(c.terms.items()) for c in series.expand(order)
-        ]
+        expansion = [sorted(c.terms.items()) for c in series.expand(order)]
 
     if args.format == "json":
         obj = {"d": d, "prime": prime, "num": payload["num"], "den": payload["den"]}
@@ -513,7 +515,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RangeUsageError as exc:
+    except (RangeUsageError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ evaluating at roots of unity.  No floats anywhere.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -31,6 +32,8 @@ __all__ = [
     "tpoly_from_triples",
     "series_to_json",
     "series_from_json",
+    "is_prime",
+    "PRIME_TEST_LIMIT",
 ]
 
 QValue = Union[int, Fraction]
@@ -559,6 +562,24 @@ class TSeries:
 
 
 # ---------------------------------------------------------------------------
+# primality of the field size
+
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime, bases <= 41
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact below PRIME_TEST_LIMIT; ValueError from there on."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"primality is only decided below {PRIME_TEST_LIMIT}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2^twos
+    ladders = ([pow(a, (n - 1) >> k, n) for k in range(twos, 0, -1)] for a in bases)
+    return all(ladder[0] == 1 or n - 1 in ladder for ladder in ladders)
+
+
+# ---------------------------------------------------------------------------
 # q-combinatorics
 
 
@@ -651,21 +672,16 @@ def _poly_divmod_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]
     return quot, rem
 
 
-_CYCLOTOMIC_CACHE: dict[int, list[int]] = {}
-
-
+@functools.cache
 def cyclotomic_poly(r: int) -> list[int]:
     """Coefficients (ascending) of the r-th cyclotomic polynomial."""
     if r < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    if r in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[r]
     f = [-1] + [0] * (r - 1) + [1]  # x^r - 1
     for d in range(1, r):
         if r % d == 0:
             f, rem = _poly_divmod_monic(f, cyclotomic_poly(d))
             assert not rem
-    _CYCLOTOMIC_CACHE[r] = f
     return f
 
 

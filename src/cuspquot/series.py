@@ -22,8 +22,9 @@ polynomials and the identities used to stress them:
 
 from __future__ import annotations
 
+import functools
 from math import comb
-from typing import Optional
+from typing import Iterable, Optional
 
 from .qalgebra import (
     ONE,
@@ -33,13 +34,15 @@ from .qalgebra import (
     TPoly,
     TSeries,
     cyclotomic_poly,
+    is_prime,
     q_binomial,
     q_binomial_inv,
     q_pochhammer,
     t_pochhammer,
+    tpoly_from_triples,
 )
-from .strata import Orbit, stable_orbit_decomposition
-from .varieties import count_v_alpha, symbolic_v_alpha
+from .strata import Orbit, stable_orbit_decomposition, zero_datum
+from .varieties import VAlphaSpec, count_v_spec, symbolic_v_alpha
 
 __all__ = [
     "hilb_series",
@@ -50,8 +53,6 @@ __all__ = [
     "color_numerators",
     "orbit_contribution",
     "zhat_coefficient",
-    "nh",
-    "nq",
     "solve_nh",
     "nh_guess",
     "functional_equation_check",
@@ -66,101 +67,105 @@ SYMBOLIC_MAX_D = 3  # closed-form stratum counts are tabulated through rank 3
 AT_PRIME_MAX_D = 4  # beyond this the stratum counter's budget gives out
 
 
-def _qpow(e: int, prime: Optional[int]) -> LaurentPolyQ:
+def _stratum_count(spec: VAlphaSpec, prime: Optional[int]) -> LaurentPolyQ:
+    """Point count of a pure-K stratum: closed form in q, or enumerated over F_prime."""
     if prime is None:
-        return LaurentPolyQ.q_power(e)
-    return LaurentPolyQ.const(prime ** e)
+        return symbolic_v_alpha(spec)
+    if not is_prime(prime):  # every series function takes its counts from here
+        raise ValueError(f"{prime} is not a prime")
+    return LaurentPolyQ.const(count_v_spec(spec, prime))
 
 
-def _qcollapse(x: LaurentPolyQ, prime: Optional[int]) -> LaurentPolyQ:
+def _at(tp: TPoly, prime: Optional[int]) -> TPoly:
+    """Every coefficient at q = prime; the symbolic form when prime is None."""
     if prime is None:
-        return x
-    v = x.evaluate(prime)
-    if v.denominator != 1:
-        raise ValueError(f"non-integral value {v} at q={prime}")
-    return LaurentPolyQ.const(int(v))
+        return tp
+    values = [c.evaluate(prime) for c in tp.coeffs]
+    for v in values:
+        if v.denominator != 1:
+            raise ValueError(f"non-integral value {v} at q={prime}")
+    return TPoly([int(v) for v in values])
 
 
-def _den_factor(j: int, prime: Optional[int]) -> TPoly:
-    """The j-th denominator factor 1 - q^(j-1) t."""
-    return TPoly([ONE, -_qpow(j - 1, prime)])
-
-
-def _den_all(d: int, prime: Optional[int]) -> TPoly:
+def _den_product(js: Iterable[int]) -> TPoly:
+    """prod over j in js of the denominator factor 1 - q^(j-1) t."""
     out = TPoly.one()
-    for j in range(1, d + 1):
-        out = out * _den_factor(j, prime)
+    for j in js:
+        out = out * TPoly([ONE, -LaurentPolyQ.q_power(j - 1)])
     return out
-
-
-def _scale_t(tp: TPoly, a: int, prime: Optional[int]) -> TPoly:
-    """t -> q^a t, with q already collapsed when counting over F_p."""
-    if prime is None:
-        return tp.substitute_t_scale(a)
-    return TPoly([c * prime ** (a * m) for m, c in enumerate(tp.coeffs)])
 
 
 def orbit_contribution(orbit: Orbit, prime: Optional[int] = None) -> TSeries:
     """Series contributed by one stable orbit: base count times geometric tails."""
     base = orbit.base
     bexp, delta = base.exponents()
-    restricted = base.restrict_to_K()
-    if prime is None:
-        amount = symbolic_v_alpha(restricted)
-    else:
-        amount = LaurentPolyQ.const(count_v_alpha(restricted, prime))
-    coeff = amount * _qpow(bexp + delta, prime)
-    den = TPoly.one()
-    for j in orbit.generators:
-        den = den * _den_factor(j, prime)
-    return TSeries(TPoly.t_power(base.n(), coeff), den)
+    count = _stratum_count(VAlphaSpec.from_datum(base.restrict_to_K()), prime)
+    num = TPoly.t_power(base.n(), count * LaurentPolyQ.q_power(bexp + delta))
+    return TSeries(_at(num, prime), _at(_den_product(orbit.generators), prime))
 
 
-_HILB_MEMO: dict[tuple[int, Optional[int]], TPoly] = {}
+@functools.cache
+def _weight_table(d: int) -> dict[tuple, tuple[VAlphaSpec, TPoly]]:
+    """(color vector, stratum pattern key) -> (pattern, weight) over the rank-d orbits.
+
+    The weight is the sum of q^(bexp+delta) t^n prod_(j not a generator) (1 - q^(j-1) t)
+    over the orbits with that key: their numerator over (t;q)_d per stratum point.
+    """
+    # rank 0 has one orbit, the empty datum
+    orbits = stable_orbit_decomposition(d) if d else [Orbit(zero_datum(()), ())]
+    groups: dict[tuple, tuple[VAlphaSpec, list]] = {}
+    for orbit in orbits:
+        base = orbit.base
+        spec = VAlphaSpec.from_datum(base.restrict_to_K())
+        bexp, delta = base.exponents()
+        group = groups.setdefault((tuple(base.colors), spec.key(), orbit.generators), (spec, []))
+        group[1].append((base.n(), bexp + delta, 1))
+    table: dict[tuple, tuple[VAlphaSpec, TPoly]] = {}
+    for (colors, pattern, generators), (spec, monomials) in groups.items():
+        tails = _den_product(j for j in range(1, d + 1) if j not in generators)
+        earlier = table.get((colors, pattern), (spec, TPoly.zero()))[1]
+        table[colors, pattern] = (spec, earlier + tpoly_from_triples(monomials) * tails)
+    return table
+
+
+@functools.cache
+def _color_rows(d: int, prime: Optional[int]) -> dict[tuple[str, ...], TPoly]:
+    """Numerator over (t;q)_d in q by color vector; the prime only picks the counts."""
+    if d < 0:
+        raise ValueError("rank must be >= 0")
+    if prime is None and d > SYMBOLIC_MAX_D:
+        raise ValueError(
+            f"symbolic series stop at rank {SYMBOLIC_MAX_D}; pass a prime for rank {d}"
+        )
+    if prime is not None and d > AT_PRIME_MAX_D:
+        raise ValueError(f"at-prime series stop at rank {AT_PRIME_MAX_D}")
+    table = _weight_table(d)
+    patterns = {spec.key(): spec for spec, _ in table.values()}
+    # widest patterns first, so a prime past the point budget fails before enumerating
+    widest = sorted(patterns.values(), key=lambda s: -len(s.free_x() + s.free_y()))
+    counts = {spec.key(): _stratum_count(spec, prime) for spec in widest}
+    rows: dict[tuple[str, ...], TPoly] = {}
+    for (colors, pattern), (_, weight) in table.items():
+        rows[colors] = rows.get(colors, TPoly.zero()) + weight * counts[pattern]
+    return rows
+
+
+def _hilb_q(d: int, prime: Optional[int]) -> TPoly:
+    return sum(_color_rows(d, prime).values(), TPoly.zero())
 
 
 def hilb_numerator(d: int, prime: Optional[int] = None) -> TPoly:
-    """Numerator of the rank-d framed series over (t;q)_d."""
-    if d < 0:
-        raise ValueError("rank must be >= 0")
-    key = (d, prime)
-    if key in _HILB_MEMO:
-        return _HILB_MEMO[key]
-    if d == 0:
-        num = TPoly.one()
-    else:
-        if prime is None and d > SYMBOLIC_MAX_D:
-            raise ValueError(
-                f"symbolic series stop at rank {SYMBOLIC_MAX_D}; pass a prime for rank {d}"
-            )
-        if prime is not None and d > AT_PRIME_MAX_D:
-            raise ValueError(f"at-prime series stop at rank {AT_PRIME_MAX_D}")
-        num = TPoly.zero()
-        for orbit in stable_orbit_decomposition(d):
-            part = orbit_contribution(orbit, prime)
-            for j in range(1, d + 1):
-                if j not in orbit.generators:
-                    part = part * _den_factor(j, prime)
-            num = num + part.num
-    _HILB_MEMO[key] = num
-    return num
+    """Numerator of the rank-d framed series over (t;q)_d: degree d, top coefficient q^(d^2)."""
+    return _at(_hilb_q(d, prime), prime)
 
 
 def hilb_series(d: int, prime: Optional[int] = None) -> TSeries:
-    return TSeries(hilb_numerator(d, prime), _den_all(d, prime))
+    return TSeries(hilb_numerator(d, prime), _at(t_pochhammer(d), prime))
 
 
 def color_numerators(d: int, prime: Optional[int] = None) -> dict[tuple[str, ...], TPoly]:
     """Numerator over (t;q)_d split by the rank color vector of the orbit base."""
-    out: dict[tuple[str, ...], TPoly] = {}
-    for orbit in stable_orbit_decomposition(d):
-        part = orbit_contribution(orbit, prime)
-        for j in range(1, d + 1):
-            if j not in orbit.generators:
-                part = part * _den_factor(j, prime)
-        colors = tuple(orbit.base.colors)
-        out[colors] = out.get(colors, TPoly.zero()) + part.num
-    return out
+    return {colors: _at(row, prime) for colors, row in _color_rows(d, prime).items()}
 
 
 def quot_numerator(d: int, prime: Optional[int] = None) -> TPoly:
@@ -168,20 +173,17 @@ def quot_numerator(d: int, prime: Optional[int] = None) -> TPoly:
 
     Unframed counts are binomial-weighted shifts of the framed ones:
     the rank-r framed series enters at t -> q^(d-r) t with weight
-    [d r]_q t^r.
+    [d r]_q t^r.  The r = d term goes first: it checks d and prime.
     """
-    total = TPoly.zero()
-    for r in range(d + 1):
-        part = _scale_t(hilb_numerator(r, prime), d - r, prime)
-        for j in range(1, d - r + 1):
-            part = part * _den_factor(j, prime)
-        weight = _qcollapse(q_binomial(d, r), prime)
-        total = total + part.shift_t(r) * weight
-    return total
+    total = _hilb_q(d, prime).shift_t(d)
+    for r in range(d):
+        part = _hilb_q(r, prime).substitute_t_scale(d - r) * t_pochhammer(d - r)
+        total = total + part.shift_t(r) * q_binomial(d, r)
+    return _at(total, prime)
 
 
 def quot_series(d: int, prime: Optional[int] = None) -> TSeries:
-    return TSeries(quot_numerator(d, prime), _den_all(d, prime))
+    return TSeries(quot_numerator(d, prime), _at(t_pochhammer(d), prime))
 
 
 def hilb_from_quot(d: int) -> TSeries:
@@ -192,22 +194,11 @@ def hilb_from_quot(d: int) -> TSeries:
     """
     total = TPoly.zero()
     for r in range(d + 1):
-        part = quot_numerator(r).substitute_t_scale(d - r)
-        for j in range(1, d - r + 1):
-            part = part * _den_factor(j, None)
+        part = quot_numerator(r).substitute_t_scale(d - r) * t_pochhammer(d - r)
         k = d - r
         weight = LaurentPolyQ.q_power(-(k * (k - 1) // 2), -1 if k % 2 else 1)
         total = total + part * (weight * q_binomial_inv(d, r))
-    return TSeries(total.shift_t(-d), _den_all(d, None))
-
-
-def nh(d: int, prime: Optional[int] = None) -> TPoly:
-    """The framed numerator polynomial (degree d in t, top coefficient q^(d^2))."""
-    return hilb_numerator(d, prime)
-
-
-def nq(d: int, prime: Optional[int] = None) -> TPoly:
-    return quot_numerator(d, prime)
+    return TSeries(total.shift_t(-d), t_pochhammer(d))
 
 
 def zhat_coefficient(n: int) -> RationalQ:
@@ -229,9 +220,7 @@ def zhat_coefficient(n: int) -> RationalQ:
 # independent routes to the framed numerators
 
 
-_SOLVE_MEMO: dict[int, TPoly] = {}
-
-
+@functools.cache
 def solve_nh(d: int) -> TPoly:
     """Framed numerator solved from its self-similarity under t -> t^2.
 
@@ -242,12 +231,8 @@ def solve_nh(d: int) -> TPoly:
     """
     if d < 0:
         raise ValueError("rank must be >= 0")
-    if d in _SOLVE_MEMO:
-        return _SOLVE_MEMO[d]
     if d == 0:
-        f = TPoly.one()
-        _SOLVE_MEMO[0] = f
-        return f
+        return TPoly.one()
     rhs = TPoly.zero()
     for r in range(d):
         term = solve_nh(r).substitute_t_scale(d - r) * t_pochhammer(d - r)
@@ -262,7 +247,6 @@ def solve_nh(d: int) -> TPoly:
     f = TPoly(a)
     if f.substitute_t_square() - f.shift_t(d) != rhs:
         raise ArithmeticError(f"self-similarity solve is inconsistent at rank {d}")
-    _SOLVE_MEMO[d] = f
     return f
 
 

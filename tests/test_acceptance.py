@@ -27,11 +27,11 @@ from cuspquot.series import (
     affine_cohen_lenstra_coefficient,
     cyclotomic_divisibility_check,
     functional_equation_check,
+    hilb_numerator,
     hilb_series,
     matrix_count_formula,
-    nh,
     nh_guess,
-    nq,
+    quot_numerator,
     quot_series,
     root_of_unity_check,
     solve_nh,
@@ -107,11 +107,11 @@ def test_criterion_1_exact_formula_regression():
         series = hilb_series(d)
         assert series.num == numerator
         assert series.den == t_pochhammer(d)
-        assert nh(d) == numerator
+        assert hilb_numerator(d) == numerator
         unframed = quot_series(d)
         assert unframed.num == numerator.substitute_t_square()
         assert unframed.den == t_pochhammer(d)
-        assert nq(d) == nh(d).substitute_t_square()
+        assert quot_numerator(d) == hilb_numerator(d).substitute_t_square()
     assert time.monotonic() - start < 10.0
     print("PASS criterion-1: symbolic closed forms and t->t^2 halving, ranks <= 3")
 

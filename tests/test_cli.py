@@ -90,6 +90,11 @@ def test_series_csv_format(capsys):
         (["series", "--d", "5", "--prime", "2"], "at-prime series stop at --d 4"),
         (["series", "--d", "1", "--prime", "4"], "--prime 4 is not a prime"),
         (["series", "--d", "1", "--order", "-1"], "--order must be >= 0"),
+        (["series", "--d", "1", "--order", "100000000"], "--order must be <= 200"),
+        (["series", "--d", "1", "--prime", str(10**30)], "is not a prime below"),
+        (["series", "--d", "1", "--prime", str(10**24)], "is not a prime"),
+        (["series", "--d", "4", "--prime", "5"], "5^12 points exceed the budget"),
+        (["series", "--d", "2", "--prime", "2003"], "2003^2 points exceed the budget"),
     ],
 )
 def test_series_range_errors(argv, message, capsys):
@@ -97,7 +102,22 @@ def test_series_range_errors(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
     assert message in err
+
+
+def test_series_large_prime(capsys):
+    p = 1_000_000_000_000_000_003
+    code, out, err = run_cli(["series", "--d", "1", "--prime", str(p)], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["num"] == [[0, 0, 1], [1, 0, p]]
+
+
+def test_series_limits_come_from_the_engine():
+    from cuspquot import cli, series
+
+    assert cli.SYMBOLIC_MAX_D is series.SYMBOLIC_MAX_D
+    assert cli.AT_PRIME_MAX_D is series.AT_PRIME_MAX_D
 
 
 # ---------------------------------------------------------------------------

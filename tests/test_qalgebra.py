@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cuspquot.qalgebra import (
     ONE,
     ZERO,
+    PRIME_TEST_LIMIT,
     CyclotomicInt,
     LaurentPolyQ,
     RationalQ,
@@ -21,6 +22,7 @@ from cuspquot.qalgebra import (
     cyclotomic_poly,
     evaluate_q,
     gl_order,
+    is_prime,
     q_binomial,
     q_binomial_inv,
     q_pascal_inverse,
@@ -502,3 +504,32 @@ def test_series_json_roundtrip():
     back = series_from_json(obj)
     assert back == s
     assert back.expand(4) == s.expand(4)
+
+
+# ---------------------------------------------------------------------------
+# primality of the field size
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 5000) if is_prime(n) != by_trial(n)] == []
+
+
+def test_is_prime_large_values():
+    # least strong pseudoprimes to every prime base up to 7, 31 and 37; the next base catches each
+    for n in (3_215_031_751, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461):
+        assert not is_prime(n)
+    assert not is_prime(561) and not is_prime(41041)  # Carmichael numbers
+    assert is_prime(2**61 - 1)
+    assert is_prime(1_000_000_000_000_000_003)
+    assert is_prime(3_317_044_064_679_887_385_961_813)  # the last prime below the limit
+    assert not is_prime((2**61 - 1) * 1_000_003)
+
+
+def test_is_prime_rejects_values_past_its_exact_range():
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(PRIME_TEST_LIMIT)
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(10**30)

@@ -3,6 +3,7 @@ independent solve/guess routes, and the identities that stress them."""
 
 import pytest
 
+from cuspquot import series as series_module
 from cuspquot.qalgebra import (
     ONE,
     LaurentPolyQ,
@@ -22,9 +23,7 @@ from cuspquot.series import (
     hilb_numerator,
     hilb_series,
     matrix_count_formula,
-    nh,
     nh_guess,
-    nq,
     orbit_contribution,
     quot_numerator,
     quot_series,
@@ -65,7 +64,6 @@ FROZEN_NH = {
 def test_framed_numerators_frozen():
     for d in range(4):
         assert hilb_numerator(d) == FROZEN_NH[d]
-        assert nh(d) == FROZEN_NH[d]
 
 
 def test_framed_series_tokens():
@@ -78,7 +76,6 @@ def test_framed_series_tokens():
 def test_unframed_is_framed_at_t_squared():
     for d in range(4):
         assert quot_numerator(d) == FROZEN_NH[d].substitute_t_square()
-        assert nq(d) == quot_numerator(d)
         series = quot_series(d)
         assert series.num == FROZEN_NH[d].substitute_t_square()
         assert series.den == t_pochhammer(d)
@@ -105,6 +102,22 @@ def test_rank_four_at_primes_frozen():
         )
         assert hilb_numerator(4, prime=p) == collapsed
         assert quot_numerator(4, prime=p) == collapsed.substitute_t_square()
+
+
+@pytest.mark.parametrize("bad", [1, 4, 9, 10**30])
+def test_non_primes_are_rejected(bad):
+    orbit = stable_orbit_decomposition(1)[0]
+    for call in (hilb_numerator, hilb_series, quot_numerator, quot_series, color_numerators):
+        for d in (0, 2):
+            with pytest.raises(ValueError):
+                call(d, bad)
+    with pytest.raises(ValueError):
+        orbit_contribution(orbit, bad)
+
+
+def test_large_prime_at_rank_one():
+    p = 1_000_000_000_000_000_003
+    assert hilb_numerator(1, p) == TPoly([1, p])
 
 
 def test_at_prime_matches_symbolic_for_low_rank():
@@ -137,6 +150,32 @@ def test_color_split_rank_two():
     for row in rows.values():
         total = total + row
     assert total == FROZEN_NH[2]
+
+
+def test_color_split_at_primes_sums_to_numerator():
+    for d in range(4):
+        for p in (2, 3):
+            total = TPoly.zero()
+            for row in color_numerators(d, p).values():
+                total = total + row
+            assert total == hilb_numerator(d, p)
+
+
+def test_orbits_are_walked_once_per_rank(monkeypatch):
+    walked = []
+
+    def counting(d):
+        walked.append(d)
+        return stable_orbit_decomposition(d)
+
+    series_module._weight_table.cache_clear()
+    series_module._color_rows.cache_clear()
+    monkeypatch.setattr(series_module, "stable_orbit_decomposition", counting)
+    hilb_numerator(3, 2)
+    hilb_numerator(3, 3)
+    color_numerators(3, 2)
+    quot_numerator(3, 3)  # also needs the framed numerators of ranks 1 and 2
+    assert sorted(walked) == [1, 2, 3]
 
 
 FROZEN_COLOR_ROWS_3 = {
