@@ -7,7 +7,8 @@ Subcommands:
   conjecture  scan structural identities of the numerators by rank
 
 Exit codes: 0 success, 1 a verify/conjecture check failed, 2 bad usage,
-out-of-range arguments or an enumeration over budget.  Results can be
+out-of-range arguments (series stop at rank series.MAX_D) or an
+enumeration over budget.  Results can be
 cached in the directory named by CUSPQUOT_CACHE_DIR (append-only text
 file, one result per line, invalidated when the package version changes).
 """
@@ -38,8 +39,7 @@ from .qalgebra import (
     tpoly_from_triples,
 )
 from .series import (
-    AT_PRIME_MAX_D,
-    SYMBOLIC_MAX_D,
+    MAX_D,
     affine_cohen_lenstra_coefficient,
     cyclotomic_divisibility_check,
     functional_equation_check,
@@ -149,12 +149,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
         raise RangeUsageError("--d must be >= 0")
     if prime is not None and not (prime < PRIME_TEST_LIMIT and is_prime(prime)):
         raise RangeUsageError(f"--prime {prime} is not a prime below {PRIME_TEST_LIMIT}")
-    if prime is None and d > SYMBOLIC_MAX_D:
-        raise RangeUsageError(
-            f"symbolic series stop at --d {SYMBOLIC_MAX_D}; pass --prime for rank {SYMBOLIC_MAX_D + 1}"
-        )
-    if prime is not None and d > AT_PRIME_MAX_D:
-        raise RangeUsageError(f"at-prime series stop at --d {AT_PRIME_MAX_D}")
+    if d > MAX_D:
+        raise RangeUsageError(f"series stop at --d {MAX_D}")
     if order is not None and order < 0:
         raise RangeUsageError("--order must be >= 0")
     if order is not None and order > MAX_ORDER:

@@ -193,8 +193,9 @@ def divide(f: Element, divisors: Sequence[Element]) -> DivisionResult:
     leading term, and stops after a full cycle with no cancellation.  The
     output satisfies the division-expression contract: no remainder term
     is divisible by any divisor leading term, and no quotient-times-
-    divisor starts below the leading term of f.  Both facts are asserted
-    on every call (cheap at the scales this engine runs at).
+    divisor starts below the leading term of f.  Both facts are checked
+    on every call (cheap at the scales this engine runs at); a breach
+    raises ArithmeticError.
     """
     divisors = list(divisors)
     for g in divisors:
@@ -229,16 +230,18 @@ def divide(f: Element, divisors: Sequence[Element]) -> DivisionResult:
     quots = [{s: c for s, c in qd.items() if c} for qd in quots]
     # division-expression contract checks
     for mono in rem.terms:
-        assert all(divides(g.leading_monomial(), mono) is None for g in divisors)
+        if any(divides(g.leading_monomial(), mono) is not None for g in divisors):
+            raise ArithmeticError(f"remainder term {mono} is divisible by a divisor lead")
     if not f.is_zero():
         lead = f.leading_monomial()
         recon = rem
         for qd, g in zip(quots, divisors):
             prod = _rpoly_apply(qd, g)
-            if not prod.is_zero():
-                assert prod.leading_monomial() >= lead
+            if not prod.is_zero() and prod.leading_monomial() < lead:
+                raise ArithmeticError("a quotient term starts below the lead of the dividend")
             recon = recon + prod
-        assert recon == f
+        if recon != f:
+            raise ArithmeticError("quotients and remainder do not reconstruct the dividend")
     return DivisionResult(tuple(quots), rem)
 
 
@@ -288,9 +291,11 @@ def _s_remainders_cusp(pb: PreBasis) -> list[Element]:
     for seat, gens in by_seat.items():
         if len(gens) == 1:
             continue
-        assert len(gens) == 2, "more than two mutually indivisible degrees per seat"
+        if len(gens) != 2:
+            raise ArithmeticError(f"more than two mutually indivisible degrees on seat {seat}")
         g0, g1 = sorted(gens, key=lambda g: g.leading_monomial())
-        assert g1.leading_monomial().t_deg == g0.leading_monomial().t_deg + 1
+        if g1.leading_monomial().t_deg != g0.leading_monomial().t_deg + 1:
+            raise ArithmeticError(f"the two leading degrees on seat {seat} are not adjacent")
         m0, m1 = g0.monic(), g1.monic()
         out.append(m0.shift(3) - m1.shift(2))
         out.append(m0.shift(4) - m1.shift(3))
@@ -416,7 +421,8 @@ def reduce_basis(generators: Iterable[Element], d: int) -> ReducedGB:
         rem = divide(Element.monomial(mono, p, trunc), G).remainder
         reduced.append(Element.monomial(mono, p, trunc) - rem)
     gb = ReducedGB(tuple(reduced), d, seat_data, n)
-    assert is_groebner(gb.prebasis())
+    if not is_groebner(gb.prebasis()):
+        raise ArithmeticError("the reduced basis fails the standard-basis criterion")
     return gb
 
 

@@ -3,8 +3,11 @@
 hilb_series assembles the rank-d framed series from the stable orbit
 decomposition: each orbit contributes the count of its base stratum
 times a geometric series in the free raising directions, all placed
-over the common denominator (t;q)_d.  quot_series and hilb_from_quot
-are the two directions of the framed/unframed transform.
+over the common denominator (t;q)_d.  The stratum counts are symbolic
+in q (varieties.symbolic_v_alpha), so every series is built once in q,
+through rank MAX_D, and a series at a prime is that form at q = prime.
+quot_series and hilb_from_quot are the two directions of the
+framed/unframed transform.
 
 The rest of the module holds independent routes to the same numerator
 polynomials and the identities used to stress them:
@@ -42,7 +45,7 @@ from .qalgebra import (
     tpoly_from_triples,
 )
 from .strata import Orbit, stable_orbit_decomposition, zero_datum
-from .varieties import VAlphaSpec, count_v_spec, symbolic_v_alpha
+from .varieties import VAlphaSpec, symbolic_v_alpha
 
 __all__ = [
     "hilb_series",
@@ -63,17 +66,13 @@ __all__ = [
     "affine_cohen_lenstra_coefficient",
 ]
 
-SYMBOLIC_MAX_D = 3  # closed-form stratum counts are tabulated through rank 3
-AT_PRIME_MAX_D = 4  # beyond this the stratum counter's budget gives out
+MAX_D = 4  # rank 5 has 116,480 stable orbits to walk
 
 
-def _stratum_count(spec: VAlphaSpec, prime: Optional[int]) -> LaurentPolyQ:
-    """Point count of a pure-K stratum: closed form in q, or enumerated over F_prime."""
-    if prime is None:
-        return symbolic_v_alpha(spec)
-    if not is_prime(prime):  # every series function takes its counts from here
+def _check_prime(prime: Optional[int]) -> None:
+    """Every public function that takes a prime checks it here, before any work."""
+    if prime is not None and not is_prime(prime):
         raise ValueError(f"{prime} is not a prime")
-    return LaurentPolyQ.const(count_v_spec(spec, prime))
 
 
 def _at(tp: TPoly, prime: Optional[int]) -> TPoly:
@@ -97,20 +96,26 @@ def _den_product(js: Iterable[int]) -> TPoly:
 
 def orbit_contribution(orbit: Orbit, prime: Optional[int] = None) -> TSeries:
     """Series contributed by one stable orbit: base count times geometric tails."""
+    _check_prime(prime)
     base = orbit.base
     bexp, delta = base.exponents()
-    count = _stratum_count(VAlphaSpec.from_datum(base.restrict_to_K()), prime)
+    count = symbolic_v_alpha(base.restrict_to_K())
     num = TPoly.t_power(base.n(), count * LaurentPolyQ.q_power(bexp + delta))
     return TSeries(_at(num, prime), _at(_den_product(orbit.generators), prime))
 
 
 @functools.cache
-def _weight_table(d: int) -> dict[tuple, tuple[VAlphaSpec, TPoly]]:
-    """(color vector, stratum pattern key) -> (pattern, weight) over the rank-d orbits.
+def _color_rows(d: int) -> dict[tuple[str, ...], TPoly]:
+    """Numerator over (t;q)_d in q by color vector.
 
-    The weight is the sum of q^(bexp+delta) t^n prod_(j not a generator) (1 - q^(j-1) t)
-    over the orbits with that key: their numerator over (t;q)_d per stratum point.
+    An orbit contributes count * q^(bexp+delta) t^n prod_(j not a generator)
+    (1 - q^(j-1) t); orbits with one color vector, stratum pattern and
+    generator set share the count and the product, so they are summed first.
     """
+    if d < 0:
+        raise ValueError("rank must be >= 0")
+    if d > MAX_D:
+        raise ValueError(f"series stop at rank {MAX_D}")
     # rank 0 has one orbit, the empty datum
     orbits = stable_orbit_decomposition(d) if d else [Orbit(zero_datum(()), ())]
     groups: dict[tuple, tuple[VAlphaSpec, list]] = {}
@@ -120,43 +125,22 @@ def _weight_table(d: int) -> dict[tuple, tuple[VAlphaSpec, TPoly]]:
         bexp, delta = base.exponents()
         group = groups.setdefault((tuple(base.colors), spec.key(), orbit.generators), (spec, []))
         group[1].append((base.n(), bexp + delta, 1))
-    table: dict[tuple, tuple[VAlphaSpec, TPoly]] = {}
-    for (colors, pattern, generators), (spec, monomials) in groups.items():
-        tails = _den_product(j for j in range(1, d + 1) if j not in generators)
-        earlier = table.get((colors, pattern), (spec, TPoly.zero()))[1]
-        table[colors, pattern] = (spec, earlier + tpoly_from_triples(monomials) * tails)
-    return table
-
-
-@functools.cache
-def _color_rows(d: int, prime: Optional[int]) -> dict[tuple[str, ...], TPoly]:
-    """Numerator over (t;q)_d in q by color vector; the prime only picks the counts."""
-    if d < 0:
-        raise ValueError("rank must be >= 0")
-    if prime is None and d > SYMBOLIC_MAX_D:
-        raise ValueError(
-            f"symbolic series stop at rank {SYMBOLIC_MAX_D}; pass a prime for rank {d}"
-        )
-    if prime is not None and d > AT_PRIME_MAX_D:
-        raise ValueError(f"at-prime series stop at rank {AT_PRIME_MAX_D}")
-    table = _weight_table(d)
-    patterns = {spec.key(): spec for spec, _ in table.values()}
-    # widest patterns first, so a prime past the point budget fails before enumerating
-    widest = sorted(patterns.values(), key=lambda s: -len(s.free_x() + s.free_y()))
-    counts = {spec.key(): _stratum_count(spec, prime) for spec in widest}
     rows: dict[tuple[str, ...], TPoly] = {}
-    for (colors, pattern), (_, weight) in table.items():
-        rows[colors] = rows.get(colors, TPoly.zero()) + weight * counts[pattern]
+    for (colors, _, generators), (spec, monomials) in groups.items():
+        tails = _den_product(j for j in range(1, d + 1) if j not in generators)
+        part = tpoly_from_triples(monomials) * tails * symbolic_v_alpha(spec)
+        rows[colors] = rows.get(colors, TPoly.zero()) + part
     return rows
 
 
-def _hilb_q(d: int, prime: Optional[int]) -> TPoly:
-    return sum(_color_rows(d, prime).values(), TPoly.zero())
+def _hilb_q(d: int) -> TPoly:
+    return sum(_color_rows(d).values(), TPoly.zero())
 
 
 def hilb_numerator(d: int, prime: Optional[int] = None) -> TPoly:
     """Numerator of the rank-d framed series over (t;q)_d: degree d, top coefficient q^(d^2)."""
-    return _at(_hilb_q(d, prime), prime)
+    _check_prime(prime)
+    return _at(_hilb_q(d), prime)
 
 
 def hilb_series(d: int, prime: Optional[int] = None) -> TSeries:
@@ -165,7 +149,8 @@ def hilb_series(d: int, prime: Optional[int] = None) -> TSeries:
 
 def color_numerators(d: int, prime: Optional[int] = None) -> dict[tuple[str, ...], TPoly]:
     """Numerator over (t;q)_d split by the rank color vector of the orbit base."""
-    return {colors: _at(row, prime) for colors, row in _color_rows(d, prime).items()}
+    _check_prime(prime)
+    return {colors: _at(row, prime) for colors, row in _color_rows(d).items()}
 
 
 def quot_numerator(d: int, prime: Optional[int] = None) -> TPoly:
@@ -173,11 +158,12 @@ def quot_numerator(d: int, prime: Optional[int] = None) -> TPoly:
 
     Unframed counts are binomial-weighted shifts of the framed ones:
     the rank-r framed series enters at t -> q^(d-r) t with weight
-    [d r]_q t^r.  The r = d term goes first: it checks d and prime.
+    [d r]_q t^r.  The r = d term goes first: it checks d.
     """
-    total = _hilb_q(d, prime).shift_t(d)
+    _check_prime(prime)
+    total = _hilb_q(d).shift_t(d)
     for r in range(d):
-        part = _hilb_q(r, prime).substitute_t_scale(d - r) * t_pochhammer(d - r)
+        part = _hilb_q(r).substitute_t_scale(d - r) * t_pochhammer(d - r)
         total = total + part.shift_t(r) * q_binomial(d, r)
     return _at(total, prime)
 
@@ -205,8 +191,8 @@ def zhat_coefficient(n: int) -> RationalQ:
     """[t^n] of the unframed zeta series over all module ranks.
 
     Sums the framed coefficients with the frame-removal weight
-    q^(-d^2 - d(n-d)) / (q^-1;q^-1)_d; needs the symbolic framed series,
-    so n is capped by the symbolic rank limit.
+    q^(-d^2 - d(n-d)) / (q^-1;q^-1)_d; needs the framed series of every
+    rank up to n, so n is capped by MAX_D.
     """
     total = RationalQ.from_int(0)
     for d in range(n + 1):

@@ -266,7 +266,8 @@ class LeadingTermDatum:
                     break
                 work = prev
                 addr[j - 1] += 1
-        assert all(l == 0 for l in work.levels), "address stripping did not reach zero"
+        if any(work.levels):
+            raise ArithmeticError("address stripping did not reach zero")
         return tuple(addr)
 
     def apply_address(self, addr: Sequence[int]) -> "LeadingTermDatum":

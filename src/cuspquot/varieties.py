@@ -4,9 +4,11 @@ The variety attached to a pure-K datum of rank d is the set of strictly
 upper triangular pairs (X, Y) over F_p with X^2 = Y^3, XY = YX and the
 zero pattern dictated by the datum's pairwise distances: X_bh is forced
 to 0 unless distance(b,h) >= 3, Y_bh unless distance(b,h) >= 2.  Only
-the truncated distance classes 1-, 2, 3+ matter.  When every distance
-is 3+ the variety is the full staircase variety V_d, whose motive obeys
-a two-parameter recursion computed here exactly.
+the truncated distance classes 1-, 2, 3+ matter.  symbolic_v_alpha
+counts these varieties as polynomials in q by case splitting, exactly
+over every F_q; count_v_spec enumerates them over F_p as its oracle.
+When every distance is 3+ the variety is the full staircase variety
+V_d, whose motive obeys a two-parameter recursion computed here exactly.
 
 The module profile machinery views a point (X, Y) as the R-module
 M = F_p^m with x, y acting by X, Y (R the cusp ring), and measures the
@@ -15,6 +17,7 @@ kernel/image filtration of the matrix factorization operator on M + M.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -305,42 +308,224 @@ def _L(e: int, c: int = 1) -> LaurentPolyQ:
     return LaurentPolyQ.q_power(e, c)
 
 
-_V2_TABLE = {"1-": LaurentPolyQ.one(), "2": _L(1), "3+": _L(2)}
+class _Poly(dict):
+    """Integer polynomial in numbered variables, as {monomial: coefficient}.
 
-_V3_TABLE = {
-    ("1-", "1-", "1-"): LaurentPolyQ.one(),
-    ("1-", "1-", "2"): _L(1),
-    ("1-", "1-", "3+"): _L(2),
-    ("1-", "2", "2"): _L(2),
-    ("1-", "2", "3+"): _L(3),
-    ("1-", "3+", "3+"): _L(4),
-    ("2", "1-", "2"): _L(2),
-    ("2", "1-", "3+"): _L(3),
-    ("2", "2", "3+"): _L(4),
-    ("2", "3+", "3+"): _L(4, 2) + _L(3, -1),
-    ("3+", "1-", "3+"): _L(4),
-    ("3+", "2", "3+"): _L(4, 2) + _L(3, -1),
-    ("3+", "3+", "3+"): _L(4, 3) + _L(3, -2),
-}
+    A monomial is a sorted tuple of (variable, exponent) pairs; () is 1.
+    """
+
+    @classmethod
+    def var(cls, v: int) -> "_Poly":
+        return cls({((v, 1),): 1})
+
+    def __add__(self, other: "_Poly") -> "_Poly":
+        out = _Poly(self)
+        for m, c in other.items():
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return out
+
+    def __neg__(self) -> "_Poly":
+        return _Poly({m: -c for m, c in self.items()})
+
+    def __sub__(self, other: "_Poly") -> "_Poly":
+        return self + -other
+
+    def __mul__(self, other: "_Poly") -> "_Poly":
+        out: dict[tuple, int] = {}
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                exps = dict(m1)
+                for v, e in m2:
+                    exps[v] = exps.get(v, 0) + e
+                m = tuple(sorted(exps.items()))
+                out[m] = out.get(m, 0) + c1 * c2
+        return _Poly({m: c for m, c in out.items() if c})
+
+    def __pow__(self, n: int) -> "_Poly":
+        out = _Poly({(): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def variables(self) -> set[int]:
+        return {v for m in self for v, _ in m}
+
+    def by_degree(self, v: int) -> dict[int, "_Poly"]:
+        """{e: coefficient of v^e}, each coefficient free of v."""
+        out: dict[int, _Poly] = {}
+        for m, c in self.items():
+            e = dict(m).get(v, 0)
+            out.setdefault(e, _Poly())[tuple(p for p in m if p[0] != v)] = c
+        return out
+
+    def at_zero(self, v: int) -> "_Poly":
+        return _Poly({m: c for m, c in self.items() if all(w != v for w, _ in m)})
+
+    def strip(self, units: frozenset) -> "_Poly":
+        """Divide out the largest monomial in the unit variables that divides every term."""
+        common: Optional[dict[int, int]] = None
+        for m in self:
+            exps = {v: e for v, e in m if v in units}
+            common = exps if common is None else {
+                v: min(e, exps[v]) for v, e in common.items() if v in exps
+            }
+        if not common:
+            return self
+        return _Poly({
+            tuple((v, e - common.get(v, 0)) for v, e in m if e != common.get(v, 0)): c
+            for m, c in self.items()
+        })
+
+
+def _staircase_system(spec: VAlphaSpec) -> tuple[list[_Poly], int]:
+    """Entries (i, j), j - i >= 2, of XY - YX and X^2 - Y^3 over Z; the variables
+    are the free slots of X, then those of Y."""
+    d = spec.d
+    X = [[_Poly() for _ in range(d)] for _ in range(d)]
+    Y = [[_Poly() for _ in range(d)] for _ in range(d)]
+    slots = [(X, s) for s in spec.free_x()] + [(Y, s) for s in spec.free_y()]
+    for v, (mat, (i, j)) in enumerate(slots):
+        mat[i][j] = _Poly.var(v)
+    eqs = []
+    for i in range(d):
+        for j in range(i + 2, d):
+            comm, square = _Poly(), _Poly()
+            for k in range(i + 1, j):
+                comm = comm + X[i][k] * Y[k][j] - Y[i][k] * X[k][j]
+                square = square + X[i][k] * X[k][j]
+                for l in range(k + 1, j):
+                    square = square - Y[i][k] * Y[k][l] * Y[l][j]
+            eqs += [comm, square]
+    return eqs, len(slots)
+
+
+_Q = LaurentPolyQ.q_power(1)
+
+
+def _count(eqs: list[_Poly], free: frozenset, units: frozenset) -> LaurentPolyQ:
+    """Common zeros of eqs in F_q^free x (F_q^*)^units, as a polynomial in q.
+
+    Every step is an identity of point counts over every finite field: it
+    splits a variable into its zero and nonzero cases, or solves an
+    equation c*v + r = 0 for v where c is +-1 times a monomial in unit
+    variables, so invertible.  A system it cannot resolve raises.
+    """
+    live = []
+    for f in eqs:
+        f = f.strip(units)
+        if not f:
+            continue
+        if len(f) == 1:
+            ((m, c),) = f.items()
+            if all(v in units for v, _ in m):  # a unit times c
+                if abs(c) == 1:
+                    return LaurentPolyQ.zero()
+                raise ArithmeticError(f"the count depends on whether {c} vanishes in F_q")
+        live.append(f)
+    used = set().union(*(f.variables() for f in live))
+    factor = _Q ** len(free - used) * (_Q - 1) ** len(units - used)
+    free, units = free & used, units & used
+    if not live:
+        return factor
+
+    # an equation linear in v with coefficient c = +-monomial; fewest non-unit
+    # variables in c first, as each one costs a split before v can be solved
+    best = None
+    for n, f in enumerate(live):
+        for v in sorted(f.variables()):
+            parts = f.by_degree(v)
+            if max(parts) != 1 or len(parts[1]) != 1:
+                continue
+            ((m, c),) = parts[1].items()
+            if abs(c) != 1:
+                continue
+            splits = [w for w, _ in m if w not in units]
+            cand = (len(splits), v in units, n, v, splits, parts[1], parts.get(0, _Poly()))
+            if best is None or cand[:3] < best[:3]:
+                best = cand
+    if best is None:
+        if not free:
+            raise ArithmeticError(f"symbolic count stuck on {len(live)} equations in unit variables")
+        weight = {w: sum(len(f) for f in live if w in f.variables()) for w in free}
+        split = max(sorted(free), key=weight.__getitem__)
+    else:
+        _, v_unit, n, v, splits, c, r = best
+        split = splits[0] if splits else None
+    if split is not None:
+        zero = [f.at_zero(split) for f in live]
+        return factor * (
+            _count(zero, free - {split}, units) + _count(live, free - {split}, units | {split})
+        )
+    if v_unit:  # v != 0 is all v minus v = 0
+        zero = [f.at_zero(v) for f in live]
+        return factor * (_count(live, free | {v}, units - {v}) - _count(zero, free, units - {v}))
+    # v = -r/c; c is invertible here, so clearing denominators keeps the zero set
+    rest = []
+    for k, f in enumerate(live):
+        if k == n:
+            continue
+        parts = f.by_degree(v)
+        top = max(parts)
+        out = _Poly()
+        for e, part in parts.items():
+            out = out + part * (-r) ** e * c ** (top - e)
+        rest.append(out)
+    return factor * _count(rest, free - {v}, units)
+
+
+def _realizable(spec: VAlphaSpec) -> bool:
+    """Some pure-K datum has exactly these distance classes.
+
+    In rank order a pure-K datum is x_1 < ... < x_d with distinct residues
+    mod d (x = d*level + seat - 1), and distance(b, h) = (x_h - x_b) // d.
+    A gap of 4d or more between neighbours changes no class that a gap
+    smaller by d does, so the search over gaps below 4d is complete.
+    """
+    d = spec.d
+
+    def extend(xs: list[int]) -> bool:
+        h = len(xs) + 1
+        if h > d:
+            return True
+        residues = {x % d for x in xs}
+        for x in range(xs[-1] + 1, xs[-1] + 4 * d):
+            if x % d not in residues and all(
+                distance_class((x - xb) // d) == spec.classes[(b, h)]
+                for b, xb in enumerate(xs, start=1)
+            ):
+                if extend(xs + [x]):
+                    return True
+        return False
+
+    return d == 0 or extend([0])
+
+
+@functools.cache
+def _symbolic_count(key: tuple) -> LaurentPolyQ:
+    spec = VAlphaSpec(key[0], dict(key[1]))
+    if not _realizable(spec):
+        raise ValueError(f"distance classes {key[1]} are realized by no pure-K datum")
+    eqs, nvars = _staircase_system(spec)
+    return _count(eqs, frozenset(range(nvars)), frozenset())
 
 
 def symbolic_v_alpha(spec_or_datum: "VAlphaSpec | LeadingTermDatum") -> LaurentPolyQ:
-    """Closed-form point count in q for rank <= 3 zero patterns."""
+    """Point count in q of the patterned variety, exact over every F_q.
+
+    Raises ValueError for a pattern no pure-K datum realizes, and
+    ArithmeticError where the case splitting cannot resolve the system
+    (the full rank-6 pattern is the first such).
+    """
     spec = (
         spec_or_datum
         if isinstance(spec_or_datum, VAlphaSpec)
         else VAlphaSpec.from_datum(spec_or_datum)
     )
-    if spec.d <= 1:
-        return LaurentPolyQ.one()
-    if spec.d == 2:
-        return _V2_TABLE[spec.classes[(1, 2)]]
-    if spec.d == 3:
-        key = (spec.classes[(1, 2)], spec.classes[(2, 3)], spec.classes[(1, 3)])
-        if key not in _V3_TABLE:
-            raise ValueError(f"distance classes {key} are not realizable")
-        return _V3_TABLE[key]
-    raise ValueError(f"no closed form tabulated for rank {spec.d}")
+    return _symbolic_count(spec.key())
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +745,8 @@ def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:
     for v in reps:
         tv = T.apply(v)
         sol = _solve(mat, tv, p)
-        assert sol is not None, "T does not preserve the kernel"
+        if sol is None:
+            raise ArithmeticError("T does not preserve the kernel")
         t0_cols.append(sol[len(brows) :])
     t0 = GFMatrix(list(zip(*t0_cols)), p)
     if not (t0 * t0).is_zero():

@@ -152,7 +152,7 @@ def test_criterion_3_pure_k_tables():
 
 def test_criterion_4_groebner_properties():
     # The division routine re-checks its own contract on every call, so a
-    # soundness violation anywhere in the trials surfaces as an assertion.
+    # soundness violation anywhere in the trials raises ArithmeticError.
     assert __debug__
     test_groebner.test_reduced_basis_uniqueness_100_trials()
     print("PASS criterion-4: 100 reduced-basis trials, division soundness, codim")

@@ -2,11 +2,16 @@
 and the append-only result cache."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cuspquot
 from cuspquot import __version__
 from cuspquot.cli import CHECKS, ResultCache, main
+from cuspquot.series import solve_nh
 
 
 def run_cli(argv, capsys):
@@ -86,15 +91,13 @@ def test_series_csv_format(capsys):
     "argv,message",
     [
         (["series", "--d", "-1"], "--d must be >= 0"),
-        (["series", "--d", "4"], "symbolic series stop at --d 3"),
-        (["series", "--d", "5", "--prime", "2"], "at-prime series stop at --d 4"),
+        (["series", "--d", "5"], "series stop at --d 4"),
+        (["series", "--d", "5", "--prime", "2"], "series stop at --d 4"),
         (["series", "--d", "1", "--prime", "4"], "--prime 4 is not a prime"),
         (["series", "--d", "1", "--order", "-1"], "--order must be >= 0"),
         (["series", "--d", "1", "--order", "100000000"], "--order must be <= 200"),
         (["series", "--d", "1", "--prime", str(10**30)], "is not a prime below"),
         (["series", "--d", "1", "--prime", str(10**24)], "is not a prime"),
-        (["series", "--d", "4", "--prime", "5"], "5^12 points exceed the budget"),
-        (["series", "--d", "2", "--prime", "2003"], "2003^2 points exceed the budget"),
     ],
 )
 def test_series_range_errors(argv, message, capsys):
@@ -113,11 +116,18 @@ def test_series_large_prime(capsys):
     assert json.loads(out)["num"] == [[0, 0, 1], [1, 0, p]]
 
 
+@pytest.mark.parametrize("d,prime", [(4, 5), (2, 2003), (3, 11)])
+def test_series_at_prime_is_the_q_form_at_the_prime(d, prime, capsys):
+    code, out, err = run_cli(["series", "--d", str(d), "--prime", str(prime)], capsys)
+    assert code == 0 and err == ""
+    values = [int(c.evaluate(prime)) for c in solve_nh(d).coeffs]
+    assert json.loads(out)["num"] == [[n, 0, c] for n, c in enumerate(values) if c]
+
+
 def test_series_limits_come_from_the_engine():
     from cuspquot import cli, series
 
-    assert cli.SYMBOLIC_MAX_D is series.SYMBOLIC_MAX_D
-    assert cli.AT_PRIME_MAX_D is series.AT_PRIME_MAX_D
+    assert cli.MAX_D is series.MAX_D
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +173,22 @@ def test_verify_quick_passes(capsys):
     quick_names = [name for name, level, _ in CHECKS if level == "quick"]
     assert lines[:-1] == [f"PASS {name}" for name in quick_names]
     assert lines[-1] == "all checks passed"
+
+
+def test_verify_quick_is_the_same_under_python_O():
+    src = os.path.dirname(os.path.dirname(cuspquot.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONOPTIMIZE", None)
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "cuspquot.cli", "verify", "--level", "quick"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.endswith("all checks passed\n")
 
 
 def test_conjecture_small_ranks(capsys):

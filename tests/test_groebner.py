@@ -2,10 +2,14 @@
 over the subring generated by the square and the cube of the uniformizer."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import cuspquot
 from cuspquot.groebner import (
     Element,
     Monomial,
@@ -166,6 +170,27 @@ def test_divide_expression_contract_random():
                 assert prod.leading_monomial() >= f.leading_monomial()
             recon = recon + prod
         assert recon == f
+
+
+def test_contract_checks_survive_python_O():
+    # a forced breach of the final standard-basis check must raise under -O too
+    script = (
+        "import sys\n"
+        "from cuspquot import groebner\n"
+        "groebner.is_groebner = lambda pb: False\n"
+        "gen = groebner.Element.monomial(groebner.Monomial(3, 1), 2, 12)\n"
+        "try:\n"
+        "    groebner.reduce_basis([gen], d=1)\n"
+        "except ArithmeticError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cuspquot.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 the reduced basis fails the standard-basis criterion\n"
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,17 @@ def test_unframed_is_framed_at_t_squared():
 def test_rank_caps():
     with pytest.raises(ValueError):
         hilb_numerator(-1)
-    with pytest.raises(ValueError):
-        hilb_numerator(4)  # symbolic stratum counts stop at rank 3
-    with pytest.raises(ValueError):
-        hilb_numerator(5, prime=2)
+    assert hilb_numerator(4) == FROZEN_NH[4]
+    for prime in (None, 2):
+        with pytest.raises(ValueError):
+            hilb_numerator(5, prime)
+
+
+def test_symbolic_rank_four_matches_the_independent_routes():
+    h = hilb_numerator(4)
+    assert h == solve_nh(4) == nh_guess(4)
+    assert quot_numerator(4) == h.substitute_t_square()
+    assert hilb_from_quot(4) == hilb_series(4)
 
 
 def test_rank_four_at_primes_frozen():
@@ -115,9 +122,29 @@ def test_non_primes_are_rejected(bad):
         orbit_contribution(orbit, bad)
 
 
+def test_prime_is_checked_before_the_orbit_walk(monkeypatch):
+    orbit = stable_orbit_decomposition(4)[0]
+
+    def refuse(d):
+        raise AssertionError(f"rank {d} orbits walked for a non-prime")
+
+    series_module._color_rows.cache_clear()
+    monkeypatch.setattr(series_module, "stable_orbit_decomposition", refuse)
+    for call in (hilb_numerator, hilb_series, quot_numerator, quot_series, color_numerators):
+        with pytest.raises(ValueError, match="4 is not a prime"):
+            call(4, 4)
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        orbit_contribution(orbit, 4)
+
+
 def test_large_prime_at_rank_one():
     p = 1_000_000_000_000_000_003
     assert hilb_numerator(1, p) == TPoly([1, p])
+
+
+def test_large_prime_at_rank_four():
+    p = 10**18 + 3
+    assert hilb_numerator(4, p) == TPoly([int(c.evaluate(p)) for c in solve_nh(4).coeffs])
 
 
 def test_at_prime_matches_symbolic_for_low_rank():
@@ -168,7 +195,6 @@ def test_orbits_are_walked_once_per_rank(monkeypatch):
         walked.append(d)
         return stable_orbit_decomposition(d)
 
-    series_module._weight_table.cache_clear()
     series_module._color_rows.cache_clear()
     monkeypatch.setattr(series_module, "stable_orbit_decomposition", counting)
     hilb_numerator(3, 2)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from cuspquot.strata import LeadingTermDatum, parse_datum
+from cuspquot.strata import LeadingTermDatum, parse_datum, stable_orbit_decomposition
 from cuspquot.varieties import (
     AbProfile,
     BudgetError,
@@ -25,6 +25,7 @@ from cuspquot.varieties import (
     staircase_table_csv,
     symbolic_v_alpha,
 )
+from cuspquot.varieties import _count, _Poly
 from cuspquot.qalgebra import LaurentPolyQ
 
 FROZEN_V_COUNTS = {
@@ -129,29 +130,90 @@ def test_rank_two_table_against_counts():
             assert count_v_spec(spec, p) == expected.evaluate(p)
 
 
-V3_KEYS = [
-    ("1-", "1-", "1-"),
-    ("1-", "1-", "2"),
-    ("1-", "1-", "3+"),
-    ("1-", "2", "2"),
-    ("1-", "2", "3+"),
-    ("1-", "3+", "3+"),
-    ("2", "1-", "2"),
-    ("2", "1-", "3+"),
-    ("2", "2", "3+"),
-    ("2", "3+", "3+"),
-    ("3+", "1-", "3+"),
-    ("3+", "2", "3+"),
-    ("3+", "3+", "3+"),
-]
+# the rank-3 counts as tabulated by hand before the symbolic counter,
+# keyed by the classes of the pairs (1,2), (2,3), (1,3)
+FROZEN_V3 = {
+    ("1-", "1-", "1-"): poly({0: 1}),
+    ("1-", "1-", "2"): poly({1: 1}),
+    ("1-", "1-", "3+"): poly({2: 1}),
+    ("1-", "2", "2"): poly({2: 1}),
+    ("1-", "2", "3+"): poly({3: 1}),
+    ("1-", "3+", "3+"): poly({4: 1}),
+    ("2", "1-", "2"): poly({2: 1}),
+    ("2", "1-", "3+"): poly({3: 1}),
+    ("2", "2", "3+"): poly({4: 1}),
+    ("2", "3+", "3+"): poly({4: 2, 3: -1}),
+    ("3+", "1-", "3+"): poly({4: 1}),
+    ("3+", "2", "3+"): poly({4: 2, 3: -1}),
+    ("3+", "3+", "3+"): poly({4: 3, 3: -2}),
+}
 
 
 def test_rank_three_table_against_counts():
-    for key in V3_KEYS:
+    for key, expected in FROZEN_V3.items():
         spec = VAlphaSpec(3, {(1, 2): key[0], (2, 3): key[1], (1, 3): key[2]})
         symbolic = symbolic_v_alpha(spec)
+        assert symbolic == expected, key
         for p in (2, 3, 5):
             assert count_v_spec(spec, p) == symbolic.evaluate(p)
+
+
+def _all_patterns(d):
+    pairs = [(b, h) for b in range(1, d + 1) for h in range(b + 1, d + 1)]
+    for classes in itertools.product(("1-", "2", "3+"), repeat=len(pairs)):
+        yield VAlphaSpec(d, dict(zip(pairs, classes)))
+
+
+def _realizable_patterns(d):
+    out = []
+    for spec in _all_patterns(d):
+        try:
+            symbolic_v_alpha(spec)
+        except ValueError:
+            continue
+        out.append(spec)
+    return out
+
+
+def test_realizable_patterns_are_those_of_pure_K_data():
+    assert {s.key() for s in _realizable_patterns(3)} == {
+        VAlphaSpec(3, {(1, 2): a, (2, 3): b, (1, 3): c}).key() for a, b, c in FROZEN_V3
+    }
+    data = {
+        VAlphaSpec.from_datum(LeadingTermDatum(levels, "KKKK")).key()
+        for levels in itertools.product(range(13), repeat=4)
+    }
+    assert {s.key() for s in _realizable_patterns(4)} == data
+    assert len(data) == 67
+    orbit_patterns = {
+        VAlphaSpec.from_datum(orbit.base.restrict_to_K()).key()
+        for orbit in stable_orbit_decomposition(4)
+    }
+    assert {key for key in orbit_patterns if key[0] == 4} == data
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+def test_symbolic_counts_match_enumeration(d):
+    for spec in _realizable_patterns(d):
+        symbolic = symbolic_v_alpha(spec)
+        for p in (2, 3, 5) if d <= 3 else (2, 3):
+            assert count_v_spec(spec, p) == symbolic.evaluate(p), spec.key()
+
+
+def test_full_pattern_is_the_staircase_motive():
+    for d in range(6):
+        spec = VAlphaSpec(d, {(b, h): "3+" for b in range(1, d + 1) for h in range(b + 1, d + 1)})
+        assert symbolic_v_alpha(spec) == staircase_motive(d)
+
+
+def test_unresolved_systems_raise():
+    spec = VAlphaSpec(6, {(b, h): "3+" for b in range(1, 7) for h in range(b + 1, 7)})
+    with pytest.raises(ArithmeticError, match="stuck"):
+        symbolic_v_alpha(spec)
+    # 2x = 0 has q points in characteristic 2 and one elsewhere
+    x = _Poly.var(0)
+    with pytest.raises(ArithmeticError, match="vanishes"):
+        _count([x + x], frozenset({0}), frozenset())
 
 
 def test_rank_three_frozen_rows():
@@ -170,9 +232,8 @@ def test_rank_three_unrealizable_key_rejected():
     spec = VAlphaSpec(3, {(1, 2): "3+", (2, 3): "3+", (1, 3): "1-"})
     with pytest.raises(ValueError):
         symbolic_v_alpha(spec)
-    with pytest.raises(ValueError):
-        symbolic_v_alpha(VAlphaSpec(4, {pair: "1-" for pair in
-                                        [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]}))
+    assert symbolic_v_alpha(VAlphaSpec(4, {pair: "1-" for pair in
+                                           [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]})) == 1
 
 
 def test_rank_one_and_zero_are_trivial():
