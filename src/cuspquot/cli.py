@@ -10,12 +10,14 @@ Exit codes: 0 success, 1 a verify/conjecture check failed, 2 bad usage,
 out-of-range arguments (series stop at rank series.MAX_D) or an
 enumeration over budget.  Results can be
 cached in the directory named by CUSPQUOT_CACHE_DIR (append-only text
-file, one result per line, invalidated when the package version changes).
+file, one result per line, invalidated when any source file of the
+package changes).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -23,8 +25,9 @@ import pathlib
 import random
 import sys
 import warnings
+import zlib
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import __version__
 from .qalgebra import (
@@ -87,7 +90,7 @@ class RangeUsageError(ValueError):
 
 
 class ResultCache:
-    """Append-only semicolon-separated cache file, headed by the version."""
+    """Append-only semicolon-separated cache file, headed by the engine version."""
 
     def __init__(self, directory: Optional[str], version: str):
         self.version = version
@@ -105,9 +108,7 @@ class ResultCache:
         lines = self.path.read_text().splitlines()
         if not lines:
             return
-        if lines[0].strip() != f"version={self.version}":
-            self._stale = True  # older engine: results no longer trusted
-            return
+        entries = {}
         for line in lines[1:]:
             if not line.strip():
                 continue
@@ -116,7 +117,11 @@ class ResultCache:
                 warnings.warn(f"skipping corrupted cache line: {line!r}")
                 continue
             kind, params, value = parts
-            self.entries[(kind, params)] = value
+            entries[(kind, params)] = value
+        if lines[0].strip() == f"version={self.version}":
+            self.entries = entries
+        else:
+            self._stale = True  # other engine code: results no longer trusted
 
     def get(self, kind: str, params: str) -> Optional[str]:
         return self.entries.get((kind, params))
@@ -135,8 +140,21 @@ class ResultCache:
             fh.write(f"{kind};{params};{value}\n")
 
 
+def _engine_version() -> str:
+    """The package version plus a crc32 of its *.py sources, in sorted order.
+
+    Not a sha256: hashlib loads OpenSSL, about 3.4 MiB more in every CLI
+    process, and this fingerprint only has to change with the sources.
+    """
+    crc = 0
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        crc = zlib.crc32(path.read_bytes(), crc)
+    return f"{__version__}+{crc:08x}"
+
+
 def _open_cache() -> ResultCache:
-    return ResultCache(os.environ.get("CUSPQUOT_CACHE_DIR"), __version__)
+    directory = os.environ.get("CUSPQUOT_CACHE_DIR")
+    return ResultCache(directory, _engine_version() if directory else __version__)
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +524,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _exact_ints() -> Iterator[None]:
+    """Lift Python's 4300-digit cap on int-to-str (from 3.10.7) for the output:
+    an expansion at a large prime has longer coefficients."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _exact_ints():
+            return args.func(args)
     except (RangeUsageError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ import itertools
 from typing import Iterator, Optional
 
 from .groebner import Element, Monomial, PreBasis, is_groebner
+from .qalgebra import is_prime
 from .strata import LeadingTermDatum
 from .varieties import BudgetError, GFMatrix
 
@@ -272,6 +273,8 @@ def count_stratum_bruteforce(
     pins fixes some slot values; the rest range over all of F_p, and a
     choice counts when the closure test passes.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
     pins = dict(pins or {})
     slots = stratum_slots(datum)
     unknown = set(pins) - set(slots)

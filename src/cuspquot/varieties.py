@@ -6,9 +6,15 @@ zero pattern dictated by the datum's pairwise distances: X_bh is forced
 to 0 unless distance(b,h) >= 3, Y_bh unless distance(b,h) >= 2.  Only
 the truncated distance classes 1-, 2, 3+ matter.  symbolic_v_alpha
 counts these varieties as polynomials in q by case splitting, exactly
-over every F_q; count_v_spec enumerates them over F_p as its oracle.
-When every distance is 3+ the variety is the full staircase variety
-V_d, whose motive obeys a two-parameter recursion computed here exactly.
+over every F_q.  When every distance is 3+ the variety is the full
+staircase variety V_d, whose motive obeys a two-parameter recursion
+computed here exactly.
+
+One enumerator, _cusp_points, walks the F_p points of all of them: for
+each Y on its slots it solves the linear condition XY = YX for X and
+keeps the X with X^2 = Y^3.  count_v_spec (a patterned variety),
+brute_v_d and enumerate_v_d_points (V_d) check their arguments and
+budget and delegate to it; they are the oracles of the closed forms.
 
 The module profile machinery views a point (X, Y) as the R-module
 M = F_p^m with x, y acting by X, Y (R the cusp ring), and measures the
@@ -19,9 +25,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .qalgebra import LaurentPolyQ
+from .qalgebra import LaurentPolyQ, is_prime
 from .strata import LeadingTermDatum
 
 __all__ = [
@@ -248,56 +254,58 @@ class VAlphaSpec:
         return [(b - 1, h - 1) for (b, h), c in sorted(self.classes.items()) if c != "1-"]
 
 
-_COUNT_CACHE: dict[tuple, int] = {}
+def _check_field(d: int, p: int) -> None:
+    if d < 0:
+        raise ValueError("rank must be >= 0")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
+
+
+def _cusp_points(d: int, x_slots: list, y_slots: list, p: int) -> Iterator[tuple[list, list]]:
+    """The F_p points (X, Y) with X on x_slots and Y on y_slots, as lists of rows.
+
+    For each Y, XY = YX is linear in X; X runs over its kernel and is kept
+    when X^2 = Y^3 (only entries j - i >= 2 of these products can be
+    nonzero).  The points over one Y share its list: copy before mutating."""
+    entries = [(i, j) for i in range(d) for j in range(i + 2, d)]
+    for ys in itertools.product(range(p), repeat=len(y_slots)):
+        Y = [[0] * d for _ in range(d)]
+        for (i, j), c in zip(y_slots, ys):
+            Y[i][j] = c
+        y3 = [
+            sum(Y[i][k] * Y[k][l] * Y[l][j] for k in range(i + 1, j) for l in range(k + 1, j)) % p
+            for i, j in entries
+        ]
+        # the coefficient of X_ab in (XY - YX)_ij; a zero row when d <= 2
+        system = [
+            [(Y[b][j] if a == i else 0) - (Y[i][a] if b == j else 0) for a, b in x_slots]
+            for i, j in entries
+        ] or [[0] * len(x_slots)]
+        span = [[0] * len(x_slots)]
+        for vec in GFMatrix(system, p).kernel_basis():
+            span = [[(a + c * b) % p for a, b in zip(xs, vec)] for c in range(p) for xs in span]
+        for xs in span:
+            X = [[0] * d for _ in range(d)]
+            for (i, j), c in zip(x_slots, xs):
+                X[i][j] = c
+            if all(
+                sum(X[i][k] * X[k][j] for k in range(i + 1, j)) % p == c
+                for (i, j), c in zip(entries, y3)
+            ):
+                yield X, Y
 
 
 def count_v_spec(spec: VAlphaSpec, p: int, point_budget: int = DEFAULT_POINT_BUDGET) -> int:
     """Exhaustive point count of the patterned variety over F_p."""
     d = spec.d
+    _check_field(d, p)
     fx, fy = spec.free_x(), spec.free_y()
     nfree = len(fx) + len(fy)
     if d > 4:
         raise BudgetError(f"exhaustive mode handles rank <= 4, got {d}")
     if p ** nfree > point_budget:
         raise BudgetError(f"{p}^{nfree} points exceed the budget {point_budget}")
-    cache_key = (spec.key(), p)
-    if cache_key in _COUNT_CACHE:
-        return _COUNT_CACHE[cache_key]
-
-    pair2 = [(i, j) for i in range(d) for j in range(i + 2, d)]
-    count = 0
-    for ys in itertools.product(range(p), repeat=len(fy)):
-        Y = [[0] * d for _ in range(d)]
-        for (i, j), c in zip(fy, ys):
-            Y[i][j] = c
-        Y3 = {}
-        for i, j in pair2:
-            if j - i >= 3:
-                Y3[(i, j)] = sum(
-                    Y[i][k] * Y[k][l] * Y[l][j]
-                    for k in range(i + 1, j)
-                    for l in range(k + 1, j)
-                ) % p
-            else:
-                Y3[(i, j)] = 0
-        for xs in itertools.product(range(p), repeat=len(fx)):
-            X = [[0] * d for _ in range(d)]
-            for (i, j), c in zip(fx, xs):
-                X[i][j] = c
-            ok = True
-            for i, j in pair2:
-                comm = sum(X[i][k] * Y[k][j] - Y[i][k] * X[k][j] for k in range(i + 1, j)) % p
-                if comm:
-                    ok = False
-                    break
-                sq = sum(X[i][k] * X[k][j] for k in range(i + 1, j)) % p
-                if sq != Y3[(i, j)]:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-    _COUNT_CACHE[cache_key] = count
-    return count
+    return sum(1 for _ in _cusp_points(d, fx, fy, p))
 
 
 def count_v_alpha(datum: LeadingTermDatum, p: int, point_budget: int = DEFAULT_POINT_BUDGET) -> int:
@@ -572,69 +580,22 @@ def staircase_motive(d: int) -> LaurentPolyQ:
 
 
 def brute_v_d(d: int, p: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
-    """Independent count of V_d(F_p): enumerate Y, solve XY=YX, filter X^2=Y^3."""
+    """Independent count of V_d(F_p) by enumeration."""
+    _check_field(d, p)
     slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
     if p ** (2 * len(slots)) > pair_budget:
         raise BudgetError(f"{p}^{2 * len(slots)} pairs exceed the budget {pair_budget}")
-    reachable = [(i, j) for i in range(d) for j in range(i + 2, d)]
-    count = 0
-    for ys in itertools.product(range(p), repeat=len(slots)):
-        Y = [[0] * d for _ in range(d)]
-        for (i, j), c in zip(slots, ys):
-            Y[i][j] = c
-        ymat = GFMatrix(Y, p)
-        y3 = (ymat * ymat * ymat).rows
-        # commuting X is a linear condition on the strictly upper slots
-        eq_rows = []
-        for i, j in reachable:
-            row = [0] * len(slots)
-            for idx, (a, b) in enumerate(slots):
-                if a == i and b < j:
-                    row[idx] = (row[idx] + Y[b][j]) % p
-                if b == j and a > i:
-                    row[idx] = (row[idx] - Y[i][a]) % p
-            eq_rows.append(row)
-        if eq_rows:
-            sol_basis = GFMatrix(eq_rows, p).kernel_basis()
-        else:
-            sol_basis = [
-                tuple(1 if k == idx else 0 for k in range(len(slots)))
-                for idx in range(len(slots))
-            ]
-        for coeffs in itertools.product(range(p), repeat=len(sol_basis)):
-            xvec = [0] * len(slots)
-            for c, bas in zip(coeffs, sol_basis):
-                if c:
-                    xvec = [(v + c * bv) % p for v, bv in zip(xvec, bas)]
-            X = [[0] * d for _ in range(d)]
-            for (i, j), c in zip(slots, xvec):
-                X[i][j] = c
-            ok = True
-            for i, j in reachable:
-                sq = sum(X[i][k] * X[k][j] for k in range(i + 1, j)) % p
-                if sq != y3[i][j]:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-    return count
+    return sum(1 for _ in _cusp_points(d, slots, slots, p))
 
 
 def enumerate_v_d_points(d: int, p: int, pair_budget: int = DEFAULT_PAIR_BUDGET):
     """Yield all (X, Y) GFMatrix pairs in V_d(F_p)."""
+    _check_field(d, p)
     slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
     if p ** (2 * len(slots)) > pair_budget:
         raise BudgetError("pair enumeration exceeds budget")
-    for vals in itertools.product(range(p), repeat=2 * len(slots)):
-        X = [[0] * d for _ in range(d)]
-        Y = [[0] * d for _ in range(d)]
-        for (i, j), c in zip(slots, vals[: len(slots)]):
-            X[i][j] = c
-        for (i, j), c in zip(slots, vals[len(slots) :]):
-            Y[i][j] = c
-        xm, ym = GFMatrix(X, p), GFMatrix(Y, p)
-        if xm * ym == ym * xm and xm * xm == ym * ym * ym:
-            yield xm, ym
+    for X, Y in _cusp_points(d, slots, slots, p):
+        yield GFMatrix(X, p), GFMatrix(Y, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
 """Command line interface: frozen outputs, exit codes, range validation,
 and the append-only result cache."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cuspquot
 from cuspquot import __version__
-from cuspquot.cli import CHECKS, ResultCache, main
-from cuspquot.series import solve_nh
+from cuspquot.cli import CHECKS, ResultCache, _engine_version, _exact_ints, main
+from cuspquot.series import hilb_series, solve_nh
 
 
 def run_cli(argv, capsys):
@@ -130,6 +137,47 @@ def test_series_limits_come_from_the_engine():
     assert cli.MAX_D is series.MAX_D
 
 
+def test_series_expansion_past_the_int_to_str_digit_cap(capsys):
+    # the t^200 coefficient at this prime has about 5000 digits, past the
+    # 4300 that Python converts to str by default
+    p = 3_317_044_064_679_887_385_961_783
+    argv = ["series", "--d", "2", "--prime", str(p), "--order", "200", "--format", "csv"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    part, n, q_exp, coeff = out.splitlines()[-1].split(",")
+    assert (part, n, q_exp) == ("t^200", "200", "0")
+    with _exact_ints():
+        assert int(coeff) == hilb_series(2).expand(200)[200].evaluate(p)
+        assert len(coeff) > 4300
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    d=st.integers(-1, 5),
+    prime=st.one_of(st.none(), st.integers(-2, 40), st.sampled_from([2**61 - 1, 10**25])),
+    order=st.one_of(st.none(), st.integers(-1, 210)),
+    fmt=st.sampled_from(["json", "csv"]),
+)
+def test_series_argument_sweep(d, prime, order, fmt):
+    argv = ["series", f"--d={d}", f"--format={fmt}"]
+    if prime is not None:
+        argv.append(f"--prime={prime}")
+    if order is not None:
+        argv.append(f"--order={order}")
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("CUSPQUOT_CACHE_DIR", None)
+        code = main(argv)
+    assert time.monotonic() - start < 10.0
+    assert code in (0, 2)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (1 if code == 2 else 0)
+    if code == 0 and fmt == "json":
+        with _exact_ints():
+            assert json.loads(out.getvalue())["d"] == d
+
+
 # ---------------------------------------------------------------------------
 # motive
 
@@ -238,7 +286,7 @@ def test_cache_roundtrip_is_byte_stable(tmp_path, monkeypatch, capsys):
 
     cache_file = tmp_path / "cache.txt"
     lines = cache_file.read_text().splitlines()
-    assert lines[0] == f"version={__version__}"
+    assert lines[0] == f"version={_engine_version()}"
     series_lines = [l for l in lines if l.startswith("series;d=2,prime=None;")]
     # the second run was a cache hit, so only one entry was appended
     assert len(series_lines) == 1
@@ -264,9 +312,26 @@ def test_cache_stale_version_is_rewritten(tmp_path, monkeypatch, capsys):
     # the stale entry is ignored and the answer recomputed
     assert out == "10*q^12 - 5*q^11 - 9*q^10 + 5*q^9\n"
     lines = cache_file.read_text().splitlines()
-    assert lines[0] == f"version={__version__}"
+    assert lines[0] == f"version={_engine_version()}"
     assert all("99" not in line for line in lines)
     assert any(line.startswith("motive;d=5;") for line in lines)
+
+
+def test_cache_from_the_same_version_but_other_engine_code_is_discarded(
+    tmp_path, monkeypatch, capsys
+):
+    # the header names the package sources, not only the version, so a
+    # cache written by other code under the same version is not trusted
+    assert re.fullmatch(re.escape(__version__) + r"\+[0-9a-f]{8}", _engine_version())
+    monkeypatch.setenv("CUSPQUOT_CACHE_DIR", str(tmp_path))
+    cache_file = tmp_path / "cache.txt"
+    cache_file.write_text(f'version={__version__}\nmotive;d=5;{{"0": 99}}\n')
+    code, out, err = run_cli(["motive", "--d", "5"], capsys)
+    assert code == 0
+    assert out == "10*q^12 - 5*q^11 - 9*q^10 + 5*q^9\n"
+    lines = cache_file.read_text().splitlines()
+    assert lines[0] == f"version={_engine_version()}"
+    assert all("99" not in line for line in lines)
 
 
 def test_cache_without_directory_is_inert(tmp_path, monkeypatch, capsys):

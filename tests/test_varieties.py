@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from cuspquot.oracles import count_stratum_bruteforce
 from cuspquot.strata import LeadingTermDatum, parse_datum, stable_orbit_decomposition
 from cuspquot.varieties import (
     AbProfile,
@@ -254,6 +255,56 @@ def test_counts_depend_only_on_distance_classes():
     assert VAlphaSpec.from_datum(near).key() == VAlphaSpec.from_datum(far).key()
     for p in (2, 3):
         assert count_v_alpha(near, p) == count_v_alpha(far, p)
+
+
+def _pair_walk(d, x_slots, y_slots, p):
+    """Reference for the enumerators: every pair supported on the slots,
+    kept when XY = YX and X^2 = Y^3 as GFMatrix products."""
+    points = []
+    for vals in itertools.product(range(p), repeat=len(x_slots) + len(y_slots)):
+        X = [[0] * d for _ in range(d)]
+        Y = [[0] * d for _ in range(d)]
+        for (i, j), c in zip(x_slots, vals):
+            X[i][j] = c
+        for (i, j), c in zip(y_slots, vals[len(x_slots):]):
+            Y[i][j] = c
+        xm, ym = GFMatrix(X, p), GFMatrix(Y, p)
+        if xm * ym == ym * xm and xm * xm == ym * ym * ym:
+            points.append((xm, ym))
+    return points
+
+
+def test_enumerated_points_match_the_pair_walk():
+    for d in range(4):
+        slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        for p in (2, 3):
+            points = list(enumerate_v_d_points(d, p))
+            assert len(points) == len(set(points))
+            assert set(points) == set(_pair_walk(d, slots, slots, p))
+
+
+def test_patterned_counts_match_the_pair_walk():
+    for d in range(4):
+        for spec in _realizable_patterns(d):
+            walk = _pair_walk(d, spec.free_x(), spec.free_y(), 2)
+            assert count_v_spec(spec, 2) == len(walk), spec.key()
+
+
+@pytest.mark.parametrize("d,p", [(3, 0), (3, 1), (3, 4), (3, 9), (-1, 2)])
+def test_enumerators_reject_non_primes_and_negative_ranks(d, p):
+    # a composite p once gave wrong counts (896 for the full rank-3 pattern
+    # at p = 4, where F_4 has 640 points) and d = -1 counted one point
+    spec = VAlphaSpec(d, {(b, h): "3+" for b in range(1, d + 1) for h in range(b + 1, d + 1)})
+    message = "is not a prime" if d >= 0 else "rank must be >= 0"
+    with pytest.raises(ValueError, match=message):
+        count_v_spec(spec, p)
+    with pytest.raises(ValueError, match=message):
+        brute_v_d(d, p)
+    with pytest.raises(ValueError, match=message):
+        next(enumerate_v_d_points(d, p))
+    if d >= 0:
+        with pytest.raises(ValueError, match=message):
+            count_stratum_bruteforce(parse_datum("(K(0),K(2))"), p)
 
 
 def test_count_budget_errors():
