@@ -4,11 +4,17 @@ Everything here is integer-exact: Laurent polynomials in q over Z,
 rational functions in q, polynomials and rational series in t whose
 coefficients are Laurent polynomials, and cyclotomic integers for
 evaluating at roots of unity.  No floats anywhere.
+
+A LaurentPolyQ is a dict {exponent: coefficient} that never holds a zero
+coefficient; __eq__ and __hash__ rely on that.  Public constructors check
+that they are given integers, and arithmetic hands its results, already
+clean, to the private _from_clean without a second pass.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -40,18 +46,25 @@ QValue = Union[int, Fraction]
 
 
 class LaurentPolyQ:
-    """Laurent polynomial in q with integer coefficients, immutable."""
+    """Laurent polynomial in q with integer coefficients, immutable.
 
-    __slots__ = ("_terms", "_key")
+    The terms are one dict {exponent: coefficient} that never holds a zero
+    coefficient, so two polynomials are equal exactly when their dicts are,
+    and the hash needs no sorting.  The public constructor checks that every
+    exponent and coefficient is an integer and drops zeros; arithmetic
+    results are built by _from_clean, which takes such a dict as it is.
+    """
+
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[dict[int, int]] = None):
         clean = {}
         if terms:
             for e, c in terms.items():
+                e, c = operator.index(e), operator.index(c)
                 if c:
-                    clean[int(e)] = int(c)
+                    clean[e] = c
         self._terms = clean
-        self._key = tuple(sorted(clean.items()))
 
     @classmethod
     def zero(cls) -> "LaurentPolyQ":
@@ -97,38 +110,52 @@ class LaurentPolyQ:
         if not self.is_unit():
             raise ValueError(f"not a unit: {self}")
         ((e, c),) = self._terms.items()
-        return LaurentPolyQ({-e: c})
+        return _from_clean({-e: c})
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = LaurentPolyQ.const(other)
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, LaurentPolyQ):
             return NotImplemented
-        return self._key == other._key
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "LaurentPolyQ | int") -> "LaurentPolyQ":
         if isinstance(other, int):
             other = LaurentPolyQ.const(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolyQ(out)
+        a, b = self._terms, other._terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for e, c in b.items():
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return _from_clean(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolyQ":
-        return LaurentPolyQ({e: -c for e, c in self._terms.items()})
+        return _from_clean({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPolyQ | int") -> "LaurentPolyQ":
         if isinstance(other, int):
             other = LaurentPolyQ.const(other)
-        return self + (-other)
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            c = out.get(e, 0) - c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return _from_clean(out)
 
     def __rsub__(self, other: int) -> "LaurentPolyQ":
         return LaurentPolyQ.const(other) - self
@@ -136,12 +163,32 @@ class LaurentPolyQ:
     def __mul__(self, other: "LaurentPolyQ | int") -> "LaurentPolyQ":
         if isinstance(other, int):
             other = LaurentPolyQ.const(other)
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        a, b = self._terms, other._terms
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return _from_clean({})
+        if len(b) == 1:  # a shift and a scale
+            ((s, k),) = b.items()
+            return _from_clean(_shifted(a, s, k))
+        if len(b) == 2:  # two shifted copies of a, merged
+            (s, k), (s2, k2) = b.items()
+            out = _shifted(a, s, k)
+            m = -k2  # subtract the second copy: for the common q^s - q^s2, m is 1
+            for e, c in a.items():
+                e += s2
+                c = out.get(e, 0) - (c if m == 1 else c * m)
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+            return _from_clean(out)
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolyQ(out)
+        return _from_clean({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -159,9 +206,10 @@ class LaurentPolyQ:
 
     def substitute_q(self, k: int) -> "LaurentPolyQ":
         """q -> q^k for a nonzero integer k (k may be negative)."""
+        k = operator.index(k)
         if k == 0:
             raise ValueError("q -> q^0 is not a substitution")
-        return LaurentPolyQ({e * k: c for e, c in self._terms.items()})
+        return _from_clean({e * k: c for e, c in self._terms.items()})
 
     def evaluate(self, value: QValue) -> Fraction:
         v = Fraction(value)
@@ -185,38 +233,39 @@ class LaurentPolyQ:
         return q
 
     def try_divide(self, other: "LaurentPolyQ") -> Optional["LaurentPolyQ"]:
-        """Exact quotient in Z[q, q^-1], or None if the division fails."""
-        if other.is_zero():
+        """Exact quotient in Z[q, q^-1], or None if the division fails.
+
+        Long division from the top term down, in integers.  Over Q the
+        quotient is unique, so once a step's leading coefficient is not a
+        multiple of the divisor's, no quotient exists in Z[q, q^-1].
+        """
+        g = other._terms
+        if not g:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPolyQ.zero()
-        shift = self.min_exp() - other.min_exp()
-        f = {e - self.min_exp(): Fraction(c) for e, c in self._terms.items()}
-        g = {e - other.min_exp(): Fraction(c) for e, c in other._terms.items()}
+        rem = dict(self._terms)
+        if not rem:
+            return _from_clean({})
         gdeg = max(g)
         glead = g[gdeg]
-        quot: dict[int, Fraction] = {}
-        rem = dict(f)
+        lowest = min(rem) - min(g)  # no quotient term can lie below q^lowest
+        quot = {}
         while rem:
-            rdeg = max(rem)
-            if rdeg < gdeg:
+            top = max(rem)
+            s = top - gdeg
+            if s < lowest:
                 return None
-            c = rem[rdeg] / glead
-            quot[rdeg - gdeg] = c
-            for ge, gc in g.items():
-                e = ge + rdeg - gdeg
-                nc = rem.get(e, Fraction(0)) - c * gc
+            c, r = divmod(rem[top], glead)
+            if r:
+                return None
+            quot[s] = c
+            for e, gc in g.items():
+                e += s
+                nc = rem.get(e, 0) - c * gc
                 if nc:
                     rem[e] = nc
                 else:
-                    rem.pop(e, None)
-        out: dict[int, int] = {}
-        for e, c in quot.items():
-            if c.denominator != 1:
-                return None
-            if c:
-                out[e + shift] = int(c)
-        return LaurentPolyQ(out)
+                    del rem[e]
+        return _from_clean(quot)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -240,6 +289,23 @@ class LaurentPolyQ:
 
     def __repr__(self) -> str:
         return f"LaurentPolyQ({self._terms!r})"
+
+
+def _from_clean(terms: dict[int, int]) -> LaurentPolyQ:
+    """The polynomial with these terms, for an int dict with no zero coefficient.
+
+    The dict is taken, not copied; every arithmetic result is built here.
+    """
+    p = object.__new__(LaurentPolyQ)
+    p._terms = terms
+    return p
+
+
+def _shifted(terms: dict[int, int], s: int, k: int) -> dict[int, int]:
+    """The terms of k * q^s * p for p with these terms (k nonzero)."""
+    if k == 1:
+        return {e + s: c for e, c in terms.items()}
+    return {e + s: c * k for e, c in terms.items()}
 
 
 ONE = LaurentPolyQ.one()
@@ -810,8 +876,9 @@ def tpoly_to_triples(tp: TPoly) -> list[list[int]]:
 def tpoly_from_triples(triples: Iterable[Iterable[int]]) -> TPoly:
     by_t: dict[int, dict[int, int]] = {}
     for t_exp, q_exp, coeff in triples:
-        d = by_t.setdefault(int(t_exp), {})
-        d[int(q_exp)] = d.get(int(q_exp), 0) + int(coeff)
+        d = by_t.setdefault(operator.index(t_exp), {})
+        q_exp = operator.index(q_exp)
+        d[q_exp] = d.get(q_exp, 0) + operator.index(coeff)
     if not by_t:
         return TPoly.zero()
     top = max(by_t)

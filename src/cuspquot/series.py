@@ -194,6 +194,8 @@ def zhat_coefficient(n: int) -> RationalQ:
     q^(-d^2 - d(n-d)) / (q^-1;q^-1)_d; needs the framed series of every
     rank up to n, so n is capped by MAX_D.
     """
+    if n < 0:
+        raise ValueError("order must be >= 0")
     total = RationalQ.from_int(0)
     for d in range(n + 1):
         h_coeff = hilb_series(d).expand(n - d)[n - d]
@@ -238,6 +240,8 @@ def solve_nh(d: int) -> TPoly:
 
 def nh_guess(d: int) -> TPoly:
     """Closed form: [t^j] = q^(C(j+1,2) + j(d-j)) [t^j](-t;q)_d."""
+    if d < 0:
+        raise ValueError("rank must be >= 0")
     prod = TPoly.one()
     for i in range(d):
         prod = prod * TPoly([ONE, LaurentPolyQ.q_power(i)])

@@ -3,6 +3,7 @@ polynomials and rational series in t, and cyclotomic evaluation."""
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,149 @@ def test_laurent_str_ordering():
     p = LaurentPolyQ({1: 1, 2: -3, 0: 2})
     assert str(p) == "-3*q^2 + q + 2"
     assert str(ZERO) == "0"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentPolyQ({1: 1.5}),
+        lambda: LaurentPolyQ({1.5: 1}),
+        lambda: LaurentPolyQ({0: Fraction(3, 2)}),
+        lambda: LaurentPolyQ({0: 2.0}),
+        lambda: LaurentPolyQ.q_power(1.5),
+        lambda: LaurentPolyQ.const(0.5),
+        lambda: (ONE + Q).substitute_q(1.5),
+        lambda: tpoly_from_triples([[0, 1, 1.5]]),
+        lambda: tpoly_from_triples([[0.5, 1, 1]]),
+    ],
+)
+def test_laurent_rejects_non_integers(build):
+    # int() would truncate each of these to a wrong polynomial
+    with pytest.raises(TypeError):
+        build()
+
+
+# ---------------------------------------------------------------------------
+# LaurentPolyQ against a plain-dict reference
+
+
+def naive_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def naive_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def fraction_try_divide(f: dict, g: dict):
+    """Long division over Q; the quotient if it is exact with integer coefficients."""
+    if not f:
+        return {}
+    rem = {e: Fraction(c) for e, c in f.items()}
+    gdeg, lowest = max(g), min(f) - min(g)
+    quot = {}
+    while rem:
+        top = max(rem)
+        if top - gdeg < lowest:
+            return None
+        c = rem[top] / g[gdeg]
+        quot[top - gdeg] = c
+        for e, gc in g.items():
+            rem[e + top - gdeg] = rem.get(e + top - gdeg, 0) - c * gc
+        rem = {e: c for e, c in rem.items() if c}
+    if any(c.denominator != 1 for c in quot.values()):
+        return None
+    return {e: int(c) for e, c in quot.items()}
+
+
+def clean(p: LaurentPolyQ) -> dict:
+    """The terms of p, checked to hold no zero coefficient."""
+    terms = p.terms
+    assert 0 not in terms.values()
+    return terms
+
+
+# 0, 1, 2 and more terms, so every multiplication path runs
+sized_terms = st.integers(0, 5).flatmap(
+    lambda n: st.dictionaries(
+        st.integers(-5, 5), st.integers(-4, 4).filter(bool), min_size=n, max_size=n
+    )
+)
+
+
+@given(sized_terms, sized_terms)
+def test_laurent_arithmetic_matches_dict_reference(a, b):
+    pa, pb = LaurentPolyQ(a), LaurentPolyQ(b)
+    assert clean(pa + pb) == naive_add(a, b)
+    assert clean(pa - pb) == naive_add(a, b, -1)
+    assert clean(-pa) == naive_add({}, a, -1)
+    assert clean(pa * pb) == naive_mul(a, b)
+    assert clean(pb * pa) == naive_mul(a, b)
+    for k in (-2, 0, 3):
+        assert clean(pa * k) == naive_mul(a, {0: k} if k else {})
+        assert clean(k * pa) == naive_mul(a, {0: k} if k else {})
+        assert clean(pa + k) == naive_add(a, {0: k} if k else {})
+    power = {0: 1}
+    for n in range(4):
+        assert clean(pa**n) == power
+        power = naive_mul(power, a)
+
+
+def test_laurent_multiplication_over_every_size_pair():
+    rng = random.Random(5)
+    polys = [
+        {e: rng.choice([-3, -1, 1, 2]) for e in rng.sample(range(-4, 5), n)}
+        for n in range(6)
+        for _ in range(3)
+    ]
+    for a in polys:
+        for b in polys:
+            assert clean(LaurentPolyQ(a) * LaurentPolyQ(b)) == naive_mul(a, b)
+
+
+def test_laurent_cancellation_leaves_no_zero_terms():
+    assert clean((ONE + Q) * (ONE - Q)) == {0: 1, 2: -1}
+    assert clean((ONE + Q) - Q) == {0: 1}
+    assert clean((Q - ONE) + (ONE - Q)) == {}
+    assert clean((ONE + Q + Q**2) * (ONE - Q)) == {0: 1, 3: -1}
+
+
+@given(sized_terms, sized_terms)
+def test_laurent_equal_polynomials_hash_equal(a, b):
+    p = LaurentPolyQ(a)
+    reordered = LaurentPolyQ(dict(reversed(list(a.items()))))
+    rebuilt = (p + LaurentPolyQ(b)) - LaurentPolyQ(b)
+    for other in (reordered, rebuilt):
+        assert other == p
+        assert hash(other) == hash(p)
+    assert (p == LaurentPolyQ(b)) == (a == b)
+
+
+@given(sized_terms, sized_terms.filter(bool), sized_terms)
+def test_laurent_try_divide_matches_fraction_division(f, g, h):
+    pf, pg = LaurentPolyQ(f), LaurentPolyQ(g)
+    quot = pf.try_divide(pg)
+    ref = fraction_try_divide(f, g)
+    assert (quot is None) == (ref is None)
+    if quot is not None:
+        assert clean(quot) == ref
+    multiple = naive_mul(g, h)
+    assert clean(LaurentPolyQ(multiple).try_divide(pg)) == fraction_try_divide(multiple, g) == h
+
+
+def test_laurent_try_divide_non_unit_leading_coefficient():
+    two = LaurentPolyQ.const(2)
+    assert (2 + 2 * Q).try_divide(4 + 4 * Q) is None
+    assert (4 + 4 * Q).try_divide(2 + 2 * Q) == two
+    assert (3 * Q**2 - 3).try_divide(3 * Q + 3) == Q - 1
+    assert (Q**2 + 2 * Q + 1).try_divide(2 * Q + 2) is None
 
 
 # ---------------------------------------------------------------------------

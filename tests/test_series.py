@@ -398,3 +398,19 @@ def test_affine_guess_is_partial_sum_of_point_guess():
         affine_cohen_lenstra_coefficient(-1)
     with pytest.raises(ValueError):
         cohen_lenstra_coefficient(-1)
+
+
+NEGATIVE_ARGUMENT_MESSAGES = {
+    solve_nh: "rank must be >= 0",
+    nh_guess: "rank must be >= 0",
+    zhat_coefficient: "order must be >= 0",
+    cohen_lenstra_coefficient: "order must be >= 0",
+    affine_cohen_lenstra_coefficient: "order must be >= 0",
+    matrix_count_formula: "size must be >= 0",
+}
+
+
+@pytest.mark.parametrize("fn", NEGATIVE_ARGUMENT_MESSAGES, ids=lambda fn: fn.__name__)
+def test_negative_rank_or_order_raises(fn):
+    with pytest.raises(ValueError, match=NEGATIVE_ARGUMENT_MESSAGES[fn]):
+        fn(-1)
