@@ -8,10 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verify/conjecture check failed, 2 bad usage,
 out-of-range arguments (series stop at rank series.MAX_D) or an
-enumeration over budget.  Results can be
-cached in the directory named by CUSPQUOT_CACHE_DIR (append-only text
-file, one result per line, invalidated when any source file of the
-package changes).
+enumeration over budget.  Every command computes its result afresh; none
+keeps results between runs.
 """
 
 from __future__ import annotations
@@ -20,12 +18,8 @@ import argparse
 import contextlib
 import itertools
 import json
-import os
-import pathlib
 import random
 import sys
-import warnings
-import zlib
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -37,7 +31,6 @@ from .qalgebra import (
     is_prime,
     q_pascal_inverse,
     q_pascal_matrix,
-    series_from_json,
     series_to_json,
     tpoly_from_triples,
 )
@@ -86,78 +79,6 @@ class RangeUsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# result cache
-
-
-class ResultCache:
-    """Append-only semicolon-separated cache file, headed by the engine version."""
-
-    def __init__(self, directory: Optional[str], version: str):
-        self.version = version
-        self.path: Optional[pathlib.Path] = None
-        self.entries: dict[tuple[str, str], str] = {}
-        self._stale = False
-        if directory:
-            self.path = pathlib.Path(directory) / "cache.txt"
-            self._load()
-
-    def _load(self) -> None:
-        assert self.path is not None
-        if not self.path.exists():
-            return
-        lines = self.path.read_text().splitlines()
-        if not lines:
-            return
-        entries = {}
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            parts = line.split(";", 2)
-            if len(parts) != 3:
-                warnings.warn(f"skipping corrupted cache line: {line!r}")
-                continue
-            kind, params, value = parts
-            entries[(kind, params)] = value
-        if lines[0].strip() == f"version={self.version}":
-            self.entries = entries
-        else:
-            self._stale = True  # other engine code: results no longer trusted
-
-    def get(self, kind: str, params: str) -> Optional[str]:
-        return self.entries.get((kind, params))
-
-    def put(self, kind: str, params: str, value: str) -> None:
-        if ";" in kind or ";" in params or "\n" in value:
-            raise ValueError("cache keys must be semicolon-free, values single-line")
-        self.entries[(kind, params)] = value
-        if self.path is None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._stale or not self.path.exists():
-            self.path.write_text(f"version={self.version}\n")
-            self._stale = False
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(f"{kind};{params};{value}\n")
-
-
-def _engine_version() -> str:
-    """The package version plus a crc32 of its *.py sources, in sorted order.
-
-    Not a sha256: hashlib loads OpenSSL, about 3.4 MiB more in every CLI
-    process, and this fingerprint only has to change with the sources.
-    """
-    crc = 0
-    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
-        crc = zlib.crc32(path.read_bytes(), crc)
-    return f"{__version__}+{crc:08x}"
-
-
-def _open_cache() -> ResultCache:
-    directory = os.environ.get("CUSPQUOT_CACHE_DIR")
-    return ResultCache(directory, _engine_version() if directory else __version__)
-
-
-# ---------------------------------------------------------------------------
 # series / motive commands
 
 
@@ -174,15 +95,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if order is not None and order > MAX_ORDER:
         raise RangeUsageError(f"--order must be <= {MAX_ORDER}")
 
-    cache = _open_cache()
-    params = f"d={d},prime={prime}"
-    hit = cache.get("series", params)
-    if hit is not None:
-        series = series_from_json(json.loads(hit))
-    else:
-        series = hilb_series(d, prime)
-        cache.put("series", params, json.dumps(series_to_json(series), sort_keys=True))
-
+    series = hilb_series(d, prime)
     payload = series_to_json(series)
     expansion = None
     if order is not None:
@@ -209,22 +122,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
 def _cmd_motive(args: argparse.Namespace) -> int:
     if (args.d is None) == (args.table is None):
         raise RangeUsageError("pass exactly one of --d or --table")
-    cache = _open_cache()
     if args.d is not None:
         if not 0 <= args.d <= MAX_MOTIVE_D:
             raise RangeUsageError(f"--d must be within 0..{MAX_MOTIVE_D}")
-        params = f"d={args.d}"
-        hit = cache.get("motive", params)
-        if hit is not None:
-            poly = LaurentPolyQ({int(e): c for e, c in json.loads(hit).items()})
-        else:
-            poly = staircase_motive(args.d)
-            cache.put(
-                "motive",
-                params,
-                json.dumps({str(e): c for e, c in poly.terms.items()}, sort_keys=True),
-            )
-        print(poly)
+        print(staircase_motive(args.d))
     else:
         a, b = args.table
         if not (0 <= b <= a <= 2 * MAX_MOTIVE_D):

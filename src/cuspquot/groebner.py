@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .qalgebra import is_prime
+
 __all__ = [
     "Monomial",
     "Element",
@@ -37,6 +39,17 @@ __all__ = [
 
 class TruncationError(ValueError):
     """The requested computation cannot be certified within the window."""
+
+
+def _field(p: int) -> int:
+    """p, checked to be a prime: monic() and divide() need inverses mod p.
+
+    Checked where inverses are taken, not in Element(): the stratum oracle
+    builds millions of elements, and a check on each slowed it by about 3%.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
+    return p
 
 
 def _semigroup(n: int) -> bool:
@@ -125,7 +138,8 @@ class Element:
         return self.terms[self.leading_monomial()]
 
     def monic(self) -> "Element":
-        inv = pow(self.leading_coeff(), self.p - 2, self.p)
+        p = _field(self.p)
+        inv = pow(self.leading_coeff(), p - 2, p)
         return self.scale(inv)
 
     def scale(self, c: int) -> "Element":
@@ -204,7 +218,7 @@ def divide(f: Element, divisors: Sequence[Element]) -> DivisionResult:
         f._compat(g)
     quots: list[dict[int, int]] = [{} for _ in divisors]
     rem = f
-    p = f.p
+    p = _field(f.p)
     guard = 0
     while True:
         killed = False

@@ -128,6 +128,8 @@ class LaurentPolyQ:
     def __add__(self, other: "LaurentPolyQ | int") -> "LaurentPolyQ":
         if isinstance(other, int):
             other = LaurentPolyQ.const(other)
+        elif not isinstance(other, LaurentPolyQ):
+            return NotImplemented
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
@@ -148,6 +150,8 @@ class LaurentPolyQ:
     def __sub__(self, other: "LaurentPolyQ | int") -> "LaurentPolyQ":
         if isinstance(other, int):
             other = LaurentPolyQ.const(other)
+        elif not isinstance(other, LaurentPolyQ):
+            return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
             c = out.get(e, 0) - c
@@ -163,6 +167,8 @@ class LaurentPolyQ:
     def __mul__(self, other: "LaurentPolyQ | int") -> "LaurentPolyQ":
         if isinstance(other, int):
             other = LaurentPolyQ.const(other)
+        elif not isinstance(other, LaurentPolyQ):
+            return NotImplemented
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
@@ -633,8 +639,11 @@ class TSeries:
 PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime, bases <= 41
 
 
+@functools.cache
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact below PRIME_TEST_LIMIT; ValueError from there on."""
+    """Deterministic Miller-Rabin, exact below PRIME_TEST_LIMIT; ValueError from there on.
+
+    Memoized: GFMatrix checks its modulus on every construction."""
     if n >= PRIME_TEST_LIMIT:
         raise ValueError(f"primality is only decided below {PRIME_TEST_LIMIT}")
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -26,8 +26,9 @@ polynomials and the identities used to stress them:
 from __future__ import annotations
 
 import functools
+import itertools
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .qalgebra import (
     ONE,
@@ -44,8 +45,8 @@ from .qalgebra import (
     t_pochhammer,
     tpoly_from_triples,
 )
-from .strata import Orbit, stable_orbit_decomposition, zero_datum
-from .varieties import VAlphaSpec, symbolic_v_alpha
+from .strata import Orbit, base_level_walk
+from .varieties import VAlphaSpec, distance_class, symbolic_v_alpha
 
 __all__ = [
     "hilb_series",
@@ -66,7 +67,7 @@ __all__ = [
     "affine_cohen_lenstra_coefficient",
 ]
 
-MAX_D = 4  # rank 5 has 116,480 stable orbits to walk
+MAX_D = 4  # symbolic_v_alpha's case splitting is stuck on 6 rank-5 stratum patterns
 
 
 def _check_prime(prime: Optional[int]) -> None:
@@ -105,30 +106,77 @@ def orbit_contribution(orbit: Orbit, prime: Optional[int] = None) -> TSeries:
 
 
 @functools.cache
+def _colorings(d: int) -> list[tuple[tuple[str, ...], list[int], list[int], int]]:
+    """Each color vector in product order with its K ranks and J ranks
+    (0-based) and b, the number of rank pairs colored (K, J)."""
+    out = []
+    for colors in itertools.product("JK", repeat=d):
+        ks = [r for r, c in enumerate(colors) if c == "K"]
+        js = [r for r, c in enumerate(colors) if c == "J"]
+        out.append((colors, ks, js, sum(k < j for k in ks for j in js)))
+    return out
+
+
+def _stratum_invariants(
+    levels: tuple[int, ...],
+) -> Iterator[tuple[tuple[str, ...], tuple, int, int, int]]:
+    """(colors, pattern key, b, delta, n) of the datum (levels, colors) for
+    every color vector, in product order.
+
+    These equal VAlphaSpec.from_datum(datum.restrict_to_K()).key(),
+    datum.exponents() and datum.n(), with the level-only parts computed
+    once: restricting to K keeps the rank order and the distances, so the
+    K-pattern is the distance-class matrix on the K ranks; the first corners
+    T^(level+2) do not depend on color, and a seat's standard monomials are
+    T^2..T^(level+1), plus T^(level+3) when it is J-colored.
+    """
+    d = len(levels)
+    seats = sorted(range(d), key=lambda s: (levels[s], s))  # the seat of each rank
+    classes = {
+        (b, h): distance_class(levels[seats[h]] - levels[seats[b]] - (seats[b] > seats[h]))
+        for b in range(d)
+        for h in range(b + 1, d)
+    }
+    corners = [(levels[s] + 2, s) for s in seats]  # monomials as (T-degree, seat)
+    delta0 = sum(
+        1 for s in range(d) for deg in range(2, levels[s] + 2) for mu in corners if (deg, s) > mu
+    )
+    j_extra = [sum(1 for mu in corners if (levels[s] + 3, s) > mu) for s in seats]
+    n0 = sum(levels)
+    for colors, ks, js, b in _colorings(d):
+        pattern = tuple(
+            ((i + 1, h + 1), classes[ks[i], ks[h]])
+            for i in range(len(ks))
+            for h in range(i + 1, len(ks))
+        )
+        yield colors, (len(ks), pattern), b, delta0 + sum(j_extra[r] for r in js), n0 + len(js)
+
+
+@functools.cache
 def _color_rows(d: int) -> dict[tuple[str, ...], TPoly]:
     """Numerator over (t;q)_d in q by color vector.
 
     An orbit contributes count * q^(bexp+delta) t^n prod_(j not a generator)
     (1 - q^(j-1) t); orbits with one color vector, stratum pattern and
     generator set share the count and the product, so they are summed first.
+    The rank's base level vectors are walked once and every color vector is
+    read off each of them.
     """
     if d < 0:
         raise ValueError("rank must be >= 0")
     if d > MAX_D:
         raise ValueError(f"series stop at rank {MAX_D}")
     # rank 0 has one orbit, the empty datum
-    orbits = stable_orbit_decomposition(d) if d else [Orbit(zero_datum(()), ())]
-    groups: dict[tuple, tuple[VAlphaSpec, list]] = {}
-    for orbit in orbits:
-        base = orbit.base
-        spec = VAlphaSpec.from_datum(base.restrict_to_K())
-        bexp, delta = base.exponents()
-        group = groups.setdefault((tuple(base.colors), spec.key(), orbit.generators), (spec, []))
-        group[1].append((base.n(), bexp + delta, 1))
+    walk = base_level_walk(d) if d else [((), ())]
+    groups: dict[tuple, list] = {}
+    for levels, generators in walk:
+        for colors, key, bexp, delta, n in _stratum_invariants(levels):
+            groups.setdefault((colors, key, generators), []).append((n, bexp + delta, 1))
     rows: dict[tuple[str, ...], TPoly] = {}
-    for (colors, _, generators), (spec, monomials) in groups.items():
+    for (colors, key, generators), monomials in groups.items():
         tails = _den_product(j for j in range(1, d + 1) if j not in generators)
-        part = tpoly_from_triples(monomials) * tails * symbolic_v_alpha(spec)
+        count = symbolic_v_alpha(VAlphaSpec(key[0], dict(key[1])))
+        part = tpoly_from_triples(monomials) * tails * count
         rows[colors] = rows.get(colors, TPoly.zero()) + part
     return rows
 

@@ -22,6 +22,7 @@ from .groebner import Monomial
 __all__ = [
     "LeadingTermDatum",
     "Orbit",
+    "base_level_walk",
     "parse_datum",
     "stable_orbit_decomposition",
 ]
@@ -326,24 +327,42 @@ def _box_caps(d: int) -> list[int]:
     return [3 * (d - j + 1) for j in range(2, d + 1)]
 
 
-def stable_orbit_decomposition(d: int) -> list[Orbit]:
-    """Finite list of stable orbits partitioning all data of the given rank.
+def base_level_walk(d: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(levels, generators) of the stable orbit bases of rank d, in box order.
 
-    For each color vector, base addresses run over the box 0 <= b_j <=
-    3(d-j+1) for j >= 2 (with b_1 = 0); gamma_1 always generates, and
-    gamma_j generates exactly when b_j sits on the box boundary.
+    Base addresses run over the box 0 <= b_j <= 3(d-j+1) for j >= 2 (with
+    b_1 = 0), last index fastest; gamma_1 always generates, and gamma_j
+    generates exactly when b_j sits on the box boundary.  The raising
+    operators move levels only, so the walk needs no colors: it is an
+    odometer that applies one gamma_j per step to the datum of its prefix.
     """
     if d < 1:
         raise ValueError("rank must be >= 1")
     caps = _box_caps(d)
-    orbits = []
-    for colors in itertools.product("JK", repeat=d):
-        base_color = zero_datum(colors)
-        for bs in itertools.product(*(range(c + 1) for c in caps)):
-            addr = (0,) + bs
-            base = base_color.apply_address(addr)
-            gens = (1,) + tuple(
-                j for j, (b, cap) in enumerate(zip(bs, caps), start=2) if b == cap
-            )
-            orbits.append(Orbit(base, gens))
-    return orbits
+    out = []
+
+    def walk(datum: LeadingTermDatum, j: int, generators: tuple[int, ...]) -> None:
+        if j > d:
+            out.append((datum.levels, generators))
+            return
+        cap = caps[j - 2]
+        for b in range(cap + 1):
+            if b:
+                datum = datum.gamma(j)
+            walk(datum, j + 1, (generators + (j,)) if b == cap else generators)
+
+    walk(zero_datum("K" * d), 2, (1,))
+    return out
+
+
+def stable_orbit_decomposition(d: int) -> list[Orbit]:
+    """Finite list of stable orbits partitioning all data of the given rank.
+
+    For each color vector, the bases of base_level_walk(d) in box order.
+    """
+    walk = base_level_walk(d)
+    return [
+        Orbit(LeadingTermDatum(levels, colors), generators)
+        for colors in itertools.product("JK", repeat=d)
+        for levels, generators in walk
+    ]

@@ -109,6 +109,8 @@ class GFMatrix:
     __slots__ = ("rows", "p")
 
     def __init__(self, rows: Iterable[Sequence[int]], p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not a prime")
         self.rows = tuple(tuple(c % p for c in row) for row in rows)
         self.p = p
         if self.rows:
@@ -540,33 +542,31 @@ def symbolic_v_alpha(spec_or_datum: "VAlphaSpec | LeadingTermDatum") -> LaurentP
 # motive of the full staircase variety
 
 
-class MotiveTable:
-    """Memoized two-parameter motive recursion.
+@functools.cache
+def _motive(a: int, b: int) -> LaurentPolyQ:
+    """The two-parameter motive recursion.
 
-    table(a, b) is nonzero only for a >= b >= 0 with a = b mod 2; the
-    seed is (0,0) -> 1 and the step splits off the last column pair by
-    the kernel filtration position it lands in.
+    Nonzero only for a >= b >= 0 with a = b mod 2; the seed is (0,0) -> 1
+    and the step splits off the last column pair by the kernel filtration
+    position it lands in.
     """
+    if a < 0 or b < 0 or a < b or (a - b) % 2:
+        return LaurentPolyQ.zero()
+    if a == 0:
+        return LaurentPolyQ.one()
+    mid = (a + b - 2) // 2
+    return (
+        _L(b) * _motive(a - 2, b)
+        + (_L(mid) - _L(b - 1)) * _motive(a - 1, b - 1)
+        + (_L(a) - _L(mid)) * _motive(a, b - 2)
+    )
 
-    def __init__(self) -> None:
-        self._memo: dict[tuple[int, int], LaurentPolyQ] = {(0, 0): LaurentPolyQ.one()}
+
+class MotiveTable:
+    """The two-parameter motive recursion table(a, b), read through _motive."""
 
     def get(self, a: int, b: int) -> LaurentPolyQ:
-        if a < 0 or b < 0 or a < b or (a - b) % 2:
-            return LaurentPolyQ.zero()
-        if (a, b) in self._memo:
-            return self._memo[(a, b)]
-        mid = (a + b - 2) // 2
-        out = (
-            _L(b) * self.get(a - 2, b)
-            + (_L(mid) - _L(b - 1)) * self.get(a - 1, b - 1)
-            + (_L(a) - _L(mid)) * self.get(a, b - 2)
-        )
-        self._memo[(a, b)] = out
-        return out
-
-
-_MOTIVES = MotiveTable()
+        return _motive(a, b)
 
 
 def staircase_motive(d: int) -> LaurentPolyQ:
@@ -575,7 +575,7 @@ def staircase_motive(d: int) -> LaurentPolyQ:
         raise ValueError("rank must be >= 0")
     total = LaurentPolyQ.zero()
     for b in range(d + 1):
-        total = total + _MOTIVES.get(2 * d - b, b)
+        total = total + _motive(2 * d - b, b)
     return total
 
 
@@ -742,5 +742,5 @@ def staircase_table_csv(max_d: int) -> str:
 def motive_table_csv(pairs: Iterable[tuple[int, int]]) -> str:
     lines = ["a,b,polynomial"]
     for a, b in pairs:
-        lines.append(f"{a},{b},{_MOTIVES.get(a, b)}")
+        lines.append(f"{a},{b},{_motive(a, b)}")
     return "\n".join(lines) + "\n"

@@ -1,15 +1,13 @@
 """Command line interface: frozen outputs, exit codes, range validation,
-and the append-only result cache."""
+and byte-stable output with no result cache."""
 
 import contextlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,7 @@ from hypothesis import strategies as st
 
 import cuspquot
 from cuspquot import __version__
-from cuspquot.cli import CHECKS, ResultCache, _engine_version, _exact_ints, main
+from cuspquot.cli import CHECKS, _exact_ints, main
 from cuspquot.series import hilb_series, solve_nh
 
 
@@ -166,8 +164,7 @@ def test_series_argument_sweep(d, prime, order, fmt):
         argv.append(f"--order={order}")
     out, err = io.StringIO(), io.StringIO()
     start = time.monotonic()
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        os.environ.pop("CUSPQUOT_CACHE_DIR", None)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert time.monotonic() - start < 10.0
     assert code in (0, 2)
@@ -274,81 +271,14 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 # ---------------------------------------------------------------------------
-# result cache
+# no result cache
 
 
-def test_cache_roundtrip_is_byte_stable(tmp_path, monkeypatch, capsys):
+def test_series_is_byte_stable_and_writes_no_cache(tmp_path, monkeypatch, capsys):
+    # a cache directory in the environment is neither read nor written
     monkeypatch.setenv("CUSPQUOT_CACHE_DIR", str(tmp_path))
-    code1, out1, _ = run_cli(["series", "--d", "2"], capsys)
-    code2, out2, _ = run_cli(["series", "--d", "2"], capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-    cache_file = tmp_path / "cache.txt"
-    lines = cache_file.read_text().splitlines()
-    assert lines[0] == f"version={_engine_version()}"
-    series_lines = [l for l in lines if l.startswith("series;d=2,prime=None;")]
-    # the second run was a cache hit, so only one entry was appended
-    assert len(series_lines) == 1
-
-
-def test_cache_corrupted_line_warns_and_skips(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CUSPQUOT_CACHE_DIR", str(tmp_path))
-    (tmp_path / "cache.txt").write_text(
-        f"version={__version__}\nnot-a-valid-entry\n"
-    )
-    with pytest.warns(UserWarning, match="corrupted cache line"):
-        code, out, err = run_cli(["motive", "--d", "2"], capsys)
-    assert code == 0
-    assert out == "q^2\n"
-
-
-def test_cache_stale_version_is_rewritten(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CUSPQUOT_CACHE_DIR", str(tmp_path))
-    cache_file = tmp_path / "cache.txt"
-    cache_file.write_text('version=0.0.0\nmotive;d=5;{"0": 99}\n')
-    code, out, err = run_cli(["motive", "--d", "5"], capsys)
-    assert code == 0
-    # the stale entry is ignored and the answer recomputed
-    assert out == "10*q^12 - 5*q^11 - 9*q^10 + 5*q^9\n"
-    lines = cache_file.read_text().splitlines()
-    assert lines[0] == f"version={_engine_version()}"
-    assert all("99" not in line for line in lines)
-    assert any(line.startswith("motive;d=5;") for line in lines)
-
-
-def test_cache_from_the_same_version_but_other_engine_code_is_discarded(
-    tmp_path, monkeypatch, capsys
-):
-    # the header names the package sources, not only the version, so a
-    # cache written by other code under the same version is not trusted
-    assert re.fullmatch(re.escape(__version__) + r"\+[0-9a-f]{8}", _engine_version())
-    monkeypatch.setenv("CUSPQUOT_CACHE_DIR", str(tmp_path))
-    cache_file = tmp_path / "cache.txt"
-    cache_file.write_text(f'version={__version__}\nmotive;d=5;{{"0": 99}}\n')
-    code, out, err = run_cli(["motive", "--d", "5"], capsys)
-    assert code == 0
-    assert out == "10*q^12 - 5*q^11 - 9*q^10 + 5*q^9\n"
-    lines = cache_file.read_text().splitlines()
-    assert lines[0] == f"version={_engine_version()}"
-    assert all("99" not in line for line in lines)
-
-
-def test_cache_without_directory_is_inert(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("CUSPQUOT_CACHE_DIR", raising=False)
-    code, out, err = run_cli(["series", "--d", "1"], capsys)
-    assert code == 0
+    for argv in (["series", "--d", "2"], ["motive", "--d", "5"]):
+        first = run_cli(argv, capsys)
+        assert first[0] == 0
+        assert run_cli(argv, capsys) == first
     assert list(tmp_path.iterdir()) == []
-
-
-def test_cache_rejects_malformed_keys(tmp_path):
-    cache = ResultCache(str(tmp_path), "0.1.0")
-    with pytest.raises(ValueError, match="semicolon-free"):
-        cache.put("kind;bad", "params", "value")
-    with pytest.raises(ValueError, match="semicolon-free"):
-        cache.put("kind", "params;bad", "value")
-    with pytest.raises(ValueError, match="semicolon-free"):
-        cache.put("kind", "params", "two\nlines")
-    cache.put("kind", "params", "value")
-    assert cache.get("kind", "params") == "value"
-    assert cache.get("kind", "missing") is None

@@ -89,6 +89,15 @@ def test_element_construction_reduces_and_truncates():
         Element({M(1, 1): 1}, p=2, trunc=8)
 
 
+def test_element_rejects_a_composite_modulus():
+    # over Z/4 the leading coefficient 2 has no inverse: monic() returned 0
+    e = Element({M(2, 1): 2}, 4, 6)
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        e.monic()
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        divide(e, [e])
+
+
 def test_element_leading_term_is_order_least():
     e = Element({M(5, 1): 1, M(2, 2): 1, M(2, 1): 2}, p=3, trunc=8)
     assert e.leading_monomial() == M(2, 1)

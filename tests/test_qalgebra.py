@@ -465,6 +465,15 @@ def test_rationalq_arithmetic():
         RationalQ(ONE, ZERO)
 
 
+def test_laurent_defers_to_foreign_operands():
+    r = RationalQ(ONE, ONE - Q)
+    assert ONE + r == r + ONE
+    assert ONE - r == -(r - ONE)
+    assert ONE * r == r * ONE
+    with pytest.raises(TypeError):
+        ONE + "x"
+
+
 def test_rationalq_evaluate_and_laurent_conversion():
     a = RationalQ(ONE, ONE - Q)
     assert a.evaluate(2) == -1

@@ -1,6 +1,9 @@
 """Framed and unframed point-count series: frozen closed forms, the
 independent solve/guess routes, and the identities that stress them."""
 
+import itertools
+import random
+
 import pytest
 
 from cuspquot import series as series_module
@@ -31,7 +34,8 @@ from cuspquot.series import (
     solve_nh,
     zhat_coefficient,
 )
-from cuspquot.strata import stable_orbit_decomposition
+from cuspquot.strata import LeadingTermDatum, base_level_walk, stable_orbit_decomposition
+from cuspquot.varieties import VAlphaSpec
 
 
 def poly(terms):
@@ -129,7 +133,7 @@ def test_prime_is_checked_before_the_orbit_walk(monkeypatch):
         raise AssertionError(f"rank {d} orbits walked for a non-prime")
 
     series_module._color_rows.cache_clear()
-    monkeypatch.setattr(series_module, "stable_orbit_decomposition", refuse)
+    monkeypatch.setattr(series_module, "base_level_walk", refuse)
     for call in (hilb_numerator, hilb_series, quot_numerator, quot_series, color_numerators):
         with pytest.raises(ValueError, match="4 is not a prime"):
             call(4, 4)
@@ -193,15 +197,32 @@ def test_orbits_are_walked_once_per_rank(monkeypatch):
 
     def counting(d):
         walked.append(d)
-        return stable_orbit_decomposition(d)
+        return base_level_walk(d)
 
     series_module._color_rows.cache_clear()
-    monkeypatch.setattr(series_module, "stable_orbit_decomposition", counting)
+    monkeypatch.setattr(series_module, "base_level_walk", counting)
     hilb_numerator(3, 2)
     hilb_numerator(3, 3)
     color_numerators(3, 2)
     quot_numerator(3, 3)  # also needs the framed numerators of ranks 1 and 2
     assert sorted(walked) == [1, 2, 3]
+
+
+def test_stratum_invariants_match_the_per_orbit_reference():
+    # every orbit base of ranks 1-4 and a seeded sample of rank-5 level vectors
+    rng = random.Random(20261018)
+    for d in range(1, 6):
+        levels_list = [levels for levels, _ in base_level_walk(d)]
+        if d == 5:
+            levels_list = rng.sample(levels_list, 150)
+        for levels in levels_list:
+            invariants = list(series_module._stratum_invariants(levels))
+            assert [inv[0] for inv in invariants] == list(itertools.product("JK", repeat=d))
+            for colors, key, b, delta, n in invariants:
+                base = LeadingTermDatum(levels, colors)
+                assert key == VAlphaSpec.from_datum(base.restrict_to_K()).key()
+                assert (b, delta) == base.exponents()
+                assert n == base.n()
 
 
 FROZEN_COLOR_ROWS_3 = {

@@ -11,6 +11,7 @@ from cuspquot.groebner import Monomial
 from cuspquot.strata import (
     LeadingTermDatum,
     Orbit,
+    base_level_walk,
     parse_datum,
     stable_orbit_decomposition,
     zero_datum,
@@ -344,6 +345,26 @@ def test_orbit_count_formula():
         assert len(stable_orbit_decomposition(d)) == expected
     with pytest.raises(ValueError):
         stable_orbit_decomposition(0)
+
+
+def test_decomposition_equals_the_addressed_zero_data():
+    # the reference: each color vector's zero datum moved to every box address
+    for d in range(1, 5):
+        caps = [3 * (d - j + 1) for j in range(2, d + 1)]
+        expected = []
+        for colors in itertools.product("JK", repeat=d):
+            for bs in itertools.product(*(range(c + 1) for c in caps)):
+                base = zero_datum(colors).apply_address((0,) + bs)
+                gens = (1,) + tuple(
+                    j for j, (b, cap) in enumerate(zip(bs, caps), start=2) if b == cap
+                )
+                expected.append(Orbit(base, gens))
+        assert stable_orbit_decomposition(d) == expected
+        assert base_level_walk(d) == [
+            (o.base.levels, o.generators) for o in expected[: len(expected) >> d]
+        ]
+    with pytest.raises(ValueError):
+        base_level_walk(0)
 
 
 def _address_in_orbit(addr, base_addr, generators) -> bool:

@@ -83,6 +83,12 @@ def test_gfmatrix_rank_kernel_image():
     assert len(image) == 1
 
 
+def test_gfmatrix_rejects_a_composite_modulus():
+    # 2I over Z/4 kills (2, 0), but kernel_basis() returned []
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        GFMatrix([[2, 0], [0, 2]], 4)
+
+
 def test_gfmatrix_block2():
     a = GFMatrix([[1]], 2)
     z = GFMatrix([[0]], 2)
