@@ -115,6 +115,20 @@ class Element:
         self.trunc = trunc
 
     @classmethod
+    def _reduced(cls, terms: dict[Monomial, int], p: int, trunc: int) -> "Element":
+        """An element from clean terms, without the per-term pass of __init__.
+
+        The keys must be Monomials of degree in [2, trunc) and the
+        coefficients in 1..p-1; the arithmetic methods build their results
+        through here.
+        """
+        out = object.__new__(cls)
+        out.terms = terms
+        out.p = p
+        out.trunc = trunc
+        return out
+
+    @classmethod
     def monomial(cls, mono: Monomial, p: int, trunc: int, coeff: int = 1) -> "Element":
         return cls({mono: coeff}, p, trunc)
 
@@ -143,27 +157,44 @@ class Element:
         return self.scale(inv)
 
     def scale(self, c: int) -> "Element":
-        return Element({m: v * c for m, v in self.terms.items()}, self.p, self.trunc)
+        p = self.p
+        c %= p
+        if c == 1:
+            return self
+        # a composite modulus can send a product to 0, so zeros are dropped
+        terms = {m: r for m, v in self.terms.items() if (r := v * c % p)}
+        return Element._reduced(terms, p, self.trunc)
 
     def __add__(self, other: "Element") -> "Element":
-        self._compat(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = (out.get(m, 0) + c) % self.p
-        return Element(out, self.p, self.trunc)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + other.scale(self.p - 1)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Element", sign: int) -> "Element":
+        """self + sign * other, dropping the terms that cancel."""
+        self._compat(other)
+        p = self.p
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = (out.get(m, 0) + sign * c) % p
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+        return Element._reduced(out, p, self.trunc)
 
     def shift(self, s: int) -> "Element":
         """Multiply by T^s for s in the exponent semigroup."""
         if not _semigroup(s):
             raise ValueError(f"T^{s} is not in the ring")
-        return Element(
-            {Monomial(m.t_deg + s, m.seat): c for m, c in self.terms.items()},
-            self.p,
-            self.trunc,
-        )
+        trunc = self.trunc
+        terms = {
+            Monomial(m.t_deg + s, m.seat): c
+            for m, c in self.terms.items()
+            if m.t_deg + s < trunc
+        }
+        return Element._reduced(terms, self.p, trunc)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):

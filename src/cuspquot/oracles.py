@@ -8,12 +8,23 @@ count_quot_bruteforce counts invariant subspaces of fixed codimension
 directly: a codimension-n submodule contains every element of degree
 at least 2n+2 on each seat, so the count happens in the finite window
 of per-seat degrees 2..2n+1.
+
+count_all_pairs and count_nilpotent_pairs count pairs (A, B) with
+AB = BA and A^2 = B^3 one conjugacy orbit of B at a time: A -> gAg^-1 is
+a bijection between the solutions for B and for gBg^-1, so one
+representative, weighted by its orbit size, stands for the whole orbit.
+The orbits come from a flood fill under generators of GL_n(F_p), and
+their sizes are what the fill reaches; no class-size or centralizer
+formula enters, so the counts stay independent of the formulas they
+audit.  For each representative A walks the span of the commutant of B.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterator, Optional
+import operator
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .groebner import Element, Monomial, PreBasis, is_groebner
 from .qalgebra import is_prime
@@ -30,6 +41,8 @@ __all__ = [
     "stratum_slots",
     "first_corner_slots",
 ]
+
+Matrix = tuple[int, ...]  # n x n matrix over F_p, row-major
 
 QUOT_WINDOW_CAP = {2: 14, 3: 10}  # largest allowed d*(2n+2) per prime
 STRATUM_BIT_BUDGET = 20
@@ -146,51 +159,122 @@ def count_quot_bruteforce(d: int, n: int, p: int) -> int:
 # matrix pair counts
 
 
-def _commutant_basis(B: list[list[int]], n: int, p: int) -> list[tuple[int, ...]]:
-    """Basis of {A : AB = BA} as flattened n*n vectors."""
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for u in range(n):
-                for v in range(n):
-                    c = 0
-                    if u == i:
-                        c += B[v][j]
-                    if v == j:
-                        c -= B[i][u]
-                    row[u * n + v] = c % p
-            rows.append(row)
-    return GFMatrix(rows, p).kernel_basis()
+def _generators(n: int, p: int) -> list[Callable[[Matrix], Matrix]]:
+    """Conjugations B -> g B g^-1 by generators g of GL_n(F_p).
 
+    The g are the transvections I + E_ij and diag(w, 1, ..., 1) with w a
+    generator of F_p^x.  Each conjugation is one row operation and one
+    column operation on the flat matrix.
+    """
 
-def _matmul(A: list[list[int]], B: list[list[int]], n: int, p: int) -> list[list[int]]:
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(n)) % p for j in range(n)]
+    def transvect(b: Matrix, i: int, j: int) -> Matrix:
+        # row i += row j, then column j -= column i
+        m = list(b)
+        for k in range(n):
+            m[i * n + k] = (m[i * n + k] + m[j * n + k]) % p
+        for k in range(n):
+            m[k * n + j] = (m[k * n + j] - m[k * n + i]) % p
+        return tuple(m)
+
+    def rescale(b: Matrix, w: int, w_inv: int) -> Matrix:
+        # row 0 times w, then column 0 times w^-1
+        m = list(b)
+        for k in range(n):
+            m[k] = m[k] * w % p
+        for k in range(n):
+            m[k * n] = m[k * n] * w_inv % p
+        return tuple(m)
+
+    moves = [
+        functools.partial(transvect, i=i, j=j)
         for i in range(n)
+        for j in range(n)
+        if i != j
     ]
+    w = next(w for w in range(1, p) if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
+    if w != 1:
+        moves.append(functools.partial(rescale, w=w, w_inv=pow(w, p - 2, p)))
+    return moves
 
 
-def _pairs_for_b(B: list[list[int]], n: int, p: int, sq_cache: dict) -> int:
+def _orbits(seeds: Iterable[Matrix], n: int, p: int) -> list[tuple[Matrix, int]]:
+    """(representative, size) of each conjugacy orbit that meets seeds.
+
+    A flood fill under the generators: the size of an orbit is the number
+    of matrices the fill reaches, and no class-size formula enters.  A
+    generating set that fell short of GL_n(F_p) would only split orbits.
+    """
+    moves = _generators(n, p)
+    seen: set[Matrix] = set()
+    out = []
+    for rep in seeds:
+        if rep in seen:
+            continue
+        seen.add(rep)
+        stack = [rep]
+        size = 0
+        while stack:
+            b = stack.pop()
+            size += 1
+            for move in moves:
+                c = move(b)
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        out.append((rep, size))
+    return out
+
+
+def _strictly_upper(n: int, p: int) -> Iterator[Matrix]:
+    """Every strictly upper triangular matrix."""
+    for vals in itertools.product(range(p), repeat=n * (n - 1) // 2):
+        above = iter(vals)
+        yield tuple(next(above) if j > i else 0 for i in range(n) for j in range(n))
+
+
+def _span(basis: list[tuple[int, ...]], p: int, size: int) -> Iterator[list[int]]:
+    """Every vector of the span of basis, by an odometer over the coefficients.
+
+    Each step adds one basis vector; a digit that reaches p has added its
+    vector p times, which is zero, and carries to the next digit.
+    """
+    vec = [0] * size
+    digits = [0] * len(basis)
+    while True:
+        yield vec
+        for k, step in enumerate(basis):
+            vec = [(a + b) % p for a, b in zip(vec, step)]
+            digits[k] += 1
+            if digits[k] < p:
+                break
+            digits[k] = 0
+        else:
+            return
+
+
+def _square_is(a: Sequence[int], target: Matrix, n: int, p: int) -> bool:
+    """A^2 == target for flat matrices, stopping at the first differing entry."""
+    for i in range(n):
+        row = a[i * n : (i + 1) * n]
+        for j in range(n):
+            if sum(map(operator.mul, row, a[j::n])) % p != target[i * n + j]:
+                return False
+    return True
+
+
+def _pairs_over(b: Matrix, n: int, p: int) -> int:
     """Number of A in the commutant of B with A^2 = B^3."""
-    b2 = _matmul(B, B, n, p)
-    b3 = tuple(itertools.chain.from_iterable(_matmul(b2, B, n, p)))
-    basis = _commutant_basis(B, n, p)
-    count = 0
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        flat = [0] * (n * n)
-        for c, vec in zip(coeffs, basis):
-            if c:
-                flat = [(a + c * b) % p for a, b in zip(flat, vec)]
-        key = tuple(flat)
-        sq = sq_cache.get(key)
-        if sq is None:
-            A = [flat[i * n : (i + 1) * n] for i in range(n)]
-            sq = tuple(itertools.chain.from_iterable(_matmul(A, A, n, p)))
-            sq_cache[key] = sq
-        if sq == b3:
-            count += 1
-    return count
+    # the coefficient of A_uv in (AB - BA)_ij
+    system = [
+        [(b[v * n + j] if u == i else 0) - (b[i * n + u] if v == j else 0)
+         for u in range(n) for v in range(n)]
+        for i in range(n)
+        for j in range(n)
+    ]
+    cube = GFMatrix([b[i * n : (i + 1) * n] for i in range(n)], p) ** 3
+    target = tuple(itertools.chain.from_iterable(cube.rows))
+    basis = GFMatrix(system, p).kernel_basis()
+    return sum(1 for a in _span(basis, p, n * n) if _square_is(a, target, n, p))
 
 
 def _check_pair_budget(n: int, p: int, nilpotent_only: bool) -> None:
@@ -204,36 +288,21 @@ def _check_pair_budget(n: int, p: int, nilpotent_only: bool) -> None:
 def count_nilpotent_pairs(n: int, p: int) -> int:
     """Pairs (A, B) of nilpotent n x n matrices with AB = BA and A^2 = B^3.
 
-    Only B is filtered for nilpotency: A^2 = B^3 already forces A to be
-    nilpotent.
+    Only B is required nilpotent: A^2 = B^3 already forces A to be
+    nilpotent.  Every nilpotent B is conjugate to a strictly upper
+    triangular one, so those seed the orbit walk, which then reaches
+    exactly the nilpotent B.
     """
     _check_pair_budget(n, p, nilpotent_only=True)
-    if n == 0:
-        return 1
-    sq_cache: dict = {}
-    count = 0
-    for flat in itertools.product(range(p), repeat=n * n):
-        B = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        Bk = B
-        for _ in range(n - 1):
-            Bk = _matmul(Bk, B, n, p)
-        if any(any(r) for r in Bk):
-            continue
-        count += _pairs_for_b(B, n, p, sq_cache)
-    return count
+    seeds = _strictly_upper(n, p)
+    return sum(size * _pairs_over(b, n, p) for b, size in _orbits(seeds, n, p))
 
 
 def count_all_pairs(n: int, p: int) -> int:
     """Pairs (A, B) of arbitrary n x n matrices with AB = BA and A^2 = B^3."""
     _check_pair_budget(n, p, nilpotent_only=False)
-    if n == 0:
-        return 1
-    sq_cache: dict = {}
-    count = 0
-    for flat in itertools.product(range(p), repeat=n * n):
-        B = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        count += _pairs_for_b(B, n, p, sq_cache)
-    return count
+    seeds = itertools.product(range(p), repeat=n * n)
+    return sum(size * _pairs_over(b, n, p) for b, size in _orbits(seeds, n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +344,16 @@ def count_stratum_bruteforce(
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
+    if not isinstance(bit_budget, int) or bit_budget < 0:
+        raise ValueError(f"bit_budget must be a non-negative integer, got {bit_budget!r}")
     pins = dict(pins or {})
     slots = stratum_slots(datum)
     unknown = set(pins) - set(slots)
     if unknown:
         raise ValueError(f"pinned slots not in the stratum: {sorted(unknown)}")
+    bad = {s: v for s, v in pins.items() if not (isinstance(v, int) and 0 <= v < p)}
+    if bad:
+        raise ValueError(f"pin values must be integers in range({p}): {bad}")
     free = [s for s in slots if s not in pins]
     if p ** len(free) > 1 << bit_budget:
         raise BudgetError(f"{p}^{len(free)} bases exceed the stratum budget")

@@ -11,6 +11,9 @@ import pytest
 from cuspquot.groebner import Monomial
 from cuspquot.oracles import (
     BudgetError,
+    _orbits,
+    _pairs_over,
+    _strictly_upper,
     count_all_pairs,
     count_nilpotent_pairs,
     count_quot_bruteforce,
@@ -22,7 +25,7 @@ from cuspquot.oracles import (
 from cuspquot.qalgebra import gl_order, q_binomial
 from cuspquot.series import hilb_series, matrix_count_formula, zhat_coefficient
 from cuspquot.strata import parse_datum
-from cuspquot.varieties import count_v_alpha
+from cuspquot.varieties import GFMatrix, count_v_alpha
 
 
 def M(t_deg, seat):
@@ -187,6 +190,100 @@ def test_all_pair_counts_match_matrix_count_formula():
         assert Fraction(total) == matrix_count_formula(n).evaluate(p), (n, p)
 
 
+# The per-B walk the orbit counter replaced, kept as an independent
+# reference: every B, its commutant solved and enumerated, A^2 compared
+# with B^3 through list-of-lists products.
+
+
+def _matmul(A, B, n, p):
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
+
+
+def _reference_pairs_for_b(B, n, p):
+    b3 = _matmul(_matmul(B, B, n, p), B, n, p)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for u in range(n):
+                for v in range(n):
+                    row[u * n + v] = ((B[v][j] if u == i else 0) - (B[i][u] if v == j else 0)) % p
+            rows.append(row)
+    basis = GFMatrix(rows, p).kernel_basis()
+    count = 0
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        flat = [sum(c * vec[k] for c, vec in zip(coeffs, basis)) % p for k in range(n * n)]
+        A = [flat[i * n : (i + 1) * n] for i in range(n)]
+        if _matmul(A, A, n, p) == b3:
+            count += 1
+    return count
+
+
+def _rows(flat, n):
+    return [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+
+
+def _is_nilpotent(B, n, p):
+    power = B
+    for _ in range(n - 1):
+        power = _matmul(power, B, n, p)
+    return not any(any(row) for row in power)
+
+
+def _reference_pair_walk(n, p, nilpotent_only):
+    total = 0
+    for flat in itertools.product(range(p), repeat=n * n):
+        B = _rows(flat, n)
+        if not nilpotent_only or _is_nilpotent(B, n, p):
+            total += _reference_pairs_for_b(B, n, p)
+    return total
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
+def test_orbit_counter_matches_per_b_walk(n, p):
+    assert count_all_pairs(n, p) == _reference_pair_walk(n, p, nilpotent_only=False)
+    assert count_nilpotent_pairs(n, p) == _reference_pair_walk(n, p, nilpotent_only=True)
+
+
+# Orbit counts as the flood fill finds them; at (2, 3) the transvections
+# alone leave 15 orbits, and diag(2, 1) joins them into 12.
+ORBIT_COUNTS = {(1, 2): 2, (2, 2): 6, (3, 2): 14, (1, 3): 3, (2, 3): 12, (3, 3): 39}
+
+
+@pytest.mark.parametrize("n, p", sorted(ORBIT_COUNTS))
+def test_orbit_sizes_cover_the_matrices(n, p):
+    everything = list(itertools.product(range(p), repeat=n * n))
+    orbits = _orbits(everything, n, p)
+    assert len(orbits) == ORBIT_COUNTS[n, p]
+    assert sum(size for _, size in orbits) == p ** (n * n)
+    # seeded with the strictly upper triangular matrices, the walk reaches
+    # exactly the nilpotent ones
+    nilpotent = sum(_is_nilpotent(_rows(b, n), n, p) for b in everything)
+    nil_orbits = _orbits(_strictly_upper(n, p), n, p)
+    assert sum(size for _, size in nil_orbits) == nilpotent
+    assert len(nil_orbits) == sum(_is_nilpotent(_rows(b, n), n, p) for b, _ in orbits)
+
+
+def test_conjugate_has_the_same_pair_count():
+    rng = random.Random(20261018)
+    for n, p in [(2, 2), (3, 2), (2, 3), (3, 3)]:
+        identity = GFMatrix.identity(n, p)
+        for _ in range(4):
+            g = GFMatrix([[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
+            while g.rank() < n:
+                g = GFMatrix([[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
+            g_inv = g
+            while g_inv * g != identity:
+                g_inv = g_inv * g
+            b = GFMatrix([[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
+            conj = g * b * g_inv
+            flat_b = tuple(itertools.chain.from_iterable(b.rows))
+            flat_conj = tuple(itertools.chain.from_iterable(conj.rows))
+            count = _pairs_over(flat_b, n, p)
+            assert _pairs_over(flat_conj, n, p) == count, (n, p, b.rows, g.rows)
+            assert _reference_pairs_for_b([list(r) for r in b.rows], n, p) == count
+
+
 def test_pair_count_budget():
     with pytest.raises(BudgetError, match="pair enumeration budget"):
         count_nilpotent_pairs(4, 3)
@@ -266,6 +363,24 @@ def test_pinned_counts_partition_the_stratum():
 def test_unknown_pins_rejected():
     with pytest.raises(ValueError, match="pinned slots not in the stratum"):
         count_stratum_bruteforce(WORKED, 2, pins={(99, M(5, 1)): 1})
+
+
+def test_out_of_field_pin_rejected():
+    # a pin of 3 at p = 2 used to count as 1, so summing over range(4) double counted
+    slot = stratum_slots(WORKED)[0]
+    with pytest.raises(ValueError, match="pin values must be integers in range"):
+        count_stratum_bruteforce(WORKED, 2, pins={slot: 3})
+
+
+def test_non_integer_pin_rejected():
+    slot = stratum_slots(WORKED)[0]
+    with pytest.raises(ValueError, match="pin values must be integers in range"):
+        count_stratum_bruteforce(WORKED, 2, pins={slot: 1.5})
+
+
+def test_negative_bit_budget_rejected():
+    with pytest.raises(ValueError, match="bit_budget must be a non-negative integer"):
+        count_stratum_bruteforce(WORKED, 2, bit_budget=-5)
 
 
 def test_fibers_over_first_corner_pins_are_constant():
