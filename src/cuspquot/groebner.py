@@ -10,10 +10,13 @@ reduce() rejects anything whose computed codimension exceeds (N-4)/2.
 Monomial order: compare T-degree first, then seat index (u_1 < ... < u_d
 < T); the LEADING term of an element is its order-least term.  T^a divides
 T^b on the same seat iff b - a is 0 or >= 2, because T^1 is missing from R.
+divide() sweeps the terms upward once: multiplying by T^s keeps this order,
+so cancelling a term by a divisor adds only larger terms, and it ends.
 """
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .qalgebra import is_prime
@@ -100,14 +103,13 @@ class Element:
 
     def __init__(self, terms: dict[Monomial, int], p: int, trunc: int):
         clean: dict[Monomial, int] = {}
-        for mono, c in terms.items():
-            if not isinstance(mono, Monomial):
-                mono = Monomial(*mono)
-            if mono.t_deg < 2:
+        for (t_deg, seat), c in terms.items():
+            mono = Monomial(index(t_deg), index(seat))
+            if t_deg < 2:
                 raise ValueError(f"monomial {mono} is outside mF")
-            if mono.t_deg >= trunc:
+            if t_deg >= trunc:
                 continue
-            c %= p
+            c = index(c) % p
             if c:
                 clean[mono] = c
         self.terms = clean
@@ -186,7 +188,7 @@ class Element:
 
     def shift(self, s: int) -> "Element":
         """Multiply by T^s for s in the exponent semigroup."""
-        if not _semigroup(s):
+        if not _semigroup(index(s)):
             raise ValueError(f"T^{s} is not in the ring")
         trunc = self.trunc
         terms = {
@@ -231,48 +233,45 @@ class DivisionResult(NamedTuple):
 
 
 def divide(f: Element, divisors: Sequence[Element]) -> DivisionResult:
-    """Divide f by the ordered list of divisors.
+    """Divide f by the ordered list of divisors in one ascending sweep.
 
-    Walks the divisor list cyclically; at each stop it cancels the
-    order-least term of the running remainder divisible by that divisor's
-    leading term, and stops after a full cycle with no cancellation.  The
-    output satisfies the division-expression contract: no remainder term
-    is divisible by any divisor leading term, and no quotient-times-
-    divisor starts below the leading term of f.  Both facts are checked
-    on every call (cheap at the scales this engine runs at); a breach
-    raises ArithmeticError.
+    Each step pops the order-least term of a working copy of f: the first
+    divisor whose leading term divides it cancels it in place, else it
+    moves to the remainder.  A cancellation adds only terms above the
+    popped one (T^s keeps the order) and below trunc, so the sweep ends.
+    Every call checks the contract (no remainder term divisible by a
+    divisor lead, no quotient term below the lead of f, f rebuilt) and
+    raises ArithmeticError on a breach.  The quotients follow the divisor
+    order; by a standard basis the remainder is the unique normal form.
     """
     divisors = list(divisors)
     for g in divisors:
         if g.is_zero():
             raise ValueError("zero divisor in division")
         f._compat(g)
-    quots: list[dict[int, int]] = [{} for _ in divisors]
-    rem = f
     p = _field(f.p)
-    guard = 0
-    while True:
-        killed = False
-        for j, g in enumerate(divisors):
-            lm = g.leading_monomial()
-            target = None
-            for mono in sorted(rem.terms):
-                if divides(lm, mono) is not None:
-                    target = mono
-                    break
-            if target is None:
-                continue
-            shift = target.t_deg - lm.t_deg
-            c = (rem.terms[target] * pow(g.leading_coeff(), p - 2, p)) % p
-            quots[j][shift] = (quots[j].get(shift, 0) + c) % p
-            rem = rem - g.shift(shift).scale(c)
-            killed = True
-        if not killed:
-            break
-        guard += 1
-        if guard > 10 * len(divisors) * (f.trunc + 2) ** 2:
-            raise AssertionError("division failed to terminate")
-    quots = [{s: c for s, c in qd.items() if c} for qd in quots]
+    leads = [g.leading_monomial() for g in divisors]
+    quots: list[dict[int, int]] = [{} for _ in divisors]
+    work = dict(f.terms)
+    rem_terms: dict[Monomial, int] = {}
+    while work:
+        mono = min(work)
+        for j, lm in enumerate(leads):
+            s = divides(lm, mono)
+            if s is not None:
+                break
+        else:
+            rem_terms[mono] = work.pop(mono)
+            continue
+        # the lead of T^s*g cancels mono; its other terms land above mono
+        q = quots[j][s] = work[mono] * pow(divisors[j].terms[lm], p - 2, p) % p
+        for key, v in divisors[j].shift(s).terms.items():
+            r = (work.get(key, 0) - q * v) % p
+            if r:
+                work[key] = r
+            else:
+                del work[key]
+    rem = Element._reduced(rem_terms, p, f.trunc)
     # division-expression contract checks
     for mono in rem.terms:
         if any(divides(g.leading_monomial(), mono) is not None for g in divisors):

@@ -48,12 +48,22 @@ QUOT_WINDOW_CAP = {2: 14, 3: 10}  # largest allowed d*(2n+2) per prime
 STRATUM_BIT_BUDGET = 20
 
 
+def _check_integers(**values: object) -> None:
+    """ValueError for a size or prime that is not an int, before any enumeration."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def echelon_subspaces(
     dim_total: int, dim_sub: int, p: int
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
     """Yield (pivots, reduced echelon rows) for every subspace of the given dimension."""
+    _check_integers(dim_total=dim_total, dim_sub=dim_sub, p=p)
     if not 0 <= dim_sub <= dim_total:
         raise ValueError("subspace dimension out of range")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
     for pivots in itertools.combinations(range(dim_total), dim_sub):
         pivset = set(pivots)
         free = [
@@ -117,6 +127,7 @@ def count_quot_bruteforce(d: int, n: int, p: int) -> int:
     2..2n+1 window vanish, which is exact in the quotient by the tail
     every codimension-n submodule must contain.
     """
+    _check_integers(d=d, n=n, p=p)
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
     if p not in QUOT_WINDOW_CAP:
@@ -278,6 +289,7 @@ def _pairs_over(b: Matrix, n: int, p: int) -> int:
 
 
 def _check_pair_budget(n: int, p: int, nilpotent_only: bool) -> None:
+    _check_integers(n=n, p=p)
     if n < 0:
         raise ValueError("size must be >= 0")
     allowed = (n <= 3 and p in (2, 3)) or (nilpotent_only and (n, p) == (4, 2))
@@ -342,6 +354,7 @@ def count_stratum_bruteforce(
     pins fixes some slot values; the rest range over all of F_p, and a
     choice counts when the closure test passes.
     """
+    _check_integers(p=p)
     if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
     if not isinstance(bit_budget, int) or bit_budget < 0:

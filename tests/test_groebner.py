@@ -118,6 +118,17 @@ def test_element_shift_stays_in_ring():
         e.shift(-2)
 
 
+def test_element_rejects_non_integer_degrees_seats_and_coefficients():
+    # a float degree passed through: reduce_basis reported codimension 1.5
+    with pytest.raises(TypeError):
+        reduce_basis([Element({M(2.5, 1): 1}, 2, 12)], 1)
+    for terms in [{M(2.0, 1): 1}, {M(2, 1.0): 1}, {M(2, 1): 1.5}, {(4, 2): 1.0}]:
+        with pytest.raises(TypeError):
+            Element(terms, 3, 12)
+    with pytest.raises(TypeError):
+        Element.monomial(M(2, 1), 2, 12).shift(2.5)
+
+
 def test_element_mixed_context_rejected():
     a = Element.monomial(M(2, 1), 2, 8)
     b = Element.monomial(M(2, 1), 3, 8)
@@ -138,6 +149,17 @@ def test_divide_frozen_example():
     quots, rem = divide(f, [g])
     assert rem == Element.monomial(M(6, 1), 2, 8)  # T^6/T^5 needs T^1
     assert quots == ({0: 1},)
+
+
+def test_divide_first_divisor_in_list_order_takes_a_term():
+    # Both leads T^2 and T^5 divide T^5 and the T^7 that cancelling T^5 by
+    # T^2 + T^4 leaves: the earlier divisor in the list takes each term.
+    p, trunc = 2, 10
+    f = Element.monomial(M(5, 1), p, trunc)
+    g = Element({M(2, 1): 1, M(4, 1): 1}, p, trunc)
+    h = Element.monomial(M(5, 1), p, trunc)
+    assert divide(f, [g, h]) == (({3: 1, 5: 1, 7: 1}, {}), Element.zero(p, trunc))
+    assert divide(f, [h, g]) == (({0: 1}, {}), Element.zero(p, trunc))
 
 
 def test_divide_rejects_zero_divisor():
@@ -371,6 +393,23 @@ def test_reduced_basis_uniqueness_100_trials():
         assert len(standard_monomials(gb)) == gb.codim
         assert is_groebner(gb.prebasis())
         done += 1
+
+
+def test_remainder_by_a_reduced_basis_ignores_divisor_order():
+    # the remainder by a standard basis is the normal form, whatever the
+    # order in which the sweep tries the divisors
+    rng = random.Random(20240817)
+    trunc = 16
+    for _ in range(100):
+        d = rng.randrange(1, 4)
+        p = rng.choice([2, 3])
+        gb = reduce_basis(_random_module_generators(rng, d, p, trunc), d)
+        orders = [list(gb.elements), list(reversed(gb.elements))]
+        orders.append(rng.sample(gb.elements, len(gb.elements)))
+        for f in _random_module_generators(rng, d, p, trunc):
+            remainders = {divide(f, order).remainder for order in orders}
+            assert len(remainders) == 1
+            assert membership(gb, f - remainders.pop())
 
 
 # ---------------------------------------------------------------------------

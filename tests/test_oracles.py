@@ -135,6 +135,15 @@ def test_echelon_dimension_validation():
         list(echelon_subspaces(3, 4, 2))
 
 
+def test_echelon_rejects_non_integers_and_a_composite_modulus():
+    # a float ended in an itertools TypeError; p = 4 yielded rows over Z/4
+    for args in [(3.0, 1, 2), (3, 1.0, 2), (3, 1, 2.0)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            next(echelon_subspaces(*args))
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        next(echelon_subspaces(3, 1, 4))
+
+
 # ---------------------------------------------------------------------------
 # framed submodule counts
 
@@ -155,6 +164,12 @@ def test_framed_submodule_validation():
         count_quot_bruteforce(0, 1, 2)
     with pytest.raises(ValueError, match="need d >= 1"):
         count_quot_bruteforce(1, -1, 2)
+
+
+def test_framed_submodule_rejects_non_integers():
+    for args in [(1.0, 1, 2), (1, 2.0, 2), (1, 1, 2.0)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            count_quot_bruteforce(*args)
 
 
 def test_framed_submodule_budget():
@@ -293,6 +308,14 @@ def test_pair_count_budget():
         count_all_pairs(1, 4)
 
 
+def test_pair_counts_reject_non_integer_sizes():
+    # (2.0, 2) passed the budget check and ended in an itertools TypeError
+    for count in (count_all_pairs, count_nilpotent_pairs):
+        for args in [(2.0, 2), (2, 2.0)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                count(*args)
+
+
 # ---------------------------------------------------------------------------
 # stratum point counts
 
@@ -376,6 +399,11 @@ def test_non_integer_pin_rejected():
     slot = stratum_slots(WORKED)[0]
     with pytest.raises(ValueError, match="pin values must be integers in range"):
         count_stratum_bruteforce(WORKED, 2, pins={slot: 1.5})
+
+
+def test_non_integer_prime_rejected():
+    with pytest.raises(ValueError, match="p must be an integer"):
+        count_stratum_bruteforce(WORKED, 2.0)
 
 
 def test_negative_bit_budget_rejected():
