@@ -19,7 +19,7 @@ from __future__ import annotations
 from operator import index
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .qalgebra import is_prime
+from .qalgebra import check_prime
 
 __all__ = [
     "Monomial",
@@ -42,17 +42,6 @@ __all__ = [
 
 class TruncationError(ValueError):
     """The requested computation cannot be certified within the window."""
-
-
-def _field(p: int) -> int:
-    """p, checked to be a prime: monic() and divide() need inverses mod p.
-
-    Checked where inverses are taken, not in Element(): the stratum oracle
-    builds millions of elements, and a check on each slowed it by about 3%.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not a prime")
-    return p
 
 
 def _semigroup(n: int) -> bool:
@@ -97,11 +86,14 @@ def lcm_set(mu: Monomial, nu: Monomial) -> tuple[Monomial, ...]:
 
 
 class Element:
-    """Element of mF over F_p, truncated below T^trunc; immutable."""
+    """Element of mF over F_p, truncated below T^trunc; immutable.  p is checked
+    to be a prime only where inverses are taken (monic, divide): a check in
+    each of the stratum oracle's millions of constructions cost about 3%."""
 
     __slots__ = ("terms", "p", "trunc")
 
     def __init__(self, terms: dict[Monomial, int], p: int, trunc: int):
+        p, trunc = index(p), index(trunc)
         clean: dict[Monomial, int] = {}
         for (t_deg, seat), c in terms.items():
             mono = Monomial(index(t_deg), index(seat))
@@ -154,13 +146,13 @@ class Element:
         return self.terms[self.leading_monomial()]
 
     def monic(self) -> "Element":
-        p = _field(self.p)
+        p = check_prime(self.p)
         inv = pow(self.leading_coeff(), p - 2, p)
         return self.scale(inv)
 
     def scale(self, c: int) -> "Element":
         p = self.p
-        c %= p
+        c = index(c) % p
         if c == 1:
             return self
         # a composite modulus can send a product to 0, so zeros are dropped
@@ -219,14 +211,6 @@ class Element:
         return f"Element({{{', '.join(f'{m!r}: {c}' for m, c in sorted(self.terms.items()))}}}, p={self.p}, trunc={self.trunc})"
 
 
-def _rpoly_apply(coeffs: dict[int, int], g: Element) -> Element:
-    """Apply a ring polynomial sum_s c_s T^s to g."""
-    out = Element.zero(g.p, g.trunc)
-    for s, c in coeffs.items():
-        out = out + g.shift(s).scale(c)
-    return out
-
-
 class DivisionResult(NamedTuple):
     quotients: tuple[dict[int, int], ...]
     remainder: Element
@@ -249,7 +233,7 @@ def divide(f: Element, divisors: Sequence[Element]) -> DivisionResult:
         if g.is_zero():
             raise ValueError("zero divisor in division")
         f._compat(g)
-    p = _field(f.p)
+    p = check_prime(f.p)
     leads = [g.leading_monomial() for g in divisors]
     quots: list[dict[int, int]] = [{} for _ in divisors]
     work = dict(f.terms)
@@ -274,17 +258,20 @@ def divide(f: Element, divisors: Sequence[Element]) -> DivisionResult:
     rem = Element._reduced(rem_terms, p, f.trunc)
     # division-expression contract checks
     for mono in rem.terms:
-        if any(divides(g.leading_monomial(), mono) is not None for g in divisors):
+        if any(divides(lm, mono) is not None for lm in leads):
             raise ArithmeticError(f"remainder term {mono} is divisible by a divisor lead")
     if not f.is_zero():
         lead = f.leading_monomial()
-        recon = rem
-        for qd, g in zip(quots, divisors):
-            prod = _rpoly_apply(qd, g)
-            if not prod.is_zero() and prod.leading_monomial() < lead:
-                raise ArithmeticError("a quotient term starts below the lead of the dividend")
-            recon = recon + prod
-        if recon != f:
+        recon = dict(rem_terms)
+        for qd, g, lm in zip(quots, divisors, leads):
+            for s, q in qd.items():
+                if Monomial(lm.t_deg + s, lm.seat) < lead:
+                    raise ArithmeticError("a quotient term starts below the lead of the dividend")
+                for (t_deg, seat), v in g.terms.items():
+                    if t_deg + s < f.trunc:
+                        key = Monomial(t_deg + s, seat)
+                        recon[key] = (recon.get(key, 0) + q * v) % p
+        if {m: c for m, c in recon.items() if c} != f.terms:
             raise ArithmeticError("quotients and remainder do not reconstruct the dividend")
     return DivisionResult(tuple(quots), rem)
 

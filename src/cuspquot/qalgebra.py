@@ -39,6 +39,7 @@ __all__ = [
     "series_to_json",
     "series_from_json",
     "is_prime",
+    "check_prime",
     "PRIME_TEST_LIMIT",
 ]
 
@@ -639,12 +640,14 @@ class TSeries:
 PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime, bases <= 41
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact below PRIME_TEST_LIMIT; ValueError from there on.
 
-    Memoized: GFMatrix checks its modulus on every construction."""
-    if n >= PRIME_TEST_LIMIT:
+    TypeError for a non-integer such as 2.0.  Memoized by type as well as
+    value, so 2.0 never hits the entry of 2: GFMatrix checks its modulus on
+    every construction."""
+    if operator.index(n) >= PRIME_TEST_LIMIT:
         raise ValueError(f"primality is only decided below {PRIME_TEST_LIMIT}")
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2 or any(n % a == 0 for a in bases):
@@ -652,6 +655,13 @@ def is_prime(n: int) -> bool:
     twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2^twos
     ladders = ([pow(a, (n - 1) >> k, n) for k in range(twos, 0, -1)] for a in bases)
     return all(ladder[0] == 1 or n - 1 in ladder for ladder in ladders)
+
+
+def check_prime(p: int) -> int:
+    """p itself when it is a prime, else ValueError; every prime check goes through here."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from .qalgebra import (
     RationalQ,
     TPoly,
     TSeries,
+    check_prime,
     cyclotomic_poly,
-    is_prime,
     q_binomial,
     q_binomial_inv,
     q_pochhammer,
@@ -72,8 +72,8 @@ MAX_D = 4  # symbolic_v_alpha's case splitting is stuck on 6 rank-5 stratum patt
 
 def _check_prime(prime: Optional[int]) -> None:
     """Every public function that takes a prime checks it here, before any work."""
-    if prime is not None and not is_prime(prime):
-        raise ValueError(f"{prime} is not a prime")
+    if prime is not None:
+        check_prime(prime)
 
 
 def _at(tp: TPoly, prime: Optional[int]) -> TPoly:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from operator import index
 from typing import NamedTuple, Optional, Sequence
 
 from .groebner import Monomial
@@ -36,7 +37,7 @@ class LeadingTermDatum:
     __slots__ = ("levels", "colors")
 
     def __init__(self, levels: Sequence[int], colors: Sequence[str]):
-        levels = tuple(int(l) for l in levels)
+        levels = tuple(map(index, levels))
         colors = tuple(colors)
         if len(levels) != len(colors):
             raise ValueError("levels and colors must have equal length")

@@ -13,8 +13,10 @@ computed here exactly.
 One enumerator, _cusp_points, walks the F_p points of all of them: for
 each Y on its slots it solves the linear condition XY = YX for X and
 keeps the X with X^2 = Y^3.  count_v_spec (a patterned variety),
-brute_v_d and enumerate_v_d_points (V_d) check their arguments and
-budget and delegate to it; they are the oracles of the closed forms.
+brute_v_d and enumerate_v_d_points (V_d) delegate to it; they are the
+oracles of the closed forms.  Every brute-force enumeration, here and
+in oracles, passes the number of candidates it will walk to check_budget
+before any work: past the one ENUMERATION_BUDGET it raises BudgetError.
 
 The module profile machinery views a point (X, Y) as the R-module
 M = F_p^m with x, y acting by X, Y (R the cusp ring), and measures the
@@ -25,9 +27,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .qalgebra import LaurentPolyQ, is_prime
+from .qalgebra import LaurentPolyQ, check_prime
 from .strata import LeadingTermDatum
 
 __all__ = [
@@ -49,16 +51,29 @@ __all__ = [
     "enumerate_v_d_points",
     "staircase_table_csv",
     "motive_table_csv",
-    "DEFAULT_POINT_BUDGET",
-    "DEFAULT_PAIR_BUDGET",
+    "ENUMERATION_BUDGET",
+    "check_budget",
 ]
 
-DEFAULT_POINT_BUDGET = 2_000_000
-DEFAULT_PAIR_BUDGET = 1 << 24
+ENUMERATION_BUDGET = 1 << 20  # candidates one brute-force enumeration may walk
 
 
 class BudgetError(ValueError):
-    """An enumeration would exceed its configured budget."""
+    """An enumeration would walk more than ENUMERATION_BUDGET candidates."""
+
+
+def check_budget(call: str, p: int, digits: int, exact: Optional[Callable[[], int]] = None) -> None:
+    """BudgetError naming call, before any work, past ENUMERATION_BUDGET candidates.
+
+    The walk has p^digits candidates, or exact() >= p^digits.  Past 64 digits
+    the size is not computed, which alone could take unbounded time and memory
+    (p >= 2, so the walk is over budget anyway), and p^digits bounds it."""
+    size = f"at least {p}^{digits}"
+    if digits <= 64:
+        size = p ** digits if exact is None else exact()
+        if size <= ENUMERATION_BUDGET:
+            return
+    raise BudgetError(f"{call} would walk {size} candidates, over the budget {ENUMERATION_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +124,7 @@ class GFMatrix:
     __slots__ = ("rows", "p")
 
     def __init__(self, rows: Iterable[Sequence[int]], p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not a prime")
+        check_prime(p)
         self.rows = tuple(tuple(c % p for c in row) for row in rows)
         self.p = p
         if self.rows:
@@ -256,19 +270,17 @@ class VAlphaSpec:
         return [(b - 1, h - 1) for (b, h), c in sorted(self.classes.items()) if c != "1-"]
 
 
-def _check_field(d: int, p: int) -> None:
-    if d < 0:
-        raise ValueError("rank must be >= 0")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not a prime")
-
-
-def _cusp_points(d: int, x_slots: list, y_slots: list, p: int) -> Iterator[tuple[list, list]]:
+def _cusp_points(call: str, d: int, x_slots: list, y_slots: list, p: int) -> Iterator[tuple[list, list]]:
     """The F_p points (X, Y) with X on x_slots and Y on y_slots, as lists of rows.
 
     For each Y, XY = YX is linear in X; X runs over its kernel and is kept
     when X^2 = Y^3 (only entries j - i >= 2 of these products can be
-    nonzero).  The points over one Y share its list: copy before mutating."""
+    nonzero).  The points over one Y share its list: copy before mutating.
+    d, p and the p^(slots) candidates of call are checked before the walk."""
+    if d < 0:
+        raise ValueError("rank must be >= 0")
+    check_prime(p)
+    check_budget(call, p, len(x_slots) + len(y_slots))
     entries = [(i, j) for i in range(d) for j in range(i + 2, d)]
     for ys in itertools.product(range(p), repeat=len(y_slots)):
         Y = [[0] * d for _ in range(d)]
@@ -297,21 +309,14 @@ def _cusp_points(d: int, x_slots: list, y_slots: list, p: int) -> Iterator[tuple
                 yield X, Y
 
 
-def count_v_spec(spec: VAlphaSpec, p: int, point_budget: int = DEFAULT_POINT_BUDGET) -> int:
+def count_v_spec(spec: VAlphaSpec, p: int) -> int:
     """Exhaustive point count of the patterned variety over F_p."""
-    d = spec.d
-    _check_field(d, p)
-    fx, fy = spec.free_x(), spec.free_y()
-    nfree = len(fx) + len(fy)
-    if d > 4:
-        raise BudgetError(f"exhaustive mode handles rank <= 4, got {d}")
-    if p ** nfree > point_budget:
-        raise BudgetError(f"{p}^{nfree} points exceed the budget {point_budget}")
-    return sum(1 for _ in _cusp_points(d, fx, fy, p))
+    call = f"count_v_spec(VAlphaSpec({spec.d}, {spec.classes}), {p})"
+    return sum(1 for _ in _cusp_points(call, spec.d, spec.free_x(), spec.free_y(), p))
 
 
-def count_v_alpha(datum: LeadingTermDatum, p: int, point_budget: int = DEFAULT_POINT_BUDGET) -> int:
-    return count_v_spec(VAlphaSpec.from_datum(datum), p, point_budget)
+def count_v_alpha(datum: LeadingTermDatum, p: int) -> int:
+    return count_v_spec(VAlphaSpec.from_datum(datum), p)
 
 
 def _L(e: int, c: int = 1) -> LaurentPolyQ:
@@ -528,7 +533,7 @@ def symbolic_v_alpha(spec_or_datum: "VAlphaSpec | LeadingTermDatum") -> LaurentP
 
     Raises ValueError for a pattern no pure-K datum realizes, and
     ArithmeticError where the case splitting cannot resolve the system
-    (the full rank-6 pattern is the first such).
+    (six rank-5 patterns are the first such).
     """
     spec = (
         spec_or_datum
@@ -579,22 +584,16 @@ def staircase_motive(d: int) -> LaurentPolyQ:
     return total
 
 
-def brute_v_d(d: int, p: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
+def brute_v_d(d: int, p: int) -> int:
     """Independent count of V_d(F_p) by enumeration."""
-    _check_field(d, p)
     slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    if p ** (2 * len(slots)) > pair_budget:
-        raise BudgetError(f"{p}^{2 * len(slots)} pairs exceed the budget {pair_budget}")
-    return sum(1 for _ in _cusp_points(d, slots, slots, p))
+    return sum(1 for _ in _cusp_points(f"brute_v_d({d}, {p})", d, slots, slots, p))
 
 
-def enumerate_v_d_points(d: int, p: int, pair_budget: int = DEFAULT_PAIR_BUDGET):
+def enumerate_v_d_points(d: int, p: int):
     """Yield all (X, Y) GFMatrix pairs in V_d(F_p)."""
-    _check_field(d, p)
     slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    if p ** (2 * len(slots)) > pair_budget:
-        raise BudgetError("pair enumeration exceeds budget")
-    for X, Y in _cusp_points(d, slots, slots, p):
+    for X, Y in _cusp_points(f"enumerate_v_d_points({d}, {p})", d, slots, slots, p):
         yield GFMatrix(X, p), GFMatrix(Y, p)
 
 

@@ -127,6 +127,13 @@ def test_element_rejects_non_integer_degrees_seats_and_coefficients():
             Element(terms, 3, 12)
     with pytest.raises(TypeError):
         Element.monomial(M(2, 1), 2, 12).shift(2.5)
+    # p = 2.0 stored the coefficient 1.0, trunc = 12.5 was kept, scale(2.5)
+    # returned the coefficient 2.5
+    for p, trunc in [(2.0, 12), (3, 12.5)]:
+        with pytest.raises(TypeError):
+            Element({M(2, 1): 1}, p, trunc)
+    with pytest.raises(TypeError):
+        Element.monomial(M(2, 1), 3, 12).scale(2.5)
 
 
 def test_element_mixed_context_rejected():
@@ -201,6 +208,21 @@ def test_divide_expression_contract_random():
                 assert prod.leading_monomial() >= f.leading_monomial()
             recon = recon + prod
         assert recon == f
+
+
+def test_divide_contract_rebuilds_the_dividend_without_the_sweep(monkeypatch):
+    # a sweep that subtracts a wrong multiple of a divisor must be caught; the
+    # check rebuilds f from the divisors' own terms, not through Element.shift
+    shift = Element.shift
+
+    def dropping_the_top_term(self, s):
+        out = shift(self, s)
+        return Element._reduced(dict(sorted(out.terms.items())[:-1]), out.p, out.trunc)
+
+    monkeypatch.setattr(Element, "shift", dropping_the_top_term)
+    g = Element({M(2, 1): 1, M(5, 1): 1}, 3, 12)
+    with pytest.raises(ArithmeticError, match="do not reconstruct the dividend"):
+        divide(Element.monomial(M(4, 1), 3, 12), [g])
 
 
 def test_contract_checks_survive_python_O():

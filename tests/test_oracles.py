@@ -25,7 +25,15 @@ from cuspquot.oracles import (
 from cuspquot.qalgebra import gl_order, q_binomial
 from cuspquot.series import hilb_series, matrix_count_formula, zhat_coefficient
 from cuspquot.strata import parse_datum
-from cuspquot.varieties import GFMatrix, count_v_alpha
+from cuspquot.varieties import (
+    ENUMERATION_BUDGET,
+    GFMatrix,
+    VAlphaSpec,
+    brute_v_d,
+    count_v_alpha,
+    count_v_spec,
+    enumerate_v_d_points,
+)
 
 
 def M(t_deg, seat):
@@ -173,12 +181,14 @@ def test_framed_submodule_rejects_non_integers():
 
 
 def test_framed_submodule_budget():
-    with pytest.raises(BudgetError, match="F_2 and F_3 only"):
-        count_quot_bruteforce(1, 1, 5)
-    with pytest.raises(BudgetError, match="exceeds the F_2 cap"):
-        count_quot_bruteforce(2, 3, 2)
-    with pytest.raises(BudgetError, match="exceeds the F_3 cap"):
-        count_quot_bruteforce(2, 2, 3)
+    # the walk meets each of the [2dn, n]_p subspaces of the window once
+    for d, n, p in [(2, 3, 2), (3, 2, 2), (1, 3, 5)]:
+        size = q_binomial(2 * d * n, n).evaluate(p)
+        with pytest.raises(BudgetError, match=f"would walk {size} candidates"):
+            count_quot_bruteforce(d, n, p)
+    # any prime within the budget is admitted: [2, 1]_5 = 6 subspaces to walk
+    assert count_quot_bruteforce(1, 1, 5) == 6
+    assert hilb_series(1, prime=5).expand(1)[1].evaluate(5) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +310,18 @@ def test_conjugate_has_the_same_pair_count():
 
 
 def test_pair_count_budget():
-    with pytest.raises(BudgetError, match="pair enumeration budget"):
+    with pytest.raises(BudgetError, match=f"would walk {3**16} candidates"):
         count_nilpotent_pairs(4, 3)
-    with pytest.raises(BudgetError, match="pair enumeration budget"):
-        count_all_pairs(4, 2)
-    with pytest.raises(BudgetError, match="pair enumeration budget"):
+    with pytest.raises(BudgetError, match=f"would walk {5**10} candidates"):
+        count_all_pairs(3, 5)
+    with pytest.raises(ValueError, match="4 is not a prime"):
         count_all_pairs(1, 4)
+    # admitted once the (n, p) whitelist went, each against its formula
+    assert count_all_pairs(2, 5) == 745 == matrix_count_formula(2).evaluate(5)
+
+
+def test_all_pairs_of_size_four_over_f2():
+    assert count_all_pairs(4, 2) == 122_656 == matrix_count_formula(4).evaluate(2)
 
 
 def test_pair_counts_reject_non_integer_sizes():
@@ -407,8 +423,11 @@ def test_non_integer_prime_rejected():
 
 
 def test_negative_bit_budget_rejected():
-    with pytest.raises(ValueError, match="bit_budget must be a non-negative integer"):
+    # the budget is no longer a parameter: ENUMERATION_BUDGET holds for every call
+    with pytest.raises(TypeError):
         count_stratum_bruteforce(WORKED, 2, bit_budget=-5)
+    with pytest.raises(BudgetError, match=f"would walk {11**8} candidates"):
+        count_stratum_bruteforce(WORKED, 11)
 
 
 def test_fibers_over_first_corner_pins_are_constant():
@@ -441,10 +460,43 @@ def test_fibers_are_constant_on_a_non_full_stratum():
 
 
 def test_stratum_budget():
-    with pytest.raises(BudgetError, match="exceed the stratum budget"):
+    with pytest.raises(BudgetError, match=f"would walk {2**21} candidates"):
         count_stratum_bruteforce(parse_datum("(K(0),K(3),K(6))"), 2)
-    with pytest.raises(BudgetError, match="exceed the stratum budget"):
-        count_stratum_bruteforce(WORKED, 2, bit_budget=7)
+    with pytest.raises(BudgetError, match=f"would walk {7**8} candidates"):
+        count_stratum_bruteforce(WORKED, 7)
+
+
+# Over-budget inputs of every enumerator, with the predicted number of
+# candidates the error must state.  The first three quot inputs passed the
+# old window cap of d*(2n+2) and then walked every one of those subspaces.
+OVER_BUDGET = [
+    (count_quot_bruteforce, (1, 5, 2), "109221651"),
+    (count_quot_bruteforce, (1, 6, 2), "230674393235"),
+    (count_quot_bruteforce, (1, 4, 3), "75913222"),
+    (count_quot_bruteforce, (1, 10**6, 2), "at least 2^1000000000000"),
+    (count_nilpotent_pairs, (5, 2), str(2**25)),
+    (count_all_pairs, (2, 17), str(17**5)),
+    (count_all_pairs, (10**5, 3), "at least 3^10000000001"),
+    (count_stratum_bruteforce, (parse_datum("(K(0),K(3),K(6))"), 2), str(2**21)),
+    (count_v_spec, (VAlphaSpec(3, {(1, 2): "3+", (2, 3): "3+", (1, 3): "3+"}), 11), str(11**6)),
+    (count_v_alpha, (parse_datum("(K(0),K(3),K(6),K(9),K(12))"), 3), str(3**20)),
+    (brute_v_d, (3, 13), str(13**6)),
+    (brute_v_d, (6, 2), str(2**30)),
+    (lambda d, p: next(enumerate_v_d_points(d, p)), (3, 11), str(11**6)),
+]
+
+
+@pytest.mark.parametrize("count, args, size", OVER_BUDGET)
+def test_enumerators_refuse_over_budget_before_any_walk(monkeypatch, count, args, size):
+    # every walk starts in itertools.product or itertools.combinations
+    def walk(*_args, **_kwargs):
+        raise AssertionError("an enumeration started")
+
+    monkeypatch.setattr(itertools, "product", walk)
+    monkeypatch.setattr(itertools, "combinations", walk)
+    with pytest.raises(BudgetError) as err:
+        count(*args)
+    assert f"would walk {size} candidates, over the budget {ENUMERATION_BUDGET}" in str(err.value)
 
 
 def test_raising_scales_stratum_counts():

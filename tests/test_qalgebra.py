@@ -20,6 +20,7 @@ from cuspquot.qalgebra import (
     RootOfUnity,
     TPoly,
     TSeries,
+    check_prime,
     cyclotomic_poly,
     evaluate_q,
     gl_order,
@@ -679,6 +680,17 @@ def test_is_prime_large_values():
     assert is_prime(1_000_000_000_000_000_003)
     assert is_prime(3_317_044_064_679_887_385_961_813)  # the last prime below the limit
     assert not is_prime((2**61 - 1) * 1_000_003)
+
+
+def test_is_prime_rejects_non_integers_and_check_prime_names_the_value():
+    assert is_prime(2) and is_prime(3)
+    # 2.0 == 2 and hashes alike, so an untyped memo would answer True
+    for n in (2.0, 3.0, 2.5):
+        with pytest.raises(TypeError):
+            is_prime(n)
+    assert check_prime(5) == 5
+    with pytest.raises(ValueError, match="^4 is not a prime$"):
+        check_prime(4)
 
 
 def test_is_prime_rejects_values_past_its_exact_range():

@@ -50,6 +50,10 @@ def test_constructor_validation():
         LeadingTermDatum([-1], ["K"])
     with pytest.raises(ValueError):
         LeadingTermDatum([0], ["X"])
+    # int() truncated 2.7 to level 2
+    for level in (2.7, 2.0, "2"):
+        with pytest.raises(TypeError):
+            LeadingTermDatum([level], ["K"])
 
 
 def test_from_seat_ideals_validation():

@@ -89,6 +89,19 @@ def test_gfmatrix_rejects_a_composite_modulus():
         GFMatrix([[2, 0], [0, 2]], 4)
 
 
+def test_float_moduli_rejected_before_any_work(monkeypatch):
+    # is_prime(3.0) was True: the rank ended in a pow() TypeError, and
+    # brute_v_d(2, 2.0) in an itertools TypeError inside the walk
+    def walk(*_args, **_kwargs):
+        raise AssertionError("an enumeration started")
+
+    monkeypatch.setattr(itertools, "product", walk)
+    with pytest.raises(TypeError):
+        GFMatrix([[1]], 3.0)
+    with pytest.raises(TypeError):
+        brute_v_d(2, 2.0)
+
+
 def test_gfmatrix_block2():
     a = GFMatrix([[1]], 2)
     z = GFMatrix([[0]], 2)
@@ -317,11 +330,18 @@ def test_count_budget_errors():
     spec5 = VAlphaSpec(
         5, {(b, h): "1-" for b in range(1, 6) for h in range(b + 1, 6)}
     )
-    with pytest.raises(BudgetError):
-        count_v_spec(spec5, 2)
+    assert count_v_spec(spec5, 2) == 1  # no free slot: only X = Y = 0
+    full5 = VAlphaSpec(5, {(b, h): "3+" for b in range(1, 6) for h in range(b + 1, 6)})
+    with pytest.raises(BudgetError, match=f"would walk {3**20} candidates"):
+        count_v_spec(full5, 3)
     spec3 = VAlphaSpec(3, {(1, 2): "3+", (2, 3): "3+", (1, 3): "3+"})
-    with pytest.raises(BudgetError):
-        count_v_spec(spec3, 5, point_budget=10)
+    with pytest.raises(BudgetError, match=f"would walk {11**6} candidates"):
+        count_v_spec(spec3, 11)
+
+
+def test_full_rank_five_pattern_counts_the_staircase_variety():
+    full5 = VAlphaSpec(5, {(b, h): "3+" for b in range(1, 6) for h in range(b + 1, 6)})
+    assert count_v_spec(full5, 2) == 24_064 == staircase_motive(5).evaluate(2)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +383,10 @@ def test_staircase_motive_matches_bruteforce():
 
 
 def test_bruteforce_budget():
-    with pytest.raises(BudgetError):
-        brute_v_d(4, 3, pair_budget=1000)
+    with pytest.raises(BudgetError, match=f"would walk {3**20} candidates"):
+        brute_v_d(5, 3)
+    with pytest.raises(BudgetError, match=f"would walk {11**6} candidates"):
+        brute_v_d(3, 11)
 
 
 def test_motive_table_cone_and_frozen_entry():
@@ -494,5 +516,5 @@ def test_extend_point_validates_lengths():
 
 
 def test_enumeration_budget():
-    with pytest.raises(BudgetError):
-        list(enumerate_v_d_points(4, 3, pair_budget=100))
+    with pytest.raises(BudgetError, match=f"would walk {13**6} candidates"):
+        next(enumerate_v_d_points(3, 13))
