@@ -52,18 +52,11 @@ __all__ = [
 Matrix = tuple[int, ...]  # n x n matrix over F_p, row-major
 
 
-def _check_integers(**values: object) -> None:
-    """ValueError for a size or prime that is not an int, before any enumeration."""
-    for name, value in values.items():
-        if not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def echelon_subspaces(
     dim_total: int, dim_sub: int, p: int
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
     """Yield (pivots, reduced echelon rows) for every subspace of the given dimension."""
-    _check_integers(dim_total=dim_total, dim_sub=dim_sub, p=p)
+    dim_total, dim_sub, p = map(operator.index, (dim_total, dim_sub, p))
     if not 0 <= dim_sub <= dim_total:
         raise ValueError("subspace dimension out of range")
     check_prime(p)
@@ -130,7 +123,7 @@ def count_quot_bruteforce(d: int, n: int, p: int) -> int:
     2..2n+1 window vanish, which is exact in the quotient by the tail
     every codimension-n submodule must contain.
     """
-    _check_integers(d=d, n=n, p=p)
+    d, n, p = map(operator.index, (d, n, p))
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
     check_prime(p)
@@ -293,13 +286,15 @@ def _pairs_over(b: Matrix, n: int, p: int) -> int:
     return sum(1 for a in _span(basis, p, n * n) if _square_is(a, target, n, p))
 
 
-def _check_pair_count(call: str, n: int, p: int, digits: int) -> None:
-    """Checks n and p, then the walk of p^digits candidates, before any work."""
-    _check_integers(n=n, p=p)
+def _check_pair_count(call: str, n: int, p: int, extra: int) -> tuple[int, int]:
+    """n and p as ints, after checking them and the walk of p^(n^2 + extra)
+    candidates, before any work."""
+    n, p = operator.index(n), operator.index(p)
     if n < 0:
         raise ValueError("size must be >= 0")
     check_prime(p)
-    check_budget(f"{call}({n}, {p})", p, digits)
+    check_budget(f"{call}({n}, {p})", p, n * n + extra)
+    return n, p
 
 
 def count_nilpotent_pairs(n: int, p: int) -> int:
@@ -310,14 +305,14 @@ def count_nilpotent_pairs(n: int, p: int) -> int:
     triangular one, so those seed the orbit walk, which then reaches
     exactly the nilpotent B.
     """
-    _check_pair_count("count_nilpotent_pairs", n, p, n * n)
+    n, p = _check_pair_count("count_nilpotent_pairs", n, p, 0)
     seeds = _strictly_upper(n, p)
     return sum(size * _pairs_over(b, n, p) for b, size in _orbits(seeds, n, p))
 
 
 def count_all_pairs(n: int, p: int) -> int:
     """Pairs (A, B) of arbitrary n x n matrices with AB = BA and A^2 = B^3."""
-    _check_pair_count("count_all_pairs", n, p, n * n + 1)
+    n, p = _check_pair_count("count_all_pairs", n, p, 1)
     seeds = itertools.product(range(p), repeat=n * n)
     return sum(size * _pairs_over(b, n, p) for b, size in _orbits(seeds, n, p))
 
@@ -358,8 +353,7 @@ def count_stratum_bruteforce(
     pins fixes some slot values; the rest range over all of F_p, and a
     choice counts when the closure test passes.
     """
-    _check_integers(p=p)
-    check_prime(p)
+    p = check_prime(operator.index(p))
     pins = dict(pins or {})
     slots = stratum_slots(datum)
     unknown = set(pins) - set(slots)

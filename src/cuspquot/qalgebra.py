@@ -1,9 +1,10 @@
 """Exact coefficient arithmetic for the counting engine.
 
 Everything here is integer-exact: Laurent polynomials in q over Z,
-rational functions in q, polynomials and rational series in t whose
-coefficients are Laurent polynomials, and cyclotomic integers for
-evaluating at roots of unity.  No floats anywhere.
+polynomials in t whose coefficients are Laurent polynomials, q- and
+t-rational values kept as a numerator over the fixed denominator they
+naturally have, and cyclotomic integers for evaluating at roots of unity.
+No floats anywhere.
 
 A LaurentPolyQ is a dict {exponent: coefficient} that never holds a zero
 coefficient; __eq__ and __hash__ rely on that.  Public constructors check
@@ -320,7 +321,12 @@ ZERO = LaurentPolyQ.zero()
 
 
 class RationalQ:
-    """Quotient of two Laurent polynomials in q; equality by cross-multiplication."""
+    """A numerator over the denominator it naturally has; equality by cross-multiplication.
+
+    Fractions are never added: a sum of q-rational terms is built as one
+    numerator over a common denominator that each term's denominator
+    divides, such as (q^-1;q^-1)_n for a Cohen-Lenstra coefficient.
+    """
 
     __slots__ = ("num", "den")
 
@@ -330,69 +336,30 @@ class RationalQ:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_int(cls, c: int) -> "RationalQ":
-        return cls(LaurentPolyQ.const(c))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = RationalQ.from_int(other)
-        elif isinstance(other, LaurentPolyQ):
-            other = RationalQ(other)
-        if not isinstance(other, RationalQ):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
+        if isinstance(other, RationalQ):
+            return self.num * other.den == other.num * self.den
+        if isinstance(other, (int, LaurentPolyQ)):
+            return self.num == self.den * other
+        return NotImplemented
 
     def __hash__(self) -> int:
         raise TypeError("RationalQ is not hashable (no canonical form)")
 
-    def _coerce(self, other) -> "RationalQ":
-        if isinstance(other, int):
-            return RationalQ.from_int(other)
-        if isinstance(other, LaurentPolyQ):
-            return RationalQ(other)
+    def __mul__(self, other: "RationalQ | LaurentPolyQ | int") -> "RationalQ":
         if isinstance(other, RationalQ):
-            return other
-        raise TypeError(f"cannot combine RationalQ with {type(other)!r}")
-
-    def __add__(self, other) -> "RationalQ":
-        o = self._coerce(other)
-        return RationalQ(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalQ":
-        return RationalQ(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalQ":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RationalQ":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "RationalQ":
-        o = self._coerce(other)
-        return RationalQ(self.num * o.num, self.den * o.den)
+            return RationalQ(self.num * other.num, self.den * other.den)
+        if isinstance(other, (int, LaurentPolyQ)):
+            return RationalQ(self.num * other, self.den)
+        return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalQ":
-        o = self._coerce(other)
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero RationalQ")
-        return RationalQ(self.num * o.den, self.den * o.num)
 
     def evaluate(self, value: QValue) -> Fraction:
         d = self.den.evaluate(value)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={value}")
         return self.num.evaluate(value) / d
-
-    def try_to_laurent(self) -> Optional[LaurentPolyQ]:
-        return self.num.try_divide(self.den)
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
@@ -563,10 +530,11 @@ class TPoly:
 
 
 class TSeries:
-    """Rational series in t: num/den with TPoly entries.
+    """Rational series in t: a TPoly numerator over a TPoly denominator.
 
-    The denominator must have a unit constant term (+-q^k) so that the
-    series expansion stays inside Z[q, q^-1].
+    Every series of the engine lives over (t;q)_d and none is added to
+    another.  The denominator must have a unit constant term (+-q^k) so
+    that the series expansion stays inside Z[q, q^-1].
     """
 
     __slots__ = ("num", "den")
@@ -579,10 +547,6 @@ class TSeries:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, num: TPoly) -> "TSeries":
-        return cls(num, TPoly.one())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TSeries):
             return NotImplemented
@@ -590,27 +554,6 @@ class TSeries:
 
     def __hash__(self):
         raise TypeError("TSeries is not hashable (no canonical form)")
-
-    def __add__(self, other: "TSeries") -> "TSeries":
-        return TSeries(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "TSeries | TPoly | LaurentPolyQ | int") -> "TSeries":
-        if isinstance(other, TSeries):
-            return TSeries(self.num * other.num, self.den * other.den)
-        return TSeries(self.num * other, self.den)
-
-    __rmul__ = __mul__
-
-    def substitute(self, t_scale: int = 0, q_power: int = 1) -> "TSeries":
-        """Apply t -> q^t_scale * t and then q -> q^q_power."""
-        num, den = self.num, self.den
-        if t_scale:
-            num = num.substitute_t_scale(t_scale)
-            den = den.substitute_t_scale(t_scale)
-        if q_power != 1:
-            num = num.substitute_q(q_power)
-            den = den.substitute_q(q_power)
-        return TSeries(num, den)
 
     def expand(self, order: int) -> list[LaurentPolyQ]:
         """Coefficients of t^0 .. t^order of the series expansion."""
@@ -622,10 +565,6 @@ class TSeries:
                 acc = acc - self.den.coeff(j) * out[k - j]
             out.append(acc * inv0)
         return out
-
-    def to_poly_exact(self) -> TPoly:
-        """The numerator divided exactly by the denominator."""
-        return self.num.exact_div(self.den)
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -235,21 +236,34 @@ def hilb_from_quot(d: int) -> TSeries:
     return TSeries(total.shift_t(-d), t_pochhammer(d))
 
 
+def _over_pochhammer(n: int, parts: Iterable[tuple[LaurentPolyQ, LaurentPolyQ]]) -> RationalQ:
+    """The sum of num/den over (num, den) in parts, as one numerator over (q^-1;q^-1)_n.
+
+    Each den must divide (q^-1;q^-1)_n: its weight is the exact quotient,
+    and divide_exact raises ValueError if that is not a polynomial.
+    """
+    pn = q_pochhammer(n, exp_sign=-1)
+    num = ZERO
+    for part, den in parts:
+        num = num + part * pn.divide_exact(den)
+    return RationalQ(num, pn)
+
+
 def zhat_coefficient(n: int) -> RationalQ:
-    """[t^n] of the unframed zeta series over all module ranks.
+    """[t^n] of the unframed zeta series over all module ranks, over (q^-1;q^-1)_n.
 
     Sums the framed coefficients with the frame-removal weight
-    q^(-d^2 - d(n-d)) / (q^-1;q^-1)_d; needs the framed series of every
+    q^(-d^2 - d(n-d)) / (q^-1;q^-1)_d, term d weighted by
+    (q^-1;q^-1)_n / (q^-1;q^-1)_d; needs the framed series of every
     rank up to n, so n is capped by MAX_D.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    total = RationalQ.from_int(0)
-    for d in range(n + 1):
-        h_coeff = hilb_series(d).expand(n - d)[n - d]
-        num = LaurentPolyQ.q_power(-d * d - d * (n - d)) * h_coeff
-        total = total + RationalQ(num, q_pochhammer(d, exp_sign=-1))
-    return total
+    return _over_pochhammer(n, (
+        (LaurentPolyQ.q_power(-d * d - d * (n - d)) * hilb_series(d).expand(n - d)[n - d],
+         q_pochhammer(d, exp_sign=-1))
+        for d in range(n + 1)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +327,7 @@ def functional_equation_check(d: int, f: Optional[TPoly] = None) -> bool:
 
 def root_of_unity_check(d: int, r: int, f: Optional[TPoly] = None) -> bool:
     """At q a primitive r-th root of unity (r | d) the numerator is (1+t^r)^(d/r)."""
+    d, r = operator.index(d), operator.index(r)
     if r < 1 or d % r != 0:
         raise ValueError(f"order {r} must divide the rank {d}")
     if f is None:
@@ -369,32 +384,34 @@ def matrix_count_formula(n: int) -> LaurentPolyQ:
 def cohen_lenstra_coefficient(n: int) -> RationalQ:
     """[t^n] of the product-form guess for the one-point module-count series.
 
+    The sum over n = m + 2k of q^(-m-k^2) / ((q^-1;q^-1)_m (q^-1;q^-1)_k),
+    kept over (q^-1;q^-1)_n: term k is weighted by the exact quotient
+    (q^-1;q^-1)_n / ((q^-1;q^-1)_m (q^-1;q^-1)_k), a q^-1-binomial
+    [n m] times (q^-1;q^-1)_2k / (q^-1;q^-1)_k.
     Multiplied by |GL_n| this conjecturally counts *nilpotent* matrix
     pairs (A, B) with A^2 = B^3 and AB = BA.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    total = RationalQ.from_int(0)
-    for k in range(n // 2 + 1):
-        m = n - 2 * k
-        num = LaurentPolyQ.q_power(-m - k * k)
-        den = q_pochhammer(m, exp_sign=-1) * q_pochhammer(k, exp_sign=-1)
-        total = total + RationalQ(num, den)
-    return total
+    return _over_pochhammer(n, (
+        (LaurentPolyQ.q_power(-(n - 2 * k) - k * k),
+         q_pochhammer(n - 2 * k, exp_sign=-1) * q_pochhammer(k, exp_sign=-1))
+        for k in range(n // 2 + 1)
+    ))
 
 
 def affine_cohen_lenstra_coefficient(n: int) -> RationalQ:
-    """[t^n] of the guess series for the whole cuspidal curve.
+    """[t^n] of the guess series for the whole cuspidal curve, over (q^-1;q^-1)_n.
 
     The curve is its singular point together with a smooth punctured line
     whose module-count series is the geometric series 1/(1 - t), so the
-    curve coefficient is the partial sum of the one-point coefficients.
-    Multiplied by |GL_n| it equals matrix_count_formula(n), the count of
-    *all* matrix pairs (A, B) with A^2 = B^3 and AB = BA.
+    curve coefficient is the partial sum of the one-point coefficients;
+    the numerator of coefficient j, over (q^-1;q^-1)_j, is weighted by
+    (q^-1;q^-1)_n / (q^-1;q^-1)_j.  Multiplied by |GL_n| it equals
+    matrix_count_formula(n), the count of *all* matrix pairs (A, B) with
+    A^2 = B^3 and AB = BA.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    total = RationalQ.from_int(0)
-    for j in range(n + 1):
-        total = total + cohen_lenstra_coefficient(j)
-    return total
+    point = (cohen_lenstra_coefficient(j) for j in range(n + 1))
+    return _over_pochhammer(n, ((c.num, c.den) for c in point))

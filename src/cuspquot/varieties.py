@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .qalgebra import LaurentPolyQ, check_prime
@@ -571,7 +572,7 @@ class MotiveTable:
     """The two-parameter motive recursion table(a, b), read through _motive."""
 
     def get(self, a: int, b: int) -> LaurentPolyQ:
-        return _motive(a, b)
+        return _motive(operator.index(a), operator.index(b))
 
 
 def staircase_motive(d: int) -> LaurentPolyQ:
@@ -584,16 +585,28 @@ def staircase_motive(d: int) -> LaurentPolyQ:
     return total
 
 
+def _v_d_points(name: str, d: int, p: int) -> Iterator[tuple[list, list]]:
+    """_cusp_points of V_d, every strictly upper slot free for X and Y.
+
+    d, p and the p^(d(d-1)) candidates are checked before the d(d-1)/2
+    slots are listed, so a refused call costs no memory quadratic in d."""
+    call = f"{name}({d}, {p})"
+    if d < 0:
+        raise ValueError("rank must be >= 0")
+    check_prime(p)
+    check_budget(call, p, d * (d - 1))
+    slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    return _cusp_points(call, d, slots, slots, p)
+
+
 def brute_v_d(d: int, p: int) -> int:
     """Independent count of V_d(F_p) by enumeration."""
-    slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    return sum(1 for _ in _cusp_points(f"brute_v_d({d}, {p})", d, slots, slots, p))
+    return sum(1 for _ in _v_d_points("brute_v_d", d, p))
 
 
 def enumerate_v_d_points(d: int, p: int):
     """Yield all (X, Y) GFMatrix pairs in V_d(F_p)."""
-    slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    for X, Y in _cusp_points(f"enumerate_v_d_points({d}, {p})", d, slots, slots, p):
+    for X, Y in _v_d_points("enumerate_v_d_points", d, p):
         yield GFMatrix(X, p), GFMatrix(Y, p)
 
 
@@ -741,5 +754,6 @@ def staircase_table_csv(max_d: int) -> str:
 def motive_table_csv(pairs: Iterable[tuple[int, int]]) -> str:
     lines = ["a,b,polynomial"]
     for a, b in pairs:
+        a, b = operator.index(a), operator.index(b)
         lines.append(f"{a},{b},{_motive(a, b)}")
     return "\n".join(lines) + "\n"

@@ -144,9 +144,9 @@ def test_echelon_dimension_validation():
 
 
 def test_echelon_rejects_non_integers_and_a_composite_modulus():
-    # a float ended in an itertools TypeError; p = 4 yielded rows over Z/4
+    # a float is refused before any row is built; p = 4 yielded rows over Z/4
     for args in [(3.0, 1, 2), (3, 1.0, 2), (3, 1, 2.0)]:
-        with pytest.raises(ValueError, match="must be an integer"):
+        with pytest.raises(TypeError, match="integer"):
             next(echelon_subspaces(*args))
     with pytest.raises(ValueError, match="4 is not a prime"):
         next(echelon_subspaces(3, 1, 4))
@@ -176,7 +176,7 @@ def test_framed_submodule_validation():
 
 def test_framed_submodule_rejects_non_integers():
     for args in [(1.0, 1, 2), (1, 2.0, 2), (1, 1, 2.0)]:
-        with pytest.raises(ValueError, match="must be an integer"):
+        with pytest.raises(TypeError, match="integer"):
             count_quot_bruteforce(*args)
 
 
@@ -325,10 +325,10 @@ def test_all_pairs_of_size_four_over_f2():
 
 
 def test_pair_counts_reject_non_integer_sizes():
-    # (2.0, 2) passed the budget check and ended in an itertools TypeError
+    # a non-integer size or prime is refused before the budget check, as in every layer
     for count in (count_all_pairs, count_nilpotent_pairs):
         for args in [(2.0, 2), (2, 2.0)]:
-            with pytest.raises(ValueError, match="must be an integer"):
+            with pytest.raises(TypeError, match="integer"):
                 count(*args)
 
 
@@ -418,7 +418,7 @@ def test_non_integer_pin_rejected():
 
 
 def test_non_integer_prime_rejected():
-    with pytest.raises(ValueError, match="p must be an integer"):
+    with pytest.raises(TypeError, match="integer"):
         count_stratum_bruteforce(WORKED, 2.0)
 
 

@@ -449,27 +449,21 @@ def test_rationalq_cross_multiplied_equality():
     half = RationalQ(ONE - Q * Q, ONE - Q)
     assert half == ONE + Q
     assert half == RationalQ(ONE + Q)
-    assert RationalQ.from_int(3) == 3
+    assert RationalQ(LaurentPolyQ.const(3)) == 3
     assert not (RationalQ(ONE, ONE - Q) == 1)
 
 
 def test_rationalq_arithmetic():
     a = RationalQ(ONE, ONE - Q)
-    b = RationalQ(Q, ONE - Q)
-    assert a - b == 1
-    assert a + b == RationalQ(ONE + Q, ONE - Q)
     assert a * (ONE - Q) == 1
-    assert (a / a) == 1
-    with pytest.raises(ZeroDivisionError):
-        a / RationalQ.from_int(0)
+    assert a * RationalQ(ONE - Q, Q) == RationalQ(ONE, Q)
+    assert 2 * a == RationalQ(LaurentPolyQ.const(2), ONE - Q)
     with pytest.raises(ZeroDivisionError):
         RationalQ(ONE, ZERO)
 
 
 def test_laurent_defers_to_foreign_operands():
     r = RationalQ(ONE, ONE - Q)
-    assert ONE + r == r + ONE
-    assert ONE - r == -(r - ONE)
     assert ONE * r == r * ONE
     with pytest.raises(TypeError):
         ONE + "x"
@@ -480,8 +474,6 @@ def test_rationalq_evaluate_and_laurent_conversion():
     assert a.evaluate(2) == -1
     with pytest.raises(ZeroDivisionError):
         a.evaluate(1)
-    assert RationalQ(ONE - Q * Q, ONE - Q).try_to_laurent() == ONE + Q
-    assert a.try_to_laurent() is None
     with pytest.raises(TypeError):
         hash(a)
 
@@ -583,39 +575,11 @@ def test_tseries_denominator_validation():
 def test_tseries_equality_and_hash():
     one_minus_t = TPoly([ONE, -ONE])
     a = TSeries(TPoly([ONE, Q]) * one_minus_t, one_minus_t)
-    b = TSeries.from_poly(TPoly([ONE, Q]))
+    b = TSeries(TPoly([ONE, Q]), TPoly.one())
     assert a == b
-    assert not (a == TSeries.from_poly(TPoly([ONE])))
+    assert not (a == TSeries(TPoly([ONE]), TPoly.one()))
     with pytest.raises(TypeError):
         hash(a)
-
-
-def test_tseries_to_poly_exact():
-    one_minus_t = TPoly([ONE, -ONE])
-    s = TSeries(TPoly([ONE, Q]) * one_minus_t, one_minus_t)
-    assert s.to_poly_exact() == TPoly([ONE, Q])
-    with pytest.raises(ValueError):
-        TSeries(TPoly.one(), one_minus_t).to_poly_exact()
-
-
-def test_tseries_substitute_scales_t():
-    geom = TSeries(TPoly.one(), TPoly([ONE, -ONE]))
-    scaled = geom.substitute(t_scale=1)
-    assert scaled.expand(3) == [
-        LaurentPolyQ.q_power(i) for i in range(4)
-    ]
-    squared = geom.substitute(q_power=2)
-    assert squared.expand(2) == [ONE, ONE, ONE]
-
-
-def test_tseries_arithmetic():
-    geom = TSeries(TPoly.one(), TPoly([ONE, -ONE]))
-    twice = geom + geom
-    assert twice.expand(2) == [LaurentPolyQ.const(2)] * 3
-    prod = geom * TPoly([ONE, -ONE])
-    assert prod.expand(2) == [ONE, ZERO, ZERO]
-    scaled = geom * 3
-    assert scaled.expand(1) == [LaurentPolyQ.const(3)] * 2
 
 
 small_tpolys = st.lists(

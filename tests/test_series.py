@@ -2,7 +2,9 @@
 independent solve/guess routes, and the identities that stress them."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,7 @@ from cuspquot.qalgebra import (
     TPoly,
     TSeries,
     gl_order,
+    q_pochhammer,
     t_pochhammer,
 )
 from cuspquot.series import (
@@ -315,6 +318,18 @@ def test_zhat_low_coefficients():
     assert zhat_coefficient(1) == RationalQ(ONE, poly({1: 1, 0: -1}))
 
 
+def test_coefficients_live_over_the_q_inverse_pochhammer():
+    # each coefficient is one numerator over (q^-1;q^-1)_n, never a product of
+    # the denominators of its terms
+    for n in range(11):
+        den = q_pochhammer(n, exp_sign=-1)
+        coefficients = [cohen_lenstra_coefficient, affine_cohen_lenstra_coefficient]
+        if n <= series_module.MAX_D:
+            coefficients.append(zhat_coefficient)
+        for coefficient in coefficients:
+            assert coefficient(n).den == den, (coefficient.__name__, n)
+
+
 def test_zhat_matches_product_form_guess():
     for n in range(4):
         assert zhat_coefficient(n) == cohen_lenstra_coefficient(n)
@@ -379,6 +394,17 @@ def test_root_of_unity_collapse():
         root_of_unity_check(4, 0)
 
 
+def test_root_of_unity_check_rejects_non_integers_cold_and_warm():
+    # solve_nh is memoized, and its entry of 4 also answers 4.0
+    solve_nh.cache_clear()
+    for warm in (False, True):
+        if warm:
+            assert root_of_unity_check(4, 2)
+        for args in [(4, 2.0), (4.0, 2)]:
+            with pytest.raises(TypeError):
+                root_of_unity_check(*args)
+
+
 def test_cyclotomic_divisibility_through_rank_eight():
     for d in range(1, 9):
         assert cyclotomic_divisibility_check(d)
@@ -409,12 +435,25 @@ def test_affine_guess_times_group_order_is_matrix_count():
         )
 
 
+def _point_guess_at(n, q):
+    """[t^n] of the point guess at a rational q, summed directly in Fraction:
+    the sum over n = m + 2k of q^(-m-k^2) / ((q^-1;q^-1)_m (q^-1;q^-1)_k)."""
+
+    def pochhammer(m):
+        return math.prod((1 - q ** -i for i in range(1, m + 1)), start=Fraction(1))
+
+    return sum(
+        q ** (-(n - 2 * k) - k * k) / (pochhammer(n - 2 * k) * pochhammer(k))
+        for k in range(n // 2 + 1)
+    )
+
+
 def test_affine_guess_is_partial_sum_of_point_guess():
-    for n in range(6):
-        total = RationalQ.from_int(0)
-        for j in range(n + 1):
-            total = total + cohen_lenstra_coefficient(j)
-        assert affine_cohen_lenstra_coefficient(n) == total
+    for q in (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 3)):
+        point = [_point_guess_at(j, q) for j in range(11)]
+        for n in range(11):
+            assert cohen_lenstra_coefficient(n).evaluate(q) == point[n], (n, q)
+            assert affine_cohen_lenstra_coefficient(n).evaluate(q) == sum(point[: n + 1]), (n, q)
     with pytest.raises(ValueError):
         affine_cohen_lenstra_coefficient(-1)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Staircase matrix varieties, their motives, and module profiles."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,7 @@ from cuspquot.varieties import (
     staircase_table_csv,
     symbolic_v_alpha,
 )
-from cuspquot.varieties import _count, _Poly
+from cuspquot.varieties import _count, _motive, _Poly
 from cuspquot.qalgebra import LaurentPolyQ
 
 FROZEN_V_COUNTS = {
@@ -389,6 +390,19 @@ def test_bruteforce_budget():
         brute_v_d(3, 11)
 
 
+def test_v_d_budget_is_checked_before_the_slots_are_listed():
+    # d = 10^4 has about 5 * 10^7 slots; refusing it must not list them
+    for call in (lambda: brute_v_d(10**4, 2), lambda: next(enumerate_v_d_points(10**4, 2))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=r"at least 2\^99990000 candidates"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 def test_motive_table_cone_and_frozen_entry():
     table = MotiveTable()
     assert table.get(0, 0) == poly({0: 1})
@@ -397,6 +411,18 @@ def test_motive_table_cone_and_frozen_entry():
     assert table.get(1, 2).is_zero()  # a < b
     assert table.get(3, 0).is_zero()  # parity mismatch
     assert table.get(2, -1).is_zero()
+
+
+def test_motive_entries_reject_non_integers_cold_and_warm():
+    # _motive is memoized, and its entry of (4, 2) also answers (4.0, 2)
+    _motive.cache_clear()
+    for warm in (False, True):
+        if warm:
+            assert MotiveTable().get(4, 2) == poly({4: 2, 2: -3, 1: 1})
+        with pytest.raises(TypeError):
+            MotiveTable().get(4.0, 2)
+        with pytest.raises(TypeError):
+            motive_table_csv([(4, 2.0)])
 
 
 def test_csv_exports():
