@@ -86,14 +86,13 @@ def lcm_set(mu: Monomial, nu: Monomial) -> tuple[Monomial, ...]:
 
 
 class Element:
-    """Element of mF over F_p, truncated below T^trunc; immutable.  p is checked
-    to be a prime only where inverses are taken (monic, divide): a check in
-    each of the stratum oracle's millions of constructions cost about 3%."""
+    """Element of mF over F_p, truncated below T^trunc; immutable.  A modulus p
+    that is not a prime raises ValueError at construction."""
 
     __slots__ = ("terms", "p", "trunc")
 
     def __init__(self, terms: dict[Monomial, int], p: int, trunc: int):
-        p, trunc = index(p), index(trunc)
+        p, trunc = check_prime(index(p)), index(trunc)
         clean: dict[Monomial, int] = {}
         for (t_deg, seat), c in terms.items():
             mono = Monomial(index(t_deg), index(seat))
@@ -146,7 +145,7 @@ class Element:
         return self.terms[self.leading_monomial()]
 
     def monic(self) -> "Element":
-        p = check_prime(self.p)
+        p = self.p
         inv = pow(self.leading_coeff(), p - 2, p)
         return self.scale(inv)
 
@@ -233,7 +232,7 @@ def divide(f: Element, divisors: Sequence[Element]) -> DivisionResult:
         if g.is_zero():
             raise ValueError("zero divisor in division")
         f._compat(g)
-    p = check_prime(f.p)
+    p = f.p
     leads = [g.leading_monomial() for g in divisors]
     quots: list[dict[int, int]] = [{} for _ in divisors]
     work = dict(f.terms)

@@ -23,6 +23,12 @@ The orbits come from a flood fill under generators of GL_n(F_p), and
 their sizes are what the fill reaches; no class-size or centralizer
 formula enters, so the counts stay independent of the formulas they
 audit.  For each representative A walks the span of the commutant of B.
+
+count_stratum_bruteforce runs groebner.is_groebner's closure test on up
+to 2^12 candidate bases at once, each coefficient a column with one entry
+per candidate.  The criterion, the divisor chosen for each monomial (it
+depends only on the leads, the corners for every candidate) and divide's
+three contract checks are the same, each check made for every candidate.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import math
 import operator
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .groebner import Element, Monomial, PreBasis, is_groebner
+from .groebner import Element, Monomial, PreBasis, divides
 from .qalgebra import check_prime
 from .strata import LeadingTermDatum
 from .varieties import BudgetError, GFMatrix, check_budget
@@ -343,6 +349,9 @@ def first_corner_slots(datum: LeadingTermDatum) -> list[tuple[int, Monomial]]:
     return [(ci, nu) for ci, nu in stratum_slots(datum) if corners[ci] in firsts]
 
 
+_COLUMN = 1 << 12  # most candidates in a column; further free slots are walked one by one
+
+
 def count_stratum_bruteforce(
     datum: LeadingTermDatum,
     p: int,
@@ -351,7 +360,11 @@ def count_stratum_bruteforce(
     """Count reduced bases over F_p whose leading monomials are the datum's corners.
 
     pins fixes some slot values; the rest range over all of F_p, and a
-    choice counts when the closure test passes.
+    choice counts when groebner.is_groebner's closure test passes.  The test
+    runs on columns of up to 2^12 candidates in itertools.product order: a
+    free slot is the column of its digit, a pinned slot a constant column, a
+    corner the constant 1.  It is the same criterion, divisor choice and
+    three contract checks as divide, each check made for every candidate.
     """
     p = check_prime(operator.index(p))
     pins = dict(pins or {})
@@ -365,19 +378,66 @@ def count_stratum_bruteforce(
     free = [s for s in slots if s not in pins]
     call = f"count_stratum_bruteforce({datum}, {p}) with {len(pins)} pinned slots"
     check_budget(call, p, len(free))
-    corners = datum.corners()
-    trunc = 2 * datum.n() + 4
+    corners, trunc = datum.corners(), 2 * datum.n() + 4
+    # every candidate leads with the corners, so one PreBasis checks them all
+    PreBasis([Element({c: 1}, p, trunc) for c in corners], datum.d)
+    inner = max(k for k in range(len(free) + 1) if p**k <= _COLUMN)
+    outer, size = len(free) - inner, p**inner
+    digits = list(zip(*itertools.product(range(p), repeat=inner)))
     count = 0
-    for vals in itertools.product(range(p), repeat=len(free)):
-        assign = dict(pins)
-        assign.update(zip(free, vals))
-        elements = []
-        for ci, c in enumerate(corners):
-            terms = {c: 1}
-            for (cj, nu), v in assign.items():
-                if cj == ci and v:
-                    terms[nu] = v
-            elements.append(Element(terms, p, trunc))
-        if is_groebner(PreBasis(elements, datum.d)):
-            count += 1
+    for vals in itertools.product(range(p), repeat=outer):
+        cols = [(s, [v] * size) for s, v in itertools.chain(pins.items(), zip(free, vals)) if v]
+        cols += zip(free[outer:], digits)
+        elements = [[(c, [1] * size)] + [(nu, col) for (ci, nu), col in cols if ci == j]
+                    for j, c in enumerate(corners)]
+        count += _closed_candidates(corners, elements, p, trunc, size)
     return count
+
+
+def _axpy(acc: dict, mono: Monomial, a: Sequence[int], x: Sequence[int], p: int) -> None:
+    """acc[mono] += a * x, entry by entry mod p."""
+    acc[mono] = [(w + u * v) % p for w, u, v in zip(acc.get(mono, itertools.repeat(0)), a, x)]
+
+
+def _closed_candidates(corners: list[Monomial], elements: list, p: int, trunc: int, size: int) -> int:
+    """Candidates passing the test; elements[j] is g_j as (monomial, column), lead first."""
+    def shifted(j: int, s: int) -> list:
+        return [(Monomial(nu.t_deg + s, nu.seat), col)
+                for nu, col in elements[j] if nu.t_deg + s < trunc]
+
+    ok = [True] * size
+    for j0, j1 in itertools.combinations(range(len(corners)), 2):
+        for s in (3, 4) if corners[j0].seat == corners[j1].seat else ():
+            f: dict[Monomial, list[int]] = {}  # T^s*g0 - T^(s-1)*g1
+            for sign, j, shift in ((1, j0, s), (p - 1, j1, s - 1)):
+                for mono, col in shifted(j, shift):
+                    _axpy(f, mono, [sign] * size, col, p)
+            work, rem, quotients = dict(f), {}, []
+            waiting = [True] * size  # the candidate's lead of f is not yet swept
+            while work:
+                mono = min(work)
+                q = work.pop(mono)
+                if mono in f:
+                    waiting = [w and not v for w, v in zip(waiting, f[mono])]
+                j = next((j for j, c in enumerate(corners) if divides(c, mono) is not None), None)
+                if j is None:
+                    rem[mono] = q
+                elif any(q):
+                    if any(itertools.compress(q, waiting)):
+                        raise ArithmeticError("a quotient term starts below the lead of the dividend")
+                    # the lead of T^s*g_j cancels mono; its tails land above it
+                    quotients.append((j, mono, q))
+                    neg = [p - v for v in q]
+                    for key, col in shifted(j, mono.t_deg - corners[j].t_deg)[1:]:
+                        _axpy(work, key, neg, col, p)
+            for mono, col in rem.items():
+                if any(col) and any(divides(c, mono) is not None for c in corners):
+                    raise ArithmeticError(f"remainder term {mono} is divisible by a divisor lead")
+                ok = [o and not v for o, v in zip(ok, col)]
+            recon, zero = dict(rem), [0] * size
+            for j, mono, q in quotients:
+                for key, col in shifted(j, mono.t_deg - corners[j].t_deg):
+                    _axpy(recon, key, q, col, p)
+            if any(recon.get(m, zero) != f.get(m, zero) for m in recon.keys() | f.keys()):
+                raise ArithmeticError("quotients and remainder do not reconstruct the dividend")
+    return sum(ok)

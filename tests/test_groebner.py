@@ -90,12 +90,14 @@ def test_element_construction_reduces_and_truncates():
 
 
 def test_element_rejects_a_composite_modulus():
-    # over Z/4 the leading coefficient 2 has no inverse: monic() returned 0
-    e = Element({M(2, 1): 2}, 4, 6)
+    # over Z/4 the leading coefficient 2 has no inverse (monic() returned 0)
+    # and e + e was computed mod 4; construction now refuses the modulus
     with pytest.raises(ValueError, match="4 is not a prime"):
-        e.monic()
-    with pytest.raises(ValueError, match="4 is not a prime"):
-        divide(e, [e])
+        Element({M(2, 1): 2}, 4, 6)
+    with pytest.raises(ValueError, match="9 is not a prime"):
+        Element.zero(9, 6)
+    with pytest.raises(ValueError, match="1 is not a prime"):
+        Element.monomial(M(2, 1), 1, 6)
 
 
 def test_element_leading_term_is_order_least():

@@ -4,11 +4,12 @@ the closed-form engine it exists to audit."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from cuspquot.groebner import Monomial
+from cuspquot.groebner import Element, Monomial, PreBasis, is_groebner
 from cuspquot.oracles import (
     BudgetError,
     _orbits,
@@ -24,7 +25,7 @@ from cuspquot.oracles import (
 )
 from cuspquot.qalgebra import gl_order, q_binomial
 from cuspquot.series import hilb_series, matrix_count_formula, zhat_coefficient
-from cuspquot.strata import parse_datum
+from cuspquot.strata import LeadingTermDatum, parse_datum
 from cuspquot.varieties import (
     ENUMERATION_BUDGET,
     GFMatrix,
@@ -457,6 +458,76 @@ def test_fibers_are_constant_on_a_non_full_stratum():
         assert count_stratum_bruteforce(datum, 2, pins=pins) == 24
     assert count_v_alpha(datum, 2) == 24
     assert datum.exponents()[0] == 0
+
+
+# The per-candidate walk the column test replaced, kept as the reference and
+# as the cross-check of groebner.is_groebner: each candidate basis is built
+# as Elements and tested alone.
+
+
+def _reference_stratum_count(datum, p, pins=None):
+    pins = pins or {}
+    free = [s for s in stratum_slots(datum) if s not in pins]
+    corners = datum.corners()
+    trunc = 2 * datum.n() + 4
+    count = 0
+    for vals in itertools.product(range(p), repeat=len(free)):
+        assign = dict(pins)
+        assign.update(zip(free, vals))
+        elements = []
+        for ci, c in enumerate(corners):
+            terms = {c: 1}
+            for (cj, nu), v in assign.items():
+                if cj == ci and v:
+                    terms[nu] = v
+            elements.append(Element(terms, p, trunc))
+        if is_groebner(PreBasis(elements, datum.d)):
+            count += 1
+    return count
+
+
+def test_stratum_columns_match_the_per_candidate_walk():
+    # every datum of rank <= 3 and levels <= 3 with at most 64 candidates
+    cases = [
+        (datum, p)
+        for d in range(1, 4)
+        for levels in itertools.product(range(4), repeat=d)
+        for colors in itertools.product("JK", repeat=d)
+        for datum in [LeadingTermDatum(levels, colors)]
+        for p in (2, 3)
+        if p ** len(stratum_slots(datum)) <= 64
+    ]
+    assert len(cases) == 363
+    for datum, p in cases:
+        assert count_stratum_bruteforce(datum, p) == _reference_stratum_count(datum, p), (
+            str(datum),
+            p,
+        )
+    # none of those needs the second S-element T^4*g0 - T^3*g1; this datum does
+    needs_both = parse_datum("(K(0),J(4))")
+    assert count_stratum_bruteforce(needs_both, 2) == _reference_stratum_count(needs_both, 2) == 64
+
+
+def test_pinned_stratum_columns_match_the_per_candidate_walk():
+    rng = random.Random(20261018)
+    slots = stratum_slots(WORKED)
+    for _ in range(8):
+        pinned = rng.sample(slots, rng.randrange(2, len(slots) + 1))
+        pins = {slot: rng.randrange(3) for slot in pinned}
+        expected = _reference_stratum_count(WORKED, 3, pins)
+        assert count_stratum_bruteforce(WORKED, 3, pins=pins) == expected, pins
+
+
+def test_stratum_columns_bound_memory():
+    # 2^17 candidates are tested as 32 columns of 2^12 each
+    datum = parse_datum("(K(0),K(2),K(5))")
+    tracemalloc.start()
+    try:
+        assert count_stratum_bruteforce(datum, 2) == 24_576
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_stratum_budget():
