@@ -276,6 +276,7 @@ def _chk_quot_oracle() -> bool:
         [(1, n, 2) for n in range(5)]
         + [(2, n, 2) for n in range(3)]
         + [(1, n, 3) for n in range(4)]
+        + [(2, 2, 3), (3, 1, 3), (4, 1, 2)]
     )
     for d, n, p in cases:
         coeff = hilb_series(d, p).expand(n)[n]

@@ -4,7 +4,8 @@ Everything here counts by exhaustive enumeration, with no input from
 the closed formulas it is meant to check.  Before any work each count
 hands the number of candidates it will walk to varieties.check_budget,
 which raises BudgetError past ENUMERATION_BUDGET instead of hanging:
-the [2dn, n]_p subspaces of the quot window, p^(n^2) matrices B for the
+the [2dn, n]_p subspaces of the quot window (all that its walk would
+meet without pruning), p^(n^2) matrices B for the
 nilpotent pairs, p^(n^2+1) for all pairs (each of the p scalar B has
 the whole matrix space as commutant), p^(free slots) for a stratum.
 A size only admits or rejects a call; it never enters a count.
@@ -12,8 +13,10 @@ A size only admits or rejects a call; it never enters a count.
 count_quot_bruteforce counts invariant subspaces of fixed codimension
 directly: a codimension-n submodule contains every element of degree
 at least 2n+2 on each seat, so the count happens in the finite window
-of per-seat degrees 2..2n+1.  Over F_2 the rows are bit masks, about
-3 times faster than the general path.
+of per-seat degrees 2..2n+1.  One walk over reduced echelon bases, the
+same for every prime, builds a basis one row at a time from the highest
+window position down and drops a row as soon as one of its shifts leaves
+the span of the rows above it.
 
 count_all_pairs and count_nilpotent_pairs count pairs (A, B) with
 AB = BA and A^2 = B^3 one conjugacy orbit of B at a time: A -> gAg^-1 is
@@ -42,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .groebner import Element, Monomial, PreBasis, divides
 from .qalgebra import check_prime
 from .strata import LeadingTermDatum
-from .varieties import BudgetError, GFMatrix, check_budget
+from .varieties import BudgetError, GFMatrix, _in_span, check_budget
 
 __all__ = [
     "BudgetError",
@@ -83,51 +86,23 @@ def echelon_subspaces(
             yield pivots, [tuple(r) for r in rows]
 
 
-def _count_quot_gf2(d: int, n: int) -> int:
-    win = 2 * n
-    total = d * win
-    keep = total - n
-    mask2 = sum(1 << (s * win + o) for s in range(d) for o in range(win - 2))
-    mask3 = sum(1 << (s * win + o) for s in range(d) for o in range(win - 3))
-    count = 0
-    for pivots in itertools.combinations(range(total), keep):
-        pivset = set(pivots)
-        free = [
-            (i, j)
-            for i, pc in enumerate(pivots)
-            for j in range(pc + 1, total)
-            if j not in pivset
-        ]
-        base = [1 << pc for pc in pivots]
-        for bits in itertools.product((0, 1), repeat=len(free)):
-            rows = base.copy()
-            for (i, j), v in zip(free, bits):
-                if v:
-                    rows[i] |= 1 << j
-            ok = True
-            for r in rows:
-                for mask, sh in ((mask2, 2), (mask3, 3)):
-                    img = (r & mask) << sh
-                    if img:
-                        for i2, pc in enumerate(pivots):
-                            if (img >> pc) & 1:
-                                img ^= rows[i2]
-                        if img:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                count += 1
-    return count
-
-
 def count_quot_bruteforce(d: int, n: int, p: int) -> int:
     """Number of codimension-n invariant subspaces of the rank-d framed module.
 
     The acting operators are the two degree shifts; shifts leaving the
     2..2n+1 window vanish, which is exact in the quotient by the tail
     every codimension-n submodule must contain.
+
+    One walk over reduced echelon bases, for every prime, decides the
+    window positions from the highest down: a non-pivot joins the free
+    positions above, and a pivot row is 1 at the pivot, takes every value
+    at the free positions above it and is 0 elsewhere.  A row is kept only
+    when both its shifts lie in the span of the rows already chosen.  A
+    shift of a row starts at least two positions above its pivot, so in
+    the reduced echelon basis of any subspace holding it, it is a
+    combination of rows with higher pivots, which are exactly those rows;
+    a refused row lies in no invariant subspace with them above it, and
+    each invariant subspace is met once, at its unique reduced basis.
     """
     d, n, p = map(operator.index, (d, n, p))
     if d < 1 or n < 0:
@@ -135,39 +110,43 @@ def count_quot_bruteforce(d: int, n: int, p: int) -> int:
     check_prime(p)
     win = 2 * n
     total = d * win
-    # the walk meets each of the [total, n]_p subspaces once (the Gaussian
-    # binomial below); its largest echelon cell alone holds p^(n*(total-n))
+    keep = total - n
+    # the walk without pruning would meet each of the [total, n]_p subspaces
+    # once (the Gaussian binomial below); its largest echelon cell alone
+    # holds p^(n*(total-n))
     check_budget(
         f"count_quot_bruteforce({d}, {n}, {p})", p, n * (total - n),
         lambda: math.prod(p ** (total - i) - 1 for i in range(n))
         // math.prod(p ** (i + 1) - 1 for i in range(n)),
     )
-    if n == 0:
-        return 1
-    if p == 2:
-        return _count_quot_gf2(d, n)
-    count = 0
-    for pivots, rows in echelon_subspaces(total, total - n, p):
-        ok = True
-        for row in rows:
-            for sh in (2, 3):
-                img = [0] * total
-                for idx, v in enumerate(row):
-                    if v and idx % win + sh < win:
-                        img[idx + sh] = v
-                for i2, pc in enumerate(pivots):
-                    c = img[pc]
-                    if c:
-                        r2 = rows[i2]
-                        img = [(a - c * b) % p for a, b in zip(img, r2)]
-                if any(img):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    # each shift as the (source, target) pairs that stay in the window
+    shifts = [[(i, i + s) for i in range(total) if i % win + s < win] for s in (2, 3)]
+    shifts = [pairs for pairs in shifts if pairs]  # none at n = 1
+
+    def image(row: list[int], pairs: list[tuple[int, int]]) -> list[int]:
+        img = [0] * total
+        for src, dst in pairs:
+            img[dst] = row[src]
+        return img
+
+    def walk(pos: int, rows: list[list[int]], pivots: list[int], free: list[int]) -> int:
+        """Invariant subspaces whose basis rows with pivots above pos are exactly rows;
+        free holds the non-pivots above pos."""
+        if len(rows) == keep:
+            return 1
+        if keep - len(rows) > pos + 1:
+            return 0
+        count = walk(pos - 1, rows, pivots, free + [pos])
+        for vals in itertools.product(range(p), repeat=len(free)):
+            row = [0] * total
+            row[pos] = 1
+            for j, v in zip(free, vals):
+                row[j] = v
+            if all(_in_span(rows, pivots, image(row, pairs), p) for pairs in shifts):
+                count += walk(pos - 1, rows + [row], pivots + [pos], free)
+        return count
+
+    return walk(total - 1, [], [], [])
 
 
 # ---------------------------------------------------------------------------

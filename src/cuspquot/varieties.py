@@ -126,7 +126,7 @@ class GFMatrix:
 
     def __init__(self, rows: Iterable[Sequence[int]], p: int):
         check_prime(p)
-        self.rows = tuple(tuple(c % p for c in row) for row in rows)
+        self.rows = tuple(tuple(operator.index(c) % p for c in row) for row in rows)
         self.p = p
         if self.rows:
             width = len(self.rows[0])

@@ -60,6 +60,11 @@ FROZEN_QUOT = {
     (1, 1, 3): 4,
     (1, 2, 3): 4,
     (1, 3, 3): 4,
+    (2, 2, 3): 238,
+    (3, 1, 2): 63,
+    (3, 1, 3): 364,
+    (4, 1, 2): 255,
+    (4, 1, 3): 3280,
 }
 
 FROZEN_NILPOTENT_PAIRS = {
@@ -168,6 +173,41 @@ def test_framed_submodule_counts_match_series():
         assert coeff.evaluate(p) == Fraction(expected), (d, n, p)
 
 
+def _reference_quot_count(d, n, p):
+    """The unpruned filter: every subspace of the window, kept when each row's
+    two shifts reduce to zero against the rows."""
+    win, total = 2 * n, 2 * d * n
+    count = 0
+    for pivots, rows in echelon_subspaces(total, total - n, p):
+        ok = True
+        for row in rows:
+            for sh in (2, 3):
+                img = [0] * total
+                for idx, v in enumerate(row):
+                    if v and idx % win + sh < win:
+                        img[idx + sh] = v
+                for pc, r2 in zip(pivots, rows):
+                    c = img[pc]
+                    if c:
+                        img = [(a - c * b) % p for a, b in zip(img, r2)]
+                ok = ok and not any(img)
+        count += ok
+    return count
+
+
+def test_pruned_walk_matches_the_unpruned_filter():
+    cases = [
+        (d, n, p)
+        for d in range(1, 6)
+        for n in range(5)
+        for p in (2, 3, 5, 7)
+        if q_binomial(2 * d * n, n).evaluate(p) <= 10**4
+    ]
+    assert len(cases) == 39
+    for d, n, p in cases:
+        assert count_quot_bruteforce(d, n, p) == _reference_quot_count(d, n, p), (d, n, p)
+
+
 def test_framed_submodule_validation():
     with pytest.raises(ValueError, match="need d >= 1"):
         count_quot_bruteforce(0, 1, 2)
@@ -182,7 +222,7 @@ def test_framed_submodule_rejects_non_integers():
 
 
 def test_framed_submodule_budget():
-    # the walk meets each of the [2dn, n]_p subspaces of the window once
+    # the budget counts the [2dn, n]_p subspaces the walk would meet if it did not prune
     for d, n, p in [(2, 3, 2), (3, 2, 2), (1, 3, 5)]:
         size = q_binomial(2 * d * n, n).evaluate(p)
         with pytest.raises(BudgetError, match=f"would walk {size} candidates"):

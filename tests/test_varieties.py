@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +83,13 @@ def test_gfmatrix_rank_kernel_image():
         assert m.apply(v) == (0, 0)
     image = m.image_basis()
     assert len(image) == 1
+
+
+def test_gfmatrix_rejects_non_integer_entries():
+    # 2.5 was stored and squared to 0.25; 1/2 was stored as a Fraction
+    for rows in ([[2.5, 0], [0, 1]], [[Fraction(1, 2)]]):
+        with pytest.raises(TypeError, match="integer"):
+            GFMatrix(rows, 3)
 
 
 def test_gfmatrix_rejects_a_composite_modulus():
