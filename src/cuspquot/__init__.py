@@ -13,7 +13,6 @@ from .qalgebra import (
     CyclotomicInt,
     LaurentPolyQ,
     RationalQ,
-    RootOfUnity,
     TPoly,
     TSeries,
     gl_order,
@@ -57,7 +56,6 @@ __all__ = [
     "CyclotomicInt",
     "LaurentPolyQ",
     "RationalQ",
-    "RootOfUnity",
     "TPoly",
     "TSeries",
     "gl_order",

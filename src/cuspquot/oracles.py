@@ -25,7 +25,9 @@ representative, weighted by its orbit size, stands for the whole orbit.
 The orbits come from a flood fill under generators of GL_n(F_p), and
 their sizes are what the fill reaches; no class-size or centralizer
 formula enters, so the counts stay independent of the formulas they
-audit.  For each representative A walks the span of the commutant of B.
+audit.  For each representative B, varieties._commutant_roots walks the
+commutant of B, every cell of A free, and keeps the A with A^2 = B^3: the
+walk the staircase-variety counts run over each of their Y.
 
 count_stratum_bruteforce runs groebner.is_groebner's closure test on up
 to 2^12 candidate bases at once, each coefficient a column with one entry
@@ -45,7 +47,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .groebner import Element, Monomial, PreBasis, divides
 from .qalgebra import check_prime
 from .strata import LeadingTermDatum
-from .varieties import BudgetError, GFMatrix, _in_span, check_budget
+from .varieties import BudgetError, _commutant_roots, _in_span, check_budget
 
 __all__ = [
     "BudgetError",
@@ -226,49 +228,11 @@ def _strictly_upper(n: int, p: int) -> Iterator[Matrix]:
         yield tuple(next(above) if j > i else 0 for i in range(n) for j in range(n))
 
 
-def _span(basis: list[tuple[int, ...]], p: int, size: int) -> Iterator[list[int]]:
-    """Every vector of the span of basis, by an odometer over the coefficients.
-
-    Each step adds one basis vector; a digit that reaches p has added its
-    vector p times, which is zero, and carries to the next digit.
-    """
-    vec = [0] * size
-    digits = [0] * len(basis)
-    while True:
-        yield vec
-        for k, step in enumerate(basis):
-            vec = [(a + b) % p for a, b in zip(vec, step)]
-            digits[k] += 1
-            if digits[k] < p:
-                break
-            digits[k] = 0
-        else:
-            return
-
-
-def _square_is(a: Sequence[int], target: Matrix, n: int, p: int) -> bool:
-    """A^2 == target for flat matrices, stopping at the first differing entry."""
-    for i in range(n):
-        row = a[i * n : (i + 1) * n]
-        for j in range(n):
-            if sum(map(operator.mul, row, a[j::n])) % p != target[i * n + j]:
-                return False
-    return True
-
-
 def _pairs_over(b: Matrix, n: int, p: int) -> int:
     """Number of A in the commutant of B with A^2 = B^3."""
-    # the coefficient of A_uv in (AB - BA)_ij
-    system = [
-        [(b[v * n + j] if u == i else 0) - (b[i * n + u] if v == j else 0)
-         for u in range(n) for v in range(n)]
-        for i in range(n)
-        for j in range(n)
-    ]
-    cube = GFMatrix([b[i * n : (i + 1) * n] for i in range(n)], p) ** 3
-    target = tuple(itertools.chain.from_iterable(cube.rows))
-    basis = GFMatrix(system, p).kernel_basis()
-    return sum(1 for a in _span(basis, p, n * n) if _square_is(a, target, n, p))
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    rows = [b[i * n : (i + 1) * n] for i in range(n)]
+    return sum(1 for _ in _commutant_roots(cells, cells, p)(rows))
 
 
 def _check_pair_count(call: str, n: int, p: int, extra: int) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
 __all__ = [
     "LaurentPolyQ",
@@ -25,7 +25,6 @@ __all__ = [
     "TPoly",
     "TSeries",
     "CyclotomicInt",
-    "RootOfUnity",
     "q_pochhammer",
     "t_pochhammer",
     "q_binomial",
@@ -34,7 +33,6 @@ __all__ = [
     "q_pascal_matrix",
     "q_pascal_inverse",
     "cyclotomic_poly",
-    "evaluate_q",
     "tpoly_to_triples",
     "tpoly_from_triples",
     "series_to_json",
@@ -709,12 +707,6 @@ def cyclotomic_poly(r: int) -> list[int]:
     return f
 
 
-class RootOfUnity(NamedTuple):
-    """Marker for evaluating q at a primitive r-th root of unity."""
-
-    order: int
-
-
 class CyclotomicInt:
     """Element of Z[x]/Phi_r(x), x a primitive r-th root of unity."""
 
@@ -809,13 +801,6 @@ class CyclotomicInt:
 
     def __repr__(self) -> str:
         return f"CyclotomicInt({self.order}, {list(self.coeffs)!r})"
-
-
-def evaluate_q(x: LaurentPolyQ, value: "QValue | RootOfUnity"):
-    """Evaluate at a rational number (exact Fraction) or a root of unity."""
-    if isinstance(value, RootOfUnity):
-        return x.at_root_of_unity(value.order)
-    return x.evaluate(value)
 
 
 # ---------------------------------------------------------------------------

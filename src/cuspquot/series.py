@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Optional
 from .qalgebra import (
     ONE,
     ZERO,
+    CyclotomicInt,
     LaurentPolyQ,
     RationalQ,
     TPoly,
@@ -333,8 +334,8 @@ def root_of_unity_check(d: int, r: int, f: Optional[TPoly] = None) -> bool:
     if f is None:
         f = solve_nh(d)
     values = f.at_root_of_unity(r)
-    values += [values[0] * 0] * (d + 1 - len(values))
-    for m in range(d + 1):
+    values += [CyclotomicInt.zero(r)] * (d + 1 - len(values))
+    for m in range(len(values)):
         expected = comb(d // r, m // r) if m % r == 0 else 0
         if values[m] != expected:
             return False

@@ -11,16 +11,20 @@ staircase variety V_d, whose motive obeys a two-parameter recursion
 computed here exactly.
 
 One enumerator, _cusp_points, walks the F_p points of all of them: for
-each Y on its slots it solves the linear condition XY = YX for X and
-keeps the X with X^2 = Y^3.  count_v_spec (a patterned variety),
-brute_v_d and enumerate_v_d_points (V_d) delegate to it; they are the
-oracles of the closed forms.  Every brute-force enumeration, here and
-in oracles, passes the number of candidates it will walk to check_budget
-before any work: past the one ENUMERATION_BUDGET it raises BudgetError.
+each Y on its slots, _commutant_roots walks the kernel of the linear
+condition XY = YX and keeps the X with X^2 = Y^3.  count_v_spec (a
+patterned variety), brute_v_d and enumerate_v_d_points (V_d) delegate to
+it; they are the oracles of the closed forms.  The pair counts of oracles
+walk the same commutant fibres with every matrix cell free.  Every
+brute-force enumeration, here and in oracles, passes the number of
+candidates it will walk to check_budget before any work: past the one
+ENUMERATION_BUDGET it raises BudgetError.
 
 The module profile machinery views a point (X, Y) as the R-module
 M = F_p^m with x, y acting by X, Y (R the cusp ring), and measures the
-kernel/image filtration of the matrix factorization operator on M + M.
+kernel/image filtration of the matrix factorization operator on M + M
+with the echelon primitives above: ker A, the reduced echelon basis of
+im A' and ranks of spans, with no linear solve.
 """
 
 from __future__ import annotations
@@ -143,6 +147,10 @@ class GFMatrix:
 
     @classmethod
     def block2(cls, tl: "GFMatrix", tr: "GFMatrix", bl: "GFMatrix", br: "GFMatrix") -> "GFMatrix":
+        if {tr.p, bl.p, br.p} != {tl.p}:
+            raise ValueError("blocks over different fields")
+        if tl.shape[0] != tr.shape[0] or bl.shape[0] != br.shape[0] or tl.shape[1] != bl.shape[1]:
+            raise ValueError("blocks of mismatched shapes")  # a wrong width on the right is ragged
         rows = [list(a) + list(b) for a, b in zip(tl.rows, tr.rows)]
         rows += [list(a) + list(b) for a, b in zip(bl.rows, br.rows)]
         return cls(rows, tl.p)
@@ -160,6 +168,8 @@ class GFMatrix:
         return hash((self.rows, self.p))
 
     def __add__(self, other: "GFMatrix") -> "GFMatrix":
+        if self.p != other.p or self.shape != other.shape:
+            raise ValueError("sum of matrices of different shapes or fields")
         return GFMatrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.p,
@@ -175,18 +185,19 @@ class GFMatrix:
         p = self.p
         n, k = self.shape
         k2, m = other.shape
-        if k != k2:
-            raise ValueError("shape mismatch")
+        if k != k2 or p != other.p:
+            raise ValueError("product of matrices of mismatched shapes or different fields")
         cols = list(zip(*other.rows)) if other.rows else []
         return GFMatrix(
-            [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in self.rows],
+            [[sum(map(operator.mul, row, col)) % p for col in cols] for row in self.rows],
             p,
         )
 
     def __pow__(self, e: int) -> "GFMatrix":
+        e = operator.index(e)
         n, m = self.shape
-        if n != m:
-            raise ValueError("power of non-square matrix")
+        if n != m or e < 0:
+            raise ValueError("power must be of a square matrix, with exponent >= 0")
         out = GFMatrix.identity(n, self.p)
         base = self
         while e:
@@ -197,7 +208,9 @@ class GFMatrix:
         return out
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(a * b for a, b in zip(row, vec)) % self.p for row in self.rows)
+        if len(vec) != self.shape[1]:
+            raise ValueError("vector length does not match the matrix")
+        return tuple(sum(map(operator.mul, row, vec)) % self.p for row in self.rows)
 
     def is_zero(self) -> bool:
         return all(all(c == 0 for c in row) for row in self.rows)
@@ -271,43 +284,80 @@ class VAlphaSpec:
         return [(b - 1, h - 1) for (b, h), c in sorted(self.classes.items()) if c != "1-"]
 
 
-def _cusp_points(call: str, d: int, x_slots: list, y_slots: list, p: int) -> Iterator[tuple[list, list]]:
-    """The F_p points (X, Y) with X on x_slots and Y on y_slots, as lists of rows.
+def _commutant_roots(
+    x_slots: Sequence[tuple[int, int]], entries: Sequence[tuple[int, int]], p: int
+) -> Callable[[Sequence[Sequence[int]]], Iterator[list[int]]]:
+    """The X, zero off x_slots, with XY = YX and X^2 = Y^3 at entries.
 
-    For each Y, XY = YX is linear in X; X runs over its kernel and is kept
-    when X^2 = Y^3 (only entries j - i >= 2 of these products can be
-    nonzero).  The points over one Y share its list: copy before mutating.
-    d, p and the p^(slots) candidates of call are checked before the walk."""
-    if d < 0:
-        raise ValueError("rank must be >= 0")
-    check_prime(p)
-    check_budget(call, p, len(x_slots) + len(y_slots))
-    entries = [(i, j) for i in range(d) for j in range(i + 2, d)]
-    for ys in itertools.product(range(p), repeat=len(y_slots)):
-        Y = [[0] * d for _ in range(d)]
-        for (i, j), c in zip(y_slots, ys):
-            Y[i][j] = c
-        y3 = [
-            sum(Y[i][k] * Y[k][l] * Y[l][j] for k in range(i + 1, j) for l in range(k + 1, j)) % p
-            for i, j in entries
-        ]
-        # the coefficient of X_ab in (XY - YX)_ij; a zero row when d <= 2
+    Returns roots(Y), Y a square list of rows, which yields the values on
+    x_slots of each such X; a yielded list is never mutated.  XY - YX is
+    linear in X, and its kernel is walked by an odometer over the
+    coefficients of a basis: each step adds one basis vector, and a digit
+    that reaches p has added its vector p times, which is zero, and
+    carries.  X^2 at an entry (i, j) sums the products over the slot pairs
+    (i, k), (k, j); that table depends only on the slots and entries, so it
+    is built once here and serves every Y."""
+    index = {s: n for n, s in enumerate(x_slots)}
+    square = [
+        [(index[i, k], index[k, j]) for a, k in x_slots if a == i and (k, j) in index]
+        for i, j in entries
+    ]
+    rows = {i for i, _ in entries}
+
+    def roots(Y: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+        # the coefficient of X_ab in (XY - YX)_ij; a zero row when there is no entry
         system = [
             [(Y[b][j] if a == i else 0) - (Y[i][a] if b == j else 0) for a, b in x_slots]
             for i, j in entries
         ] or [[0] * len(x_slots)]
-        span = [[0] * len(x_slots)]
-        for vec in GFMatrix(system, p).kernel_basis():
-            span = [[(a + c * b) % p for a, b in zip(xs, vec)] for c in range(p) for xs in span]
-        for xs in span:
+        basis = GFMatrix(system, p).kernel_basis()
+        cols = list(zip(*Y))
+        y2 = {i: [sum(map(operator.mul, Y[i], col)) for col in cols] for i in rows}
+        y3 = [sum(map(operator.mul, y2[i], cols[j])) % p for i, j in entries]
+        vec = [0] * len(x_slots)
+        digits = [0] * len(basis)
+        while True:
+            for pairs, c in zip(square, y3):
+                acc = 0
+                for s, t in pairs:
+                    acc += vec[s] * vec[t]
+                if acc % p != c:
+                    break
+            else:
+                yield vec
+            for k, step in enumerate(basis):
+                vec = [(a + b) % p for a, b in zip(vec, step)]
+                digits[k] += 1
+                if digits[k] < p:
+                    break
+                digits[k] = 0
+            else:
+                return
+
+    return roots
+
+
+def _cusp_points(call: str, d: int, x_slots: list, y_slots: list, p: int) -> Iterator[tuple[list, list]]:
+    """The F_p points (X, Y) with X on x_slots and Y on y_slots, as lists of rows.
+
+    For each Y the X are _commutant_roots at the entries j - i >= 2, the
+    only ones where XY - YX and X^2 - Y^3 can be nonzero.  The points over
+    one Y share its list: copy before mutating.  d, p and the p^(slots)
+    candidates of call are checked before the walk."""
+    if d < 0:
+        raise ValueError("rank must be >= 0")
+    check_prime(p)
+    check_budget(call, p, len(x_slots) + len(y_slots))
+    roots = _commutant_roots(x_slots, [(i, j) for i in range(d) for j in range(i + 2, d)], p)
+    for ys in itertools.product(range(p), repeat=len(y_slots)):
+        Y = [[0] * d for _ in range(d)]
+        for (i, j), c in zip(y_slots, ys):
+            Y[i][j] = c
+        for xs in roots(Y):
             X = [[0] * d for _ in range(d)]
             for (i, j), c in zip(x_slots, xs):
                 X[i][j] = c
-            if all(
-                sum(X[i][k] * X[k][j] for k in range(i + 1, j)) % p == c
-                for (i, j), c in zip(entries, y3)
-            ):
-                yield X, Y
+            yield X, Y
 
 
 def count_v_spec(spec: VAlphaSpec, p: int) -> int:
@@ -622,55 +672,41 @@ class AbProfile(NamedTuple):
     w2: int
 
 
-def _module_ops(X: GFMatrix, Y: GFMatrix) -> tuple[GFMatrix, GFMatrix, GFMatrix]:
-    """Operators A, A', T on M + M for the module given by (X, Y)."""
-    p = X.p
-    m = X.shape[0]
-    Y2 = Y * Y
-    Z = GFMatrix.zero(m, m, p)
-    I = GFMatrix.identity(m, p)
-    A = GFMatrix.block2(X, -Y2, -Y, X)
-    Ap = GFMatrix.block2(X, Y2, Y, X)
-    T = GFMatrix.block2(Z, Y, I, Z)
-    return A, Ap, T
-
-
-def _check_module(X: GFMatrix, Y: GFMatrix) -> None:
+def _module(X: GFMatrix, Y: GFMatrix) -> tuple[GFMatrix, GFMatrix, list, list, list]:
+    """A, T, ker A and the reduced echelon rows and pivots of im A' on M + M,
+    after checking that (X, Y) is a module."""
     if X.p != Y.p or X.shape != Y.shape or X.shape[0] != X.shape[1]:
         raise ValueError("X, Y must be square over the same field")
-    if X * Y != Y * X or X * X != Y * Y * Y:
+    Y2 = Y * Y
+    if X * Y != Y * X or X * X != Y2 * Y:
         raise ValueError("(X, Y) does not satisfy the cusp relations")
+    p, m = X.p, X.shape[0]
+    zero = GFMatrix.zero(m, m, p)
+    A = GFMatrix.block2(X, -Y2, -Y, X)
+    Ap = GFMatrix.block2(X, Y2, Y, X)
+    T = GFMatrix.block2(zero, Y, GFMatrix.identity(m, p), zero)
+    rows, pivots = _rref(zip(*Ap.rows), p)
+    return A, T, A.kernel_basis(), rows, pivots
 
 
 def ab_profile(X: GFMatrix, Y: GFMatrix) -> AbProfile:
     """Kernel/image profile of the factorization operator for (X, Y)."""
-    _check_module(X, Y)
-    p = X.p
-    A, Ap, T = _module_ops(X, Y)
-    ker = A.kernel_basis()
+    A, T, ker, rows, _ = _module(X, Y)
     a = len(ker)
-    b = 2 * X.shape[0] - a  # rank-nullity on M + M
-    im_ap = Ap.image_basis()
-    rows, pivots = _rref(im_ap, p)
-    w0 = len(rows)
-    # W1 = vectors of ker A whose T-image falls into im A'
-    residuals = [_reduce_mod(rows, pivots, T.apply(v), p) for v in ker]
-    res_rank = len(_rref(residuals, p)[0])
-    w1 = a - res_rank
-    return AbProfile(a=a, b=b, w0=w0, w1=w1, w2=a)
+    # W1 = vectors of ker A whose T-image falls into im A'; its codimension in
+    # ker A is the rank of T(ker A) modulo im A'
+    t_rank = len(_rref(rows + [T.apply(v) for v in ker], X.p)[0]) - len(rows)
+    return AbProfile(a=a, b=2 * X.shape[0] - a, w0=len(rows), w1=a - t_rank, w2=a)
 
 
 def classify_kernel_vector(X: GFMatrix, Y: GFMatrix, u: Sequence[int]) -> int:
     """Smallest filtration step containing u: 0, 1 or 2; u must lie in ker A."""
-    _check_module(X, Y)
-    p = X.p
-    A, Ap, T = _module_ops(X, Y)
+    A, T, ker, rows, pivots = _module(X, Y)
     if any(A.apply(u)):
         raise ValueError("vector is not in the kernel")
-    rows, pivots = _rref(Ap.image_basis(), p)
-    if _in_span(rows, pivots, u, p):
+    if _in_span(rows, pivots, u, X.p):
         return 0
-    if _in_span(rows, pivots, T.apply(u), p):
+    if _in_span(rows, pivots, T.apply(u), X.p):
         return 1
     return 2
 
@@ -687,57 +723,19 @@ def extend_point(X: GFMatrix, Y: GFMatrix, z: Sequence[int], w: Sequence[int]) -
 
 
 def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:
-    """On H0 = ker A / im A', the induced T has image equal to kernel."""
-    _check_module(X, Y)
+    """On H0 = ker A / im A', the induced T has image equal to kernel.
+
+    im A' lies in ker A and T commutes with A', so T induces T0 on H0;
+    T0 is exact iff T0^2 = 0, i.e. T^2(ker A) lies in im A', and its rank
+    is half of dim H0."""
+    A, T, ker, rows, pivots = _module(X, Y)
     p = X.p
-    A, Ap, T = _module_ops(X, Y)
-    ker = A.kernel_basis()
-    brows, bpivots = _rref(Ap.image_basis(), p)
-    # quotient representatives: kernel vectors independent mod im A'
-    reps: list[tuple[int, ...]] = []
-    rrows: list[tuple[int, ...]] = []
-    rpivots: list[int] = []
-    for v in ker:
-        red = _reduce_mod(brows, bpivots, v, p)
-        red2 = _reduce_mod(rrows, rpivots, red, p)
-        lead = next((i for i, c in enumerate(red2) if c), None)
-        if lead is None:
-            continue
-        reps.append(v)
-        inv = pow(red2[lead], p - 2, p)
-        rrows.append(tuple(c * inv % p for c in red2))
-        rpivots.append(lead)
-    h = len(reps)
-    if h == 0:
-        return True
-    # coordinates of T(rep) in the combined basis (im A' part discarded)
-    combined = list(brows) + reps
-    cols = list(zip(*combined))
-    mat = GFMatrix(cols, p)
-    t0_cols = []
-    for v in reps:
-        tv = T.apply(v)
-        sol = _solve(mat, tv, p)
-        if sol is None:
-            raise ArithmeticError("T does not preserve the kernel")
-        t0_cols.append(sol[len(brows) :])
-    t0 = GFMatrix(list(zip(*t0_cols)), p)
-    if not (t0 * t0).is_zero():
+    images = [T.apply(v) for v in ker]
+    if any(any(A.apply(tv)) for tv in images):
+        raise ArithmeticError("T does not preserve the kernel")
+    if not all(_in_span(rows, pivots, T.apply(tv), p) for tv in images):
         return False
-    return 2 * t0.rank() == h
-
-
-def _solve(mat: GFMatrix, vec: Sequence[int], p: int) -> Optional[tuple[int, ...]]:
-    """One solution of mat * x = vec, or None."""
-    n, m = mat.shape
-    aug = [list(row) + [v] for row, v in zip(mat.rows, vec)]
-    rows, pivots = _rref(aug, p)
-    sol = [0] * m
-    for r, piv in zip(rows, pivots):
-        if piv == m:
-            return None
-        sol[piv] = r[m]
-    return tuple(sol)
+    return 2 * (len(_rref(rows + images, p)[0]) - len(rows)) == len(ker) - len(rows)
 
 
 # ---------------------------------------------------------------------------

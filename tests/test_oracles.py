@@ -2,6 +2,7 @@
 counts, commuting-pair counts, and stratum point counts, each compared with
 the closed-form engine it exists to audit."""
 
+import ast
 import itertools
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import cuspquot.oracles as oracles_module
 from cuspquot.groebner import Element, Monomial, PreBasis, is_groebner
 from cuspquot.oracles import (
     BudgetError,
@@ -111,6 +113,28 @@ SCALING_CASES = [
 
 # ---------------------------------------------------------------------------
 # echelon enumeration of subspaces
+
+
+def test_oracles_import_no_formula():
+    # the oracles may share linear algebra, the commutant walk and the
+    # budget with varieties, but nothing they audit
+    allowed = {"BudgetError", "GFMatrix", "_commutant_roots", "_in_span", "check_budget"}
+    with open(oracles_module.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if (node.module or "").split(".")[-1] == "varieties":
+                assert names <= allowed, names - allowed
+                continue
+            imported = [node.module or "", *names]
+        else:
+            continue
+        for name in imported:
+            # neither series nor the whole varieties module
+            assert not {"series", "varieties"} & set(name.split(".")), name
 
 
 def test_echelon_subspace_counts_match_q_binomial():

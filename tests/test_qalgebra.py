@@ -17,12 +17,10 @@ from cuspquot.qalgebra import (
     CyclotomicInt,
     LaurentPolyQ,
     RationalQ,
-    RootOfUnity,
     TPoly,
     TSeries,
     check_prime,
     cyclotomic_poly,
-    evaluate_q,
     gl_order,
     is_prime,
     q_binomial,
@@ -431,14 +429,6 @@ def test_at_root_of_unity_kills_q_power_minus_one():
     assert (LaurentPolyQ.q_power(5) - 1).at_root_of_unity(5) == 0
     assert (Q - 1).at_root_of_unity(1) == 0
     assert (Q + 1).at_root_of_unity(2) == 0
-
-
-def test_evaluate_q_dispatch():
-    p = ONE + Q
-    assert evaluate_q(p, Fraction(1, 2)) == Fraction(3, 2)
-    at_root = evaluate_q(p, RootOfUnity(3))
-    assert isinstance(at_root, CyclotomicInt)
-    assert at_root == CyclotomicInt(3, [1, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,13 @@ def test_root_of_unity_collapse():
         root_of_unity_check(4, 0)
 
 
+def test_root_of_unity_check_reads_every_coefficient():
+    # (1 + t)^2 at r = 1; a zero numerator and a stray t^5 term are not it
+    assert root_of_unity_check(2, 1, TPoly([ONE, ONE * 2, ONE]))
+    assert not root_of_unity_check(2, 1, TPoly.zero())
+    assert not root_of_unity_check(2, 1, TPoly([1, 2, 1, 0, 0, 1]))
+
+
 def test_root_of_unity_check_rejects_non_integers_cold_and_warm():
     # solve_nh is memoized, and its entry of 4 also answers 4.0
     solve_nh.cache_clear()

@@ -28,7 +28,7 @@ from cuspquot.varieties import (
     staircase_table_csv,
     symbolic_v_alpha,
 )
-from cuspquot.varieties import _count, _motive, _Poly
+from cuspquot.varieties import _commutant_roots, _count, _motive, _Poly
 from cuspquot.qalgebra import LaurentPolyQ
 
 FROZEN_V_COUNTS = {
@@ -72,6 +72,34 @@ def test_gfmatrix_arithmetic():
         a * GFMatrix([[1, 2, 3]], 2)
     with pytest.raises(ValueError):
         GFMatrix([[1, 2, 3]], 2) ** 2
+
+
+def test_gfmatrix_refuses_what_it_would_get_wrong(monkeypatch):
+    # each of these hung or returned a silently wrong matrix or vector
+    a = GFMatrix([[1, 2], [0, 1]], 5)
+    with pytest.raises(ValueError, match="different fields"):
+        GFMatrix([[1]], 3) * GFMatrix([[2]], 2)
+    with pytest.raises(ValueError, match="different shapes"):
+        a + GFMatrix([[1]], 5)
+    with pytest.raises(ValueError, match="different shapes or fields"):
+        GFMatrix([[1]], 3) - GFMatrix([[1]], 2)
+    with pytest.raises(ValueError, match="vector length"):
+        a.apply([1])
+    with pytest.raises(ValueError, match="vector length"):
+        a.apply([1, 0, 0])
+    one, column, row = GFMatrix([[1]], 2), GFMatrix([[1], [1]], 2), GFMatrix([[1, 1]], 2)
+    with pytest.raises(ValueError, match="blocks over different fields"):
+        GFMatrix.block2(one, GFMatrix([[2]], 3), one, one)
+    for blocks in [(column, one, one, one), (one, one, one, column), (one, one, row, one), (one, one, one, row)]:
+        with pytest.raises(ValueError, match="mismatched shapes|ragged"):
+            GFMatrix.block2(*blocks)
+
+    def product(*_args):
+        raise AssertionError("a multiplication started")
+
+    monkeypatch.setattr(GFMatrix, "__mul__", product)
+    with pytest.raises(ValueError, match="exponent >= 0"):
+        GFMatrix([[1]], 2) ** -1
 
 
 def test_gfmatrix_rank_kernel_image():
@@ -503,6 +531,40 @@ def test_profile_invariants_rank_four_full_sweep():
     assert seen >= 200
 
 
+@pytest.mark.parametrize("n, p, pairs", [(2, 2, 22), (2, 3, 105), (3, 2, 848)])
+def test_profiles_of_every_cusp_pair_match_a_set_reference(n, p, pairs):
+    # every (X, Y) with XY = YX and X^2 = Y^3, most of them not staircase
+    # points; T0 on ker A / im A' is exact iff the preimages of its kernel
+    # and of its image are the same set of vectors.  The profile's w0 and w1
+    # are the dimensions of im A' and of that kernel preimage.  Every pair at
+    # these sizes is exact, so w1 also pins the rank that exactness reads.
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    roots = _commutant_roots(cells, cells, p)
+    vectors = list(itertools.product(range(p), repeat=2 * n))
+    zero, one = GFMatrix.zero(n, n, p), GFMatrix.identity(n, p)
+    seen = 0
+    for flat in itertools.product(range(p), repeat=n * n):
+        Y = GFMatrix([flat[i * n : (i + 1) * n] for i in range(n)], p)
+        for xs in roots(Y.rows):
+            X = GFMatrix([xs[i * n : (i + 1) * n] for i in range(n)], p)
+            A, Ap = _factorization_ops(X, Y)
+            T = GFMatrix.block2(zero, Y, one, zero)
+            kernel = [v for v in vectors if not any(A.apply(v))]
+            image = {Ap.apply(v) for v in vectors}
+            t0_kernel = {v for v in kernel if T.apply(v) in image}
+            t0_image = {
+                tuple((a + b) % p for a, b in zip(tv, w))
+                for tv in map(T.apply, kernel)
+                for w in image
+            }
+            assert h0_t_exact(X, Y) == (t0_kernel == t0_image), (X.rows, Y.rows)
+            prof = ab_profile(X, Y)
+            assert prof.a + prof.b == 2 * n
+            assert [p**prof.a, p**prof.w0, p**prof.w1] == [len(kernel), len(image), len(t0_kernel)]
+            seen += 1
+    assert seen == pairs
+
+
 def _all_kernel_vectors(A, p):
     basis = A.kernel_basis()
     width = A.shape[1]
@@ -541,6 +603,9 @@ def test_classify_rejects_non_kernel_vector():
     assert any(A.apply(bad))
     with pytest.raises(ValueError):
         classify_kernel_vector(x, z, bad)
+    # a short vector was classified as its truncation
+    with pytest.raises(ValueError, match="vector length"):
+        classify_kernel_vector(x, z, (1,))
 
 
 def test_extend_point_validates_lengths():
