@@ -110,17 +110,14 @@ def _rref(vectors: Iterable[Sequence[int]], p: int) -> tuple[list[tuple[int, ...
     return [tuple(rows[i]) for i in order], [pivots[i] for i in order]
 
 
-def _reduce_mod(rows: Sequence[Sequence[int]], pivots: Sequence[int], vec: Sequence[int], p: int) -> tuple[int, ...]:
+def _in_span(rows: Sequence[Sequence[int]], pivots: Sequence[int], vec: Sequence[int], p: int) -> bool:
+    """vec lies in the span of reduced echelon rows with these pivots."""
     v = [c % p for c in vec]
     for r, piv in zip(rows, pivots):
         c = v[piv]
         if c:
             v = [(a - c * b) % p for a, b in zip(v, r)]
-    return tuple(v)
-
-
-def _in_span(rows, pivots, vec, p: int) -> bool:
-    return not any(_reduce_mod(rows, pivots, vec, p))
+    return not any(v)
 
 
 class GFMatrix:
