@@ -8,7 +8,8 @@ the truncated distance classes 1-, 2, 3+ matter.  symbolic_v_alpha
 counts these varieties as polynomials in q by case splitting, exactly
 over every F_q.  When every distance is 3+ the variety is the full
 staircase variety V_d, whose motive obeys a two-parameter recursion
-computed here exactly.
+computed here exactly, a block of ranks at a time, on big integers that
+pack each polynomial at q = 2^w.
 
 One enumerator, _cusp_points, walks the F_p points of all of them: for
 each Y on its slots, _commutant_roots walks the kernel of the linear
@@ -367,10 +368,6 @@ def count_v_alpha(datum: LeadingTermDatum, p: int) -> int:
     return count_v_spec(VAlphaSpec.from_datum(datum), p)
 
 
-def _L(e: int, c: int = 1) -> LaurentPolyQ:
-    return LaurentPolyQ.q_power(e, c)
-
-
 class _Poly(dict):
     """Integer polynomial in numbered variables, as {monomial: coefficient}.
 
@@ -595,24 +592,78 @@ def symbolic_v_alpha(spec_or_datum: "VAlphaSpec | LeadingTermDatum") -> LaurentP
 # motive of the full staircase variety
 
 
+def _motive_rows(top: int, width: Optional[int] = None) -> Iterator[list[int]]:
+    """Rows k = 0..top of the motive recursion, packed at q = 2^w.
+
+    Entry b of row k is M(2k - b, b) evaluated at q = 2^w, w = 3*top + 8
+    rounded up to a multiple of 8, so its coefficients are the signed
+    base-2^w digits; width, when given, keeps only columns 0..width - 1,
+    which read nothing to their right.  The seed is row 0 = [1], and the
+    step splits off the last column pair by the kernel filtration position
+    it lands in: with a = 2k - b and rows r = row k, s = row k - 1,
+
+        r[b] = q^b s[b] + (q^(k-1) - q^(b-1)) s[b-1] + (q^a - q^(k-1)) s[b-2],
+
+    five shifts and adds of packed integers, none of them per term.
+
+    w is wide enough: each entry of row k - 1 feeds at most five signed
+    monomial multiples of itself into row k (one into column b, two each
+    into b + 1 and b + 2), and a monomial multiple keeps the coefficient
+    L1 norm.  So the L1 norms of the entries of row k sum to at most 5^k,
+    which bounds every coefficient of every entry and of the row sum by
+    5^top < 2^(3 top) < 2^(w - 2).  The digits never carry into each
+    other, and _digits reads them back exactly.
+    """
+    w = _digit_bits(top)
+    row = [1]
+    yield row
+    for k in range(1, top + 1):
+        s = [0, 0, *row, 0]  # s[b + 2] is entry b of row k - 1
+        mid = w * (k - 1)
+        row = [1]  # M(2k, 0) = M(2k - 2, 0)
+        for b in range(1, k + 1 if width is None else min(k + 1, width)):
+            x, y, z = s[b + 2], s[b + 1], s[b]
+            row.append(
+                (x << w * b) + (y << mid) - (y << w * (b - 1)) + (z << w * (2 * k - b)) - (z << mid)
+            )
+        yield row
+
+
+def _digit_bits(top: int) -> int:
+    """Bits per q-coefficient in the rows of _motive_rows(top)."""
+    return (3 * top + 15) // 8 * 8
+
+
+def _digits(n: int, w: int) -> list[int]:
+    """The signed base-2^w digits of n, least significant first, each of
+    absolute value below 2^(w - 2): one repunit addition shifts every digit
+    by 2^(w - 1) into 0..2^w - 1, then one to_bytes call and a from_bytes
+    per slice read them in linear time."""
+    size, half = w // 8, 1 << (w - 1)
+    count = abs(n).bit_length() // w + 1
+    raw = (n + int.from_bytes(half.to_bytes(size, "little") * count, "little")).to_bytes(
+        size * count, "little"
+    )
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
+
+
+def _unpack(n: int, w: int) -> LaurentPolyQ:
+    return LaurentPolyQ(dict(enumerate(_digits(n, w))))
+
+
 @functools.cache
 def _motive(a: int, b: int) -> LaurentPolyQ:
-    """The two-parameter motive recursion.
+    """The two-parameter motive recursion M(a, b).
 
-    Nonzero only for a >= b >= 0 with a = b mod 2; the seed is (0,0) -> 1
-    and the step splits off the last column pair by the kernel filtration
-    position it lands in.
+    Nonzero only for a >= b >= 0 with a = b mod 2; read off one pass of
+    _motive_rows over columns 0..b, since no entry reads to its right.
     """
     if a < 0 or b < 0 or a < b or (a - b) % 2:
         return LaurentPolyQ.zero()
-    if a == 0:
-        return LaurentPolyQ.one()
-    mid = (a + b - 2) // 2
-    return (
-        _L(b) * _motive(a - 2, b)
-        + (_L(mid) - _L(b - 1)) * _motive(a - 1, b - 1)
-        + (_L(a) - _L(mid)) * _motive(a, b - 2)
-    )
+    top = (a + b) // 2
+    for row in _motive_rows(top, b + 1):
+        pass
+    return _unpack(row[b], _digit_bits(top))
 
 
 class MotiveTable:
@@ -622,14 +673,24 @@ class MotiveTable:
         return _motive(operator.index(a), operator.index(b))
 
 
+@functools.cache
+def _staircase_block(top: int) -> tuple[LaurentPolyQ, ...]:
+    """staircase_motive(d) for every d <= top: the row sums of _motive_rows."""
+    w = _digit_bits(top)
+    return tuple(_unpack(sum(row), w) for row in _motive_rows(top))
+
+
 def staircase_motive(d: int) -> LaurentPolyQ:
-    """Motive of the rank-d staircase variety as a polynomial in q."""
+    """Motive of the rank-d staircase variety as a polynomial in q.
+
+    It is the sum of M(2d - b, b) over b, the row sum of row d of the
+    motive recursion; ranks are computed in blocks up to the next multiple
+    of 16 and kept.
+    """
+    d = operator.index(d)
     if d < 0:
         raise ValueError("rank must be >= 0")
-    total = LaurentPolyQ.zero()
-    for b in range(d + 1):
-        total = total + _motive(2 * d - b, b)
-    return total
+    return _staircase_block(-(-d // 16) * 16)[d]
 
 
 def _v_d_points(name: str, d: int, p: int) -> Iterator[tuple[list, list]]:
@@ -741,7 +802,7 @@ def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:
 
 def staircase_table_csv(max_d: int) -> str:
     lines = ["d,polynomial"]
-    for d in range(max_d + 1):
+    for d in range(operator.index(max_d) + 1):
         lines.append(f"{d},{staircase_motive(d)}")
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,7 @@
 """Staircase matrix varieties, their motives, and module profiles."""
 
+import functools
+import hashlib
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -28,7 +30,7 @@ from cuspquot.varieties import (
     staircase_table_csv,
     symbolic_v_alpha,
 )
-from cuspquot.varieties import _commutant_roots, _count, _motive, _Poly
+from cuspquot.varieties import _commutant_roots, _count, _motive, _Poly, _staircase_block
 from cuspquot.qalgebra import LaurentPolyQ
 
 FROZEN_V_COUNTS = {
@@ -459,6 +461,70 @@ def test_motive_entries_reject_non_integers_cold_and_warm():
             MotiveTable().get(4.0, 2)
         with pytest.raises(TypeError):
             motive_table_csv([(4, 2.0)])
+
+
+def test_ranks_reject_non_integers_cold_and_warm():
+    # the block cache is keyed by the rounded rank, and 2.0 == 2 as a cache key
+    _staircase_block.cache_clear()
+    for warm in (False, True):
+        if warm:
+            assert staircase_motive(2) == poly({2: 1})
+            assert staircase_table_csv(2).endswith("2,q^2\n")
+        for call in (
+            lambda: staircase_motive(2.0),
+            lambda: staircase_motive("3"),
+            lambda: staircase_table_csv(2.0),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+
+@functools.cache
+def _reference_motive(a, b):
+    """The three-term motive recursion on {exponent: coefficient} dicts."""
+    if a < 0 or b < 0 or a < b or (a - b) % 2:
+        return {}
+    if a == 0:
+        return {0: 1}
+    mid = (a + b - 2) // 2
+    out = {}
+    for e, sign, (a0, b0) in (
+        (b, 1, (a - 2, b)),
+        (mid, 1, (a - 1, b - 1)),
+        (b - 1, -1, (a - 1, b - 1)),
+        (a, 1, (a, b - 2)),
+        (mid, -1, (a, b - 2)),
+    ):
+        for f, c in _reference_motive(a0, b0).items():
+            out[e + f] = out.get(e + f, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def test_packed_motives_match_the_reference_recursion():
+    _motive.cache_clear()
+    for a in range(-1, 49):
+        for b in range(-1, 49 - max(a, 0)):  # every a + b <= 48
+            assert _motive(a, b) == poly(_reference_motive(a, b)), (a, b)
+
+    def reference(d):
+        return sum((poly(_reference_motive(2 * d - b, b)) for b in range(d + 1)), poly({}))
+
+    # descending from 40 first fills the top block, then crosses each block edge
+    for ranks in (range(40, -1, -1), (15, 16, 17, 31, 32, 33)):
+        _staircase_block.cache_clear()
+        for d in ranks:
+            assert staircase_motive(d) == reference(d), d
+
+
+def test_rank_64_is_pinned():
+    digests = {
+        "ca2b79f7009ad44f24eb233a53ce690bdd9edfb0b632c7ebd5bce24e0c84ce2a": staircase_motive(64),
+        "47ee6307231285711b809d61b973f4cb7d17e947cdc60afe665b7afe4bc2a2bf": MotiveTable().get(64, 64),
+    }
+    for digest, value in digests.items():
+        assert hashlib.sha256(str(value).encode()).hexdigest() == digest
+    assert MotiveTable().get(128, 0) == 1
+    assert staircase_motive(64).evaluate(1) == 1
 
 
 def test_csv_exports():
