@@ -6,6 +6,10 @@ times a geometric series in the free raising directions, all placed
 over the common denominator (t;q)_d.  The stratum counts are symbolic
 in q (varieties.symbolic_v_alpha), so every series is built once in q,
 through rank MAX_D, and a series at a prime is that form at q = prime.
+The assembly is one pass per rank: base level vectors that read every
+color vector alike are grouped, and the sums over orbits run on integers
+that pack the polynomials in q and t (Kronecker substitution), decoded
+once per color row.
 quot_series and hilb_from_quot are the two directions of the
 framed/unframed transform.
 
@@ -28,8 +32,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from math import comb
-from typing import Iterable, Iterator, Optional
+from math import comb, prod
+from typing import Iterable, Optional
 
 from .qalgebra import (
     ONE,
@@ -45,10 +49,9 @@ from .qalgebra import (
     q_binomial_inv,
     q_pochhammer,
     t_pochhammer,
-    tpoly_from_triples,
 )
 from .strata import Orbit, base_level_walk
-from .varieties import VAlphaSpec, distance_class, symbolic_v_alpha
+from .varieties import VAlphaSpec, _digit_width, _digits, distance_class, symbolic_v_alpha
 
 __all__ = [
     "hilb_series",
@@ -119,50 +122,73 @@ def _colorings(d: int) -> list[tuple[tuple[str, ...], list[int], list[int], int]
     return out
 
 
-def _stratum_invariants(
-    levels: tuple[int, ...],
-) -> Iterator[tuple[tuple[str, ...], tuple, int, int, int]]:
-    """(colors, pattern key, b, delta, n) of the datum (levels, colors) for
-    every color vector, in product order.
+def _level_invariants(levels: tuple[int, ...]) -> tuple[tuple[str, ...], tuple[int, ...], int, int]:
+    """(classes, j_extra, n0, delta0): what every color vector reads off a
+    base level vector.
 
-    These equal VAlphaSpec.from_datum(datum.restrict_to_K()).key(),
-    datum.exponents() and datum.n(), with the level-only parts computed
-    once: restricting to K keeps the rank order and the distances, so the
-    K-pattern is the distance-class matrix on the K ranks; the first corners
+    classes is the distance-class matrix in rank order, one class per rank
+    pair (b, h), b < h, in itertools.combinations order; restricting to K
+    keeps the rank order and the distances, so the K-pattern of a color
+    vector is this matrix on its K ranks (_pattern_keys).  The first corners
     T^(level+2) do not depend on color, and a seat's standard monomials are
-    T^2..T^(level+1), plus T^(level+3) when it is J-colored.
+    T^2..T^(level+1), plus T^(level+3) when it is J-colored: the datum with
+    J ranks js has n = n0 + |js| and delta = delta0 + sum of j_extra over js.
     """
     d = len(levels)
     seats = sorted(range(d), key=lambda s: (levels[s], s))  # the seat of each rank
-    classes = {
-        (b, h): distance_class(levels[seats[h]] - levels[seats[b]] - (seats[b] > seats[h]))
-        for b in range(d)
-        for h in range(b + 1, d)
-    }
+    classes = tuple(
+        distance_class(levels[seats[h]] - levels[seats[b]] - (seats[b] > seats[h]))
+        for b, h in itertools.combinations(range(d), 2)
+    )
     corners = [(levels[s] + 2, s) for s in seats]  # monomials as (T-degree, seat)
     delta0 = sum(
         1 for s in range(d) for deg in range(2, levels[s] + 2) for mu in corners if (deg, s) > mu
     )
-    j_extra = [sum(1 for mu in corners if (levels[s] + 3, s) > mu) for s in seats]
-    n0 = sum(levels)
-    for colors, ks, js, b in _colorings(d):
-        pattern = tuple(
-            ((i + 1, h + 1), classes[ks[i], ks[h]])
-            for i in range(len(ks))
-            for h in range(i + 1, len(ks))
-        )
-        yield colors, (len(ks), pattern), b, delta0 + sum(j_extra[r] for r in js), n0 + len(js)
+    j_extra = tuple(sum(1 for mu in corners if (levels[s] + 3, s) > mu) for s in seats)
+    return classes, j_extra, sum(levels), delta0
+
+
+def _pattern_keys(d: int, classes: tuple[str, ...]) -> list[tuple]:
+    """The stratum pattern key of every color vector in product order, read
+    off the class matrix of a rank-d base level vector: the matrix on the
+    color vector's K ranks, renumbered 1..|K|."""
+    by_pair = dict(zip(itertools.combinations(range(d), 2), classes))
+    return [
+        (len(ks), tuple(
+            ((i + 1, h + 1), by_pair[ks[i], ks[h]])
+            for i, h in itertools.combinations(range(len(ks)), 2)
+        ))
+        for _, ks, _, _ in _colorings(d)
+    ]
 
 
 @functools.cache
 def _color_rows(d: int) -> dict[tuple[str, ...], TPoly]:
-    """Numerator over (t;q)_d in q by color vector.
+    """Numerator over (t;q)_d in q by color vector, in one grouped, packed pass.
 
     An orbit contributes count * q^(bexp+delta) t^n prod_(j not a generator)
-    (1 - q^(j-1) t); orbits with one color vector, stratum pattern and
-    generator set share the count and the product, so they are summed first.
-    The rank's base level vectors are walked once and every color vector is
-    read off each of them.
+    (1 - q^(j-1) t).  Base level vectors with one class matrix, j_extra and
+    generator set read every color vector alike (_level_invariants), so they
+    are grouped first (280 level vectors make 140 groups at rank 4) and each
+    group carries sum t^n0 q^delta0 over its members; pattern keys are read
+    once per class matrix.  A color vector turns a group into the part
+    t^|J| q^(b + sum j_extra) times that sum; parts with one color vector,
+    pattern and generator set share the count and the tails, so they are
+    summed, multiplied once by the tails and once by the count, and added
+    into the color row.
+
+    All of it runs on integers packed at q = 2^w, t = 2^(w s) (Kronecker
+    substitution): packing is a ring map Z[q, t] -> Z, so a row's final
+    integer is the image of the row.  Every exponent is >= 0 (a count with a
+    negative one raises ArithmeticError), and the image is decoded exactly by
+    the signed base-2^w digits of _digits, digit s*n + e being [t^n q^e],
+    when two bounds hold.  The row's q-degree is below s = 1 + the largest
+    part q-degree, so digits of different t-powers never meet.  And every
+    coefficient is below 2^(w - 2): the coefficient L1 norm is subadditive
+    and submultiplicative, a part's sum of monomials has L1 norm at most its
+    number of monomials and the tails at most 2^#tails, so every row
+    coefficient is at most B = sum over parts of #monomials * 2^#tails *
+    L1(count), and w = _digit_width(B).
     """
     if d < 0:
         raise ValueError("rank must be >= 0")
@@ -170,17 +196,54 @@ def _color_rows(d: int) -> dict[tuple[str, ...], TPoly]:
         raise ValueError(f"series stop at rank {MAX_D}")
     # rank 0 has one orbit, the empty datum
     walk = base_level_walk(d) if d else [((), ())]
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, dict[tuple[int, int], int]] = {}  # -> {(n0, delta0): members}
     for levels, generators in walk:
-        for colors, key, bexp, delta, n in _stratum_invariants(levels):
-            groups.setdefault((colors, key, generators), []).append((n, bexp + delta, 1))
-    rows: dict[tuple[str, ...], TPoly] = {}
-    for (colors, key, generators), monomials in groups.items():
-        tails = _den_product(j for j in range(1, d + 1) if j not in generators)
-        count = symbolic_v_alpha(VAlphaSpec(key[0], dict(key[1])))
-        part = tpoly_from_triples(monomials) * tails * count
-        rows[colors] = rows.get(colors, TPoly.zero()) + part
-    return rows
+        classes, j_extra, n0, delta0 = _level_invariants(levels)
+        sums = groups.setdefault((classes, j_extra, generators), {})
+        sums[n0, delta0] = sums.get((n0, delta0), 0) + 1
+    keys: dict[tuple, list] = {}  # class matrix -> pattern key of each color vector
+    counts: dict[tuple, tuple] = {}  # pattern key -> (terms, L1 norm, degree) of its count
+    parts: dict[tuple, list] = {}  # (colors, key, generators) -> [(group, t^, q^ shift)]
+    bound = top = 0
+    for group, sums in groups.items():
+        classes, j_extra, generators = group
+        if classes not in keys:
+            keys[classes] = _pattern_keys(d, classes)
+        tails = [j - 1 for j in range(1, d + 1) if j not in generators]
+        size, high = sum(sums.values()), max(e for _, e in sums) + sum(tails)
+        for (colors, _, js, b), key in zip(_colorings(d), keys[classes]):
+            if key not in counts:
+                terms = symbolic_v_alpha(VAlphaSpec(key[0], dict(key[1]))).terms
+                if min(terms, default=0) < 0:
+                    raise ArithmeticError(f"stratum count of {key} has a negative q-exponent")
+                counts[key] = terms, sum(map(abs, terms.values())), max(terms, default=0)
+            _, norm, degree = counts[key]
+            shift = b + sum(j_extra[r] for r in js)
+            parts.setdefault((colors, key, generators), []).append((group, len(js), shift))
+            bound += size * norm << len(tails)
+            top = max(top, high + shift + degree)
+    w, s = _digit_width(bound), top + 1
+    packed = {
+        group: sum(m << w * (s * n0 + delta0) for (n0, delta0), m in sums.items())
+        for group, sums in groups.items()
+    }
+    tails_packed: dict[tuple, int] = {}
+    rows = dict.fromkeys((colors for colors, *_ in _colorings(d)), 0)
+    for (colors, key, generators), members in parts.items():
+        if generators not in tails_packed:
+            tails_packed[generators] = prod(
+                1 - (1 << w * (s + j - 1)) for j in range(1, d + 1) if j not in generators
+            )
+        weight = sum(packed[group] << w * (s * n + e) for group, n, e in members)
+        count = sum(c << w * e for e, c in counts[key][0].items())
+        rows[colors] += weight * tails_packed[generators] * count
+    return {colors: _unpack_row(row, w, s) for colors, row in rows.items()}
+
+
+def _unpack_row(n: int, w: int, s: int) -> TPoly:
+    """The TPoly packed as n at q = 2^w, t = 2^(w s)."""
+    digits = _digits(n, w)
+    return TPoly(LaurentPolyQ(dict(enumerate(digits[i : i + s]))) for i in range(0, len(digits), s))
 
 
 def _hilb_q(d: int) -> TPoly:

@@ -473,9 +473,23 @@ def _count(eqs: list[_Poly], free: frozenset, units: frozenset) -> LaurentPolyQ:
     splits a variable into its zero and nonzero cases, or solves an
     equation c*v + r = 0 for v where c is +-1 times a monomial in unit
     variables, so invertible.  A system it cannot resolve raises.
+
+    Counts are memoised on the equations as given: each one's sorted
+    terms, in the given equation order, which the rule choice reads.
     """
+    return _count_system(tuple(tuple(sorted(f.items())) for f in eqs), free, units)
+
+
+@functools.cache
+def _factor(free: int, units: int) -> LaurentPolyQ:
+    """q^free (q - 1)^units: the count of the variables no equation uses."""
+    return _Q ** free * (_Q - 1) ** units
+
+
+@functools.cache
+def _count_system(system: tuple, free: frozenset, units: frozenset) -> LaurentPolyQ:
     live = []
-    for f in eqs:
+    for f in map(_Poly, system):
         f = f.strip(units)
         if not f:
             continue
@@ -487,7 +501,7 @@ def _count(eqs: list[_Poly], free: frozenset, units: frozenset) -> LaurentPolyQ:
                 raise ArithmeticError(f"the count depends on whether {c} vanishes in F_q")
         live.append(f)
     used = set().union(*(f.variables() for f in live))
-    factor = _Q ** len(free - used) * (_Q - 1) ** len(units - used)
+    factor = _factor(len(free - used), len(units - used))
     free, units = free & used, units & used
     if not live:
         return factor
@@ -595,9 +609,9 @@ def symbolic_v_alpha(spec_or_datum: "VAlphaSpec | LeadingTermDatum") -> LaurentP
 def _motive_rows(top: int, width: Optional[int] = None) -> Iterator[list[int]]:
     """Rows k = 0..top of the motive recursion, packed at q = 2^w.
 
-    Entry b of row k is M(2k - b, b) evaluated at q = 2^w, w = 3*top + 8
-    rounded up to a multiple of 8, so its coefficients are the signed
-    base-2^w digits; width, when given, keeps only columns 0..width - 1,
+    Entry b of row k is M(2k - b, b) evaluated at q = 2^w,
+    w = _digit_width(5^top), so its coefficients are the signed base-2^w
+    digits; width, when given, keeps only columns 0..width - 1,
     which read nothing to their right.  The seed is row 0 = [1], and the
     step splits off the last column pair by the kernel filtration position
     it lands in: with a = 2k - b and rows r = row k, s = row k - 1,
@@ -611,10 +625,10 @@ def _motive_rows(top: int, width: Optional[int] = None) -> Iterator[list[int]]:
     into b + 1 and b + 2), and a monomial multiple keeps the coefficient
     L1 norm.  So the L1 norms of the entries of row k sum to at most 5^k,
     which bounds every coefficient of every entry and of the row sum by
-    5^top < 2^(3 top) < 2^(w - 2).  The digits never carry into each
-    other, and _digits reads them back exactly.
+    5^top < 2^(w - 2).  The digits never carry into each other, and
+    _digits reads them back exactly.
     """
-    w = _digit_bits(top)
+    w = _digit_width(5**top)
     row = [1]
     yield row
     for k in range(1, top + 1):
@@ -629,9 +643,10 @@ def _motive_rows(top: int, width: Optional[int] = None) -> Iterator[list[int]]:
         yield row
 
 
-def _digit_bits(top: int) -> int:
-    """Bits per q-coefficient in the rows of _motive_rows(top)."""
-    return (3 * top + 15) // 8 * 8
+def _digit_width(bound: int) -> int:
+    """Bits per packed coefficient when every coefficient has absolute value
+    at most bound: bound < 2^(w - 2), w a multiple of 8 for _digits."""
+    return (bound.bit_length() + 9) // 8 * 8
 
 
 def _digits(n: int, w: int) -> list[int]:
@@ -663,7 +678,7 @@ def _motive(a: int, b: int) -> LaurentPolyQ:
     top = (a + b) // 2
     for row in _motive_rows(top, b + 1):
         pass
-    return _unpack(row[b], _digit_bits(top))
+    return _unpack(row[b], _digit_width(5**top))
 
 
 class MotiveTable:
@@ -676,7 +691,7 @@ class MotiveTable:
 @functools.cache
 def _staircase_block(top: int) -> tuple[LaurentPolyQ, ...]:
     """staircase_motive(d) for every d <= top: the row sums of _motive_rows."""
-    w = _digit_bits(top)
+    w = _digit_width(5**top)
     return tuple(_unpack(sum(row), w) for row in _motive_rows(top))
 
 

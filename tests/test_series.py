@@ -1,7 +1,9 @@
 """Framed and unframed point-count series: frozen closed forms, the
 independent solve/guess routes, and the identities that stress them."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 from cuspquot import series as series_module
 from cuspquot.qalgebra import (
     ONE,
+    ZERO,
     LaurentPolyQ,
     RationalQ,
     TPoly,
@@ -18,6 +21,7 @@ from cuspquot.qalgebra import (
     gl_order,
     q_pochhammer,
     t_pochhammer,
+    tpoly_to_triples,
 )
 from cuspquot.series import (
     affine_cohen_lenstra_coefficient,
@@ -38,7 +42,7 @@ from cuspquot.series import (
     zhat_coefficient,
 )
 from cuspquot.strata import LeadingTermDatum, base_level_walk, stable_orbit_decomposition
-from cuspquot.varieties import VAlphaSpec
+from cuspquot.varieties import VAlphaSpec, _count_system, _factor, _symbolic_count
 
 
 def poly(terms):
@@ -219,13 +223,15 @@ def test_stratum_invariants_match_the_per_orbit_reference():
         if d == 5:
             levels_list = rng.sample(levels_list, 150)
         for levels in levels_list:
-            invariants = list(series_module._stratum_invariants(levels))
-            assert [inv[0] for inv in invariants] == list(itertools.product("JK", repeat=d))
-            for colors, key, b, delta, n in invariants:
+            classes, j_extra, n0, delta0 = series_module._level_invariants(levels)
+            keys = series_module._pattern_keys(d, classes)
+            colorings = series_module._colorings(d)
+            assert [c[0] for c in colorings] == list(itertools.product("JK", repeat=d))
+            for (colors, _, js, b), key in zip(colorings, keys, strict=True):
                 base = LeadingTermDatum(levels, colors)
                 assert key == VAlphaSpec.from_datum(base.restrict_to_K()).key()
-                assert (b, delta) == base.exponents()
-                assert n == base.n()
+                assert (b, delta0 + sum(j_extra[r] for r in js)) == base.exponents()
+                assert n0 + len(js) == base.n()
 
 
 FROZEN_COLOR_ROWS_3 = {
@@ -298,6 +304,63 @@ def test_color_split_rank_three_frozen_rows():
     for row in rows.values():
         total = total + row
     assert total == FROZEN_NH[3]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _clear_count_caches():
+    series_module._color_rows.cache_clear()
+    for memo in (_symbolic_count, _count_system, _factor):
+        memo.cache_clear()
+
+
+def test_color_rows_and_numerators_are_pinned():
+    # sha256 prefixes of the rows and numerators of the per-orbit assembly
+    _clear_count_caches()
+    rows = {
+        str(d): {"".join(c): tpoly_to_triples(r) for c, r in color_numerators(d).items()}
+        for d in range(5)
+    }
+    assert _digest(json.dumps(rows, sort_keys=True)) == "d0f0bc4f4e8a7176"
+    assert _digest(json.dumps(rows["4"], sort_keys=True)) == "df2ce6a763931036"
+    assert _digest(str(hilb_numerator(4))) == "040540f9361436eb"
+    assert _digest(str(quot_numerator(4))) == "6ca643b9a8a18162"
+    assert _digest(str(hilb_numerator(4, 3))) == "aa07bb5a8601e2b5"
+
+
+def _tpoly_mul(a, b):
+    out = [ZERO] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return TPoly(out)
+
+
+def test_color_rows_match_the_per_orbit_reference():
+    # every orbit's numerator times its missing tails, summed by color vector
+    for d in range(1, 5):
+        expected = {}
+        for orbit in stable_orbit_decomposition(d):
+            tails = series_module._den_product(
+                j for j in range(1, d + 1) if j not in orbit.generators
+            )
+            part = _tpoly_mul(orbit_contribution(orbit).num, tails)
+            colors = orbit.base.colors
+            expected[colors] = expected.get(colors, TPoly.zero()) + part
+        _clear_count_caches()
+        rows = color_numerators(d)
+        assert list(rows) == list(itertools.product("JK", repeat=d))
+        assert rows == expected, d
+
+
+def test_a_count_with_a_negative_exponent_is_refused(monkeypatch):
+    series_module._color_rows.cache_clear()
+    monkeypatch.setattr(series_module, "symbolic_v_alpha", lambda spec: LaurentPolyQ({-1: 1}))
+    with pytest.raises(ArithmeticError, match="negative q-exponent"):
+        color_numerators(2)
+    series_module._color_rows.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+from cuspquot import series
 from cuspquot.oracles import count_stratum_bruteforce
-from cuspquot.strata import LeadingTermDatum, parse_datum, stable_orbit_decomposition
+from cuspquot.strata import (
+    LeadingTermDatum,
+    base_level_walk,
+    parse_datum,
+    stable_orbit_decomposition,
+)
 from cuspquot.varieties import (
     AbProfile,
     BudgetError,
@@ -30,7 +36,17 @@ from cuspquot.varieties import (
     staircase_table_csv,
     symbolic_v_alpha,
 )
-from cuspquot.varieties import _commutant_roots, _count, _motive, _Poly, _staircase_block
+from cuspquot.varieties import (
+    _commutant_roots,
+    _count,
+    _count_system,
+    _digit_width,
+    _factor,
+    _motive,
+    _Poly,
+    _staircase_block,
+    _symbolic_count,
+)
 from cuspquot.qalgebra import LaurentPolyQ
 
 FROZEN_V_COUNTS = {
@@ -275,6 +291,46 @@ def test_unresolved_systems_raise():
         _count([x + x], frozenset({0}), frozenset())
 
 
+def _rank5_counts():
+    # every pattern key read off the rank-5 base level vectors
+    keys = {
+        key
+        for levels, _ in base_level_walk(5)
+        for key in series._pattern_keys(5, series._level_invariants(levels)[0])
+    }
+    out = {}
+    for key in keys:
+        try:
+            out[key] = str(symbolic_v_alpha(VAlphaSpec(key[0], dict(key[1]))))
+        except ArithmeticError:
+            out[key] = "stuck"
+    return out
+
+
+def test_count_memo_keeps_every_rule_choice():
+    # the rule that fires reads the equation order, so a memo that reordered
+    # the equations would change which rank-5 patterns get stuck
+    stuck = {
+        (5, tuple(sorted({
+            **{pair: "3+" for pair in itertools.combinations(range(1, 6), 2)},
+            (2, 3): c23,
+            (4, 5): c45,
+        }.items())))
+        for c23 in ("1-", "2")
+        for c45 in ("1-", "2", "3+")
+    }
+    for memo in (_symbolic_count, _count_system, _factor):
+        memo.cache_clear()
+    for warm in (False, True):
+        counts = _rank5_counts()
+        assert len(counts) == 465
+        assert {key for key, value in counts.items() if value == "stuck"} == stuck
+        text = "\n".join(f"{key}:{counts[key]}" for key in sorted(counts))
+        assert hashlib.sha256(text.encode()).hexdigest().startswith("411f836b179ebd28"), warm
+        assert _count_system.cache_info().currsize
+        _symbolic_count.cache_clear()  # the second pass recounts through a warm _count memo
+
+
 def test_rank_three_frozen_rows():
     assert symbolic_v_alpha(
         VAlphaSpec(3, {(1, 2): "2", (2, 3): "3+", (1, 3): "3+"})
@@ -514,6 +570,14 @@ def test_packed_motives_match_the_reference_recursion():
         _staircase_block.cache_clear()
         for d in ranks:
             assert staircase_motive(d) == reference(d), d
+
+
+def test_packing_width_fits_the_bound():
+    # bits for signed digits of absolute value <= bound, a multiple of 8
+    assert [_digit_width(5**top) for top in (0, 16, 64, 128)] == [8, 40, 152, 304]
+    for bound in (0, 1, 2**6 - 1, 2**6, 2**30, 5**77):
+        w = _digit_width(bound)
+        assert w % 8 == 0 and bound < 2 ** (w - 2) and w - 8 < bound.bit_length() + 2
 
 
 def test_rank_64_is_pinned():
