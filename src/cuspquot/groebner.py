@@ -308,9 +308,6 @@ class PreBasis:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def dump(self) -> str:
-        return "\n".join(str(g) for g in self.elements)
-
 
 def _s_remainders_cusp(pb: PreBasis) -> list[Element]:
     """The two S-elements per seat carrying a degree-adjacent leading pair."""
@@ -378,9 +375,6 @@ class ReducedGB:
 
     def __hash__(self) -> int:
         return hash((self.elements, self.d))
-
-    def dump(self) -> str:
-        return "\n".join(str(g) for g in self.elements)
 
 
 def _seat_data_from_corners(corners: list[Monomial], d: int) -> tuple[tuple[str, int], ...]:

@@ -134,12 +134,7 @@ class LaurentPolyQ:
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
-        for e, c in b.items():
-            c += out.get(e, 0)
-            if c:
-                out[e] = c
-            else:
-                del out[e]
+        _merge(out, b, 0, 1)
         return _from_clean(out)
 
     __radd__ = __add__
@@ -153,12 +148,7 @@ class LaurentPolyQ:
         elif not isinstance(other, LaurentPolyQ):
             return NotImplemented
         out = dict(self._terms)
-        for e, c in other._terms.items():
-            c = out.get(e, 0) - c
-            if c:
-                out[e] = c
-            else:
-                del out[e]
+        _merge(out, other._terms, 0, -1)
         return _from_clean(out)
 
     def __rsub__(self, other: int) -> "LaurentPolyQ":
@@ -172,29 +162,10 @@ class LaurentPolyQ:
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
-        if not b:
-            return _from_clean({})
-        if len(b) == 1:  # a shift and a scale
-            ((s, k),) = b.items()
-            return _from_clean(_shifted(a, s, k))
-        if len(b) == 2:  # two shifted copies of a, merged
-            (s, k), (s2, k2) = b.items()
-            out = _shifted(a, s, k)
-            m = -k2  # subtract the second copy: for the common q^s - q^s2, m is 1
-            for e, c in a.items():
-                e += s2
-                c = out.get(e, 0) - (c if m == 1 else c * m)
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
-            return _from_clean(out)
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return _from_clean({e: c for e, c in out.items() if c})
+        for s, k in b.items():
+            _merge(out, a, s, k)
+        return _from_clean(out)
 
     __rmul__ = __mul__
 
@@ -227,10 +198,14 @@ class LaurentPolyQ:
         return total
 
     def at_root_of_unity(self, r: int) -> "CyclotomicInt":
-        out = CyclotomicInt.zero(r)
+        """The value at x, a primitive r-th root of unity: exponents fold mod r."""
+        r = operator.index(r)
+        if r < 1:
+            raise ValueError("cyclotomic order must be >= 1")
+        folded = [0] * r
         for e, c in self._terms.items():
-            out = out + CyclotomicInt.from_q_exponent(r, e) * c
-        return out
+            folded[e % r] += c
+        return CyclotomicInt(r, folded)
 
     def divide_exact(self, other: "LaurentPolyQ") -> "LaurentPolyQ":
         q = self.try_divide(other)
@@ -264,13 +239,7 @@ class LaurentPolyQ:
             if r:
                 return None
             quot[s] = c
-            for e, gc in g.items():
-                e += s
-                nc = rem.get(e, 0) - c * gc
-                if nc:
-                    rem[e] = nc
-                else:
-                    del rem[e]
+            _merge(rem, g, s, -c)
         return _from_clean(quot)
 
     def __str__(self) -> str:
@@ -307,11 +276,20 @@ def _from_clean(terms: dict[int, int]) -> LaurentPolyQ:
     return p
 
 
-def _shifted(terms: dict[int, int], s: int, k: int) -> dict[int, int]:
-    """The terms of k * q^s * p for p with these terms (k nonzero)."""
-    if k == 1:
-        return {e + s: c for e, c in terms.items()}
-    return {e + s: c * k for e, c in terms.items()}
+def _merge(out: dict[int, int], terms: dict[int, int], s: int, k: int) -> None:
+    """out += k * q^s * p in place, for p with these terms and k nonzero.
+
+    A coefficient that cancels is deleted, so out keeps the no-zero
+    invariant.  LaurentPolyQ addition, subtraction, multiplication and
+    exact division all run through this one loop.
+    """
+    for e, c in terms.items():
+        e += s
+        c = out.get(e, 0) + c * k
+        if c:
+            out[e] = c
+        else:
+            del out[e]
 
 
 ONE = LaurentPolyQ.one()

@@ -368,24 +368,28 @@ def nh_guess(d: int) -> TPoly:
     """Closed form: [t^j] = q^(C(j+1,2) + j(d-j)) [t^j](-t;q)_d."""
     if d < 0:
         raise ValueError("rank must be >= 0")
-    prod = TPoly.one()
-    for i in range(d):
-        prod = prod * TPoly([ONE, LaurentPolyQ.q_power(i)])
+    # [t^j](-t;q)_d = (-1)^j [t^j](t;q)_d
     return TPoly(
         [
-            c * LaurentPolyQ.q_power(j * (j + 1) // 2 + j * (d - j))
-            for j, c in enumerate(prod.coeffs)
+            c * LaurentPolyQ.q_power(j * (j + 1) // 2 + j * (d - j), (-1) ** j)
+            for j, c in enumerate(t_pochhammer(d).coeffs)
         ]
     )
 
 
 def functional_equation_check(d: int, f: Optional[TPoly] = None) -> bool:
-    """Coefficient symmetry a_(d-i) = q^(d(d-2i)) a_i."""
+    """Coefficient symmetry a_(d-i) = q^(d(d-2i)) a_i, read up to max(d, deg f).
+
+    A coefficient above t^d pairs with one below t^0, so it must vanish.
+    """
+    d = operator.index(d)
+    if d < 0:
+        raise ValueError("rank must be >= 0")
     if f is None:
         f = solve_nh(d)
     return all(
         f.coeff(d - i) == LaurentPolyQ.q_power(d * (d - 2 * i)) * f.coeff(i)
-        for i in range(d + 1)
+        for i in range(max(d, f.degree()) + 1)
     )
 
 
@@ -412,6 +416,9 @@ def cyclotomic_divisibility_check(d: int, f: Optional[TPoly] = None) -> bool:
     t = -1, q = 1).  The value at t = -1 must then be divisible by
     Phi_r(q)^floor((d+r-1)/(2r)) for every odd r <= d.
     """
+    d = operator.index(d)
+    if d < 0:
+        raise ValueError("rank must be >= 0")
     if f is None:
         f = solve_nh(d)
     if d % 2:

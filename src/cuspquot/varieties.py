@@ -191,27 +191,10 @@ class GFMatrix:
             p,
         )
 
-    def __pow__(self, e: int) -> "GFMatrix":
-        e = operator.index(e)
-        n, m = self.shape
-        if n != m or e < 0:
-            raise ValueError("power must be of a square matrix, with exponent >= 0")
-        out = GFMatrix.identity(n, self.p)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.shape[1]:
             raise ValueError("vector length does not match the matrix")
         return tuple(sum(map(operator.mul, row, vec)) % self.p for row in self.rows)
-
-    def is_zero(self) -> bool:
-        return all(all(c == 0 for c in row) for row in self.rows)
 
     def rank(self) -> int:
         rows, _ = _rref(self.rows, self.p)
@@ -230,12 +213,6 @@ class GFMatrix:
                 v[piv] = (-r[j]) % self.p
             out.append(tuple(v))
         return out
-
-    def image_basis(self) -> list[tuple[int, ...]]:
-        """Basis of the column space."""
-        cols = list(zip(*self.rows)) if self.rows else []
-        rows, _ = _rref(cols, self.p)
-        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,18 @@ def test_laurent_multiplication_over_every_size_pair():
             assert clean(LaurentPolyQ(a) * LaurentPolyQ(b)) == naive_mul(a, b)
 
 
+@given(laurents, laurents)
+def test_laurent_arithmetic_leaves_its_operands_alone(a, b):
+    # every result is merged in place into a fresh dict, never into an operand
+    before_a, before_b = a.terms, b.terms
+    results = [a + b, a - b, a * b, a * a, a - a]
+    if b:
+        results.append(a.try_divide(b))
+    assert a.terms == before_a and b.terms == before_b
+    for r in results:
+        assert r is None or 0 not in r.terms.values()
+
+
 def test_laurent_cancellation_leaves_no_zero_terms():
     assert clean((ONE + Q) * (ONE - Q)) == {0: 1, 2: -1}
     assert clean((ONE + Q) - Q) == {0: 1}
@@ -429,6 +441,22 @@ def test_at_root_of_unity_kills_q_power_minus_one():
     assert (LaurentPolyQ.q_power(5) - 1).at_root_of_unity(5) == 0
     assert (Q - 1).at_root_of_unity(1) == 0
     assert (Q + 1).at_root_of_unity(2) == 0
+
+
+@given(laurents, st.integers(1, 12))
+def test_at_root_of_unity_matches_the_term_by_term_sum(p, r):
+    total = CyclotomicInt.zero(r)
+    for e, c in p.terms.items():
+        total = total + CyclotomicInt.from_q_exponent(r, e) * c
+    assert p.at_root_of_unity(r) == total
+
+
+def test_at_root_of_unity_refuses_an_order_below_one():
+    for r in (0, -2):
+        with pytest.raises(ValueError, match="cyclotomic order must be >= 1"):
+            (Q + 1).at_root_of_unity(r)
+    with pytest.raises(TypeError):
+        (Q + 1).at_root_of_unity(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,18 @@ def test_functional_equation_through_rank_twelve():
     assert not functional_equation_check(2, TPoly.one())
 
 
+def test_functional_equation_check_reads_every_coefficient():
+    # t^3 pairs with t^-1 at rank 2, so its coefficient must vanish
+    assert not functional_equation_check(2, solve_nh(2) + TPoly.t_power(3, ONE * 7))
+    with pytest.raises(ValueError, match="rank must be >= 0"):
+        functional_equation_check(-2, TPoly([5, 3]))
+
+
+def test_cyclotomic_divisibility_check_refuses_a_negative_rank():
+    with pytest.raises(ValueError, match="rank must be >= 0"):
+        cyclotomic_divisibility_check(-2, TPoly([5, 3]))
+
+
 def test_root_of_unity_collapse():
     for d in range(1, 9):
         for r in range(1, d + 1):

@@ -83,16 +83,13 @@ def test_gfmatrix_construction_and_shape():
 def test_gfmatrix_arithmetic():
     a = GFMatrix([[1, 1], [0, 1]], 2)
     assert a * a == GFMatrix.identity(2, 2)
-    assert a ** 2 == GFMatrix.identity(2, 2)
-    assert (a - a).is_zero()
+    assert a - a == GFMatrix.zero(2, 2, 2)
     assert a.apply((1, 1)) == (0, 1)
     with pytest.raises(ValueError):
         a * GFMatrix([[1, 2, 3]], 2)
-    with pytest.raises(ValueError):
-        GFMatrix([[1, 2, 3]], 2) ** 2
 
 
-def test_gfmatrix_refuses_what_it_would_get_wrong(monkeypatch):
+def test_gfmatrix_refuses_what_it_would_get_wrong():
     # each of these hung or returned a silently wrong matrix or vector
     a = GFMatrix([[1, 2], [0, 1]], 5)
     with pytest.raises(ValueError, match="different fields"):
@@ -112,13 +109,6 @@ def test_gfmatrix_refuses_what_it_would_get_wrong(monkeypatch):
         with pytest.raises(ValueError, match="mismatched shapes|ragged"):
             GFMatrix.block2(*blocks)
 
-    def product(*_args):
-        raise AssertionError("a multiplication started")
-
-    monkeypatch.setattr(GFMatrix, "__mul__", product)
-    with pytest.raises(ValueError, match="exponent >= 0"):
-        GFMatrix([[1]], 2) ** -1
-
 
 def test_gfmatrix_rank_kernel_image():
     m = GFMatrix([[1, 2, 0], [2, 4, 0]], 5)
@@ -127,8 +117,6 @@ def test_gfmatrix_rank_kernel_image():
     assert len(kernel) == 2
     for v in kernel:
         assert m.apply(v) == (0, 0)
-    image = m.image_basis()
-    assert len(image) == 1
 
 
 def test_gfmatrix_rejects_non_integer_entries():
