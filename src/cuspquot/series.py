@@ -11,13 +11,16 @@ color vector alike are grouped, and the sums over orbits run on integers
 that pack the polynomials in q and t (Kronecker substitution), decoded
 once per color row.
 quot_series and hilb_from_quot are the two directions of the
-framed/unframed transform.
+framed/unframed transform.  The forward direction sums the binomial-
+weighted shifts of every lower rank on one packed integer, decoded once
+per rank (_unframe_sum); quot_numerator and solve_nh both run on it.
 
 The rest of the module holds independent routes to the same numerator
 polynomials and the identities used to stress them:
 
   * solve_nh pins the numerator down from its self-similarity under
-    t -> t^2, coefficient by coefficient;
+    t -> t^2, coefficient by coefficient, its right side being the
+    packed transform of the lower-rank solutions;
   * nh_guess is the closed product form (shifted binomial coefficients
     of (-t;q)_d);
   * functional equation, root-of-unity collapse and cyclotomic
@@ -45,7 +48,6 @@ from .qalgebra import (
     TSeries,
     check_prime,
     cyclotomic_poly,
-    q_binomial,
     q_binomial_inv,
     q_pochhammer,
     t_pochhammer,
@@ -266,18 +268,67 @@ def color_numerators(d: int, prime: Optional[int] = None) -> dict[tuple[str, ...
     return {colors: _at(row, prime) for colors, row in _color_rows(d).items()}
 
 
+def _unframe_sum(d: int, lower: list[TPoly]) -> TPoly:
+    """sum over r < d of t^r [d r]_q g_r(q^(d-r) t) (t;q)_(d-r), g_r = lower[r],
+    in one packed pass decoded once.
+
+    The framed-to-unframed transform over (t;q)_d, all ranks below d.  Every
+    term runs on an integer packed at q = 2^w, t = 2^(w s) (Kronecker
+    substitution), a ring map Z[q, t] -> Z, so the final sum is the image of
+    the polynomial sum.  With k = d - r, g_r(q^k t) is packed with the
+    substitution folded into the exponent, [t^m q^e] of g_r at digit
+    (s + k) m + e; each factor 1 - q^i t of (t;q)_k is one shift and
+    subtract; [d r]_q at q = 2^w is the exact integer quotient of
+    prod_(i<r) (2^(w(d-i)) - 1) by prod_(i<r) (2^(w(i+1)) - 1), built up one
+    factor pair per rank; t^r is a shift by w s r.
+
+    The sum is decoded exactly by the signed base-2^w digits of _digits,
+    digit s n + e being [t^n q^e], when three bounds hold.  Every exponent
+    is >= 0: a g_r with a negative q-exponent raises ArithmeticError before
+    anything is packed.  The q-degree of every coefficient is below s: term
+    r has q-degree at most max_m (deg g_r[m] + k m) + k(k-1)/2 + r k, the
+    last two being the degrees of (t;q)_k and of [d r]_q, and s is one more
+    than the largest of these.  And every coefficient is below 2^(w - 2):
+    the coefficient L1 norm is subadditive and submultiplicative and kept by
+    t -> q^k t and by t^r, L1((t;q)_k) = 2^k, and [d r]_q has nonnegative
+    coefficients, so L1([d r]_q) = C(d, r); every coefficient of the sum is
+    at most B = sum over r of L1(g_r) 2^k C(d, r), and w = _digit_width(B).
+    """
+    bound = top = 0
+    for r, g in enumerate(lower):
+        k = d - r
+        for m, c in enumerate(g.coeffs):
+            terms = c.terms
+            if not terms:
+                continue
+            if min(terms) < 0:
+                raise ArithmeticError(f"rank-{r} numerator has a negative q-exponent")
+            top = max(top, max(terms) + k * m + k * (k - 1) // 2 + r * k)
+            bound += sum(map(abs, terms.values())) * comb(d, r) << k
+    w, s = _digit_width(bound), top + 1
+    total, binomial = 0, 1  # binomial = [d r]_q at q = 2^w
+    for r, g in enumerate(lower):
+        k = d - r
+        x = 0
+        for c in reversed(g.coeffs):
+            x = (x << w * (s + k)) + sum(v << w * e for e, v in c.terms.items())
+        for i in range(k):
+            x -= x << w * (s + i)
+        total += x * binomial << w * s * r
+        binomial = binomial * ((1 << w * k) - 1) // ((1 << w * (r + 1)) - 1)
+    return _unpack_row(total, w, s)
+
+
 def quot_numerator(d: int, prime: Optional[int] = None) -> TPoly:
     """Numerator of the rank-d unframed series over (t;q)_d.
 
     Unframed counts are binomial-weighted shifts of the framed ones:
     the rank-r framed series enters at t -> q^(d-r) t with weight
-    [d r]_q t^r.  The r = d term goes first: it checks d.
+    [d r]_q t^r.  The r = d term goes first: it checks d.  The ranks
+    below d are summed in one packed pass, _unframe_sum.
     """
     _check_prime(prime)
-    total = _hilb_q(d).shift_t(d)
-    for r in range(d):
-        part = _hilb_q(r).substitute_t_scale(d - r) * t_pochhammer(d - r)
-        total = total + part.shift_t(r) * q_binomial(d, r)
+    total = _hilb_q(d).shift_t(d) + _unframe_sum(d, [_hilb_q(r) for r in range(d)])
     return _at(total, prime)
 
 
@@ -338,19 +389,17 @@ def zhat_coefficient(n: int) -> RationalQ:
 def solve_nh(d: int) -> TPoly:
     """Framed numerator solved from its self-similarity under t -> t^2.
 
-    f(t^2) - t^d f(t) is a binomial-weighted sum of the lower-rank
-    numerators; with f normalized by [t^0] = 1 and [t^d] = q^(d^2) the
-    relation determines every middle coefficient, and the full relation
-    is re-checked at the end.
+    f(t^2) - t^d f(t) is the framed-to-unframed transform of the
+    lower-rank numerators, summed in one packed pass (_unframe_sum); with
+    f normalized by [t^0] = 1 and [t^d] = q^(d^2) the relation determines
+    every middle coefficient, and the full relation is re-checked at the
+    end.
     """
     if d < 0:
         raise ValueError("rank must be >= 0")
     if d == 0:
         return TPoly.one()
-    rhs = TPoly.zero()
-    for r in range(d):
-        term = solve_nh(r).substitute_t_scale(d - r) * t_pochhammer(d - r)
-        rhs = rhs + term.shift_t(r) * q_binomial(d, r)
+    rhs = _unframe_sum(d, [solve_nh(r) for r in range(d)])
     a: list[Optional[LaurentPolyQ]] = [None] * (d + 1)
     a[0] = rhs.coeff(0)
     a[d] = LaurentPolyQ.q_power(d * d)

@@ -772,20 +772,29 @@ def extend_point(X: GFMatrix, Y: GFMatrix, z: Sequence[int], w: Sequence[int]) -
     return GFMatrix(xr, p), GFMatrix(yr, p)
 
 
-def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:
-    """On H0 = ker A / im A', the induced T has image equal to kernel.
+def _h0_exact(rows: list, pivots: list[int], ker: list, T: GFMatrix, p: int) -> bool:
+    """On H0 = span(ker) / span(rows), the map T0 induced by T has image
+    equal to kernel.
 
-    im A' lies in ker A and T commutes with A', so T induces T0 on H0;
-    T0 is exact iff T0^2 = 0, i.e. T^2(ker A) lies in im A', and its rank
-    is half of dim H0."""
-    A, T, ker, rows, pivots = _module(X, Y)
-    p = X.p
+    rows and pivots are the reduced echelon rows of a subspace of span(ker),
+    ker is a basis, and T maps span(ker) and span(rows) into themselves, so
+    T0 is defined.  T0 is exact iff T0^2 = 0, i.e. T^2(ker) lies in
+    span(rows), and its rank is half of dim H0."""
     images = [T.apply(v) for v in ker]
-    if any(any(A.apply(tv)) for tv in images):
-        raise ArithmeticError("T does not preserve the kernel")
     if not all(_in_span(rows, pivots, T.apply(tv), p) for tv in images):
         return False
     return 2 * (len(_rref(rows + images, p)[0]) - len(rows)) == len(ker) - len(rows)
+
+
+def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:
+    """On H0 = ker A / im A', the induced T has image equal to kernel.
+
+    im A' lies in ker A, and T commutes with A and A': AT - TA and
+    A'T - TA' are XY - YX in their top right block and zero elsewhere, and
+    _module refuses a pair with XY != YX.  So T induces T0 on H0, and
+    _h0_exact decides exactness from im A', ker A and T."""
+    _, T, ker, rows, pivots = _module(X, Y)
+    return _h0_exact(rows, pivots, ker, T, X.p)
 
 
 # ---------------------------------------------------------------------------

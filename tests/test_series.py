@@ -19,6 +19,7 @@ from cuspquot.qalgebra import (
     TPoly,
     TSeries,
     gl_order,
+    q_binomial,
     q_pochhammer,
     t_pochhammer,
     tpoly_to_triples,
@@ -372,6 +373,43 @@ def test_framed_from_unframed_roundtrip():
         assert hilb_from_quot(d) == hilb_series(d)
 
 
+def _unframe_reference(d, lower):
+    # the transform term by term in TPoly / LaurentPolyQ arithmetic
+    total = TPoly.zero()
+    for r, g in enumerate(lower):
+        part = g.substitute_t_scale(d - r) * t_pochhammer(d - r)
+        total = total + part.shift_t(r) * q_binomial(d, r)
+    return total
+
+
+def _random_tpoly(rng, max_t, size):
+    # sparse q-terms up to q^40 with coefficients up to +-size, and some zero
+    # coefficients in t, so the packing width and stride are exercised
+    coeffs = []
+    for _ in range(rng.randint(0, max_t + 1)):
+        terms = {}
+        if rng.random() > 0.2:
+            for _ in range(rng.randint(1, 6)):
+                terms[rng.randint(0, 40)] = rng.randint(-size, size)
+        coeffs.append(LaurentPolyQ(terms))
+    return TPoly(coeffs)
+
+
+def test_packed_transform_matches_the_term_by_term_sum():
+    rng = random.Random(21)
+    for trial in range(60):
+        d = rng.randint(0, 8)
+        size = 1 if trial % 3 == 0 else 10**30  # the narrowest widths and wide ones
+        lower = [_random_tpoly(rng, r + 2, size) for r in range(d)]
+        assert series_module._unframe_sum(d, lower) == _unframe_reference(d, lower), (trial, d)
+
+
+def test_packed_transform_refuses_a_negative_q_exponent():
+    lower = [TPoly.one(), TPoly([ONE, poly({-1: 1, 2: 3})])]
+    with pytest.raises(ArithmeticError, match="negative q-exponent"):
+        series_module._unframe_sum(2, lower)
+
+
 # ---------------------------------------------------------------------------
 # Whole-zeta coefficients
 
@@ -421,11 +459,17 @@ def test_solve_matches_engine_low_rank():
         assert solve_nh(d) == FROZEN_NH[d]
 
 
-def test_solve_matches_guess_through_rank_eight():
-    for d in range(9):
+def test_solve_matches_guess_through_rank_twenty():
+    for d in range(21):
         assert solve_nh(d) == nh_guess(d)
     with pytest.raises(ValueError):
         solve_nh(-1)
+
+
+def test_solved_numerators_are_pinned():
+    # sha256 prefix of the solved numerators through rank 16, as the term-by-term
+    # transform gave them
+    assert _digest(repr([str(solve_nh(d)) for d in range(17)])) == "f456edebd7c9a05f"
 
 
 def test_guess_top_and_bottom_coefficients():

@@ -42,8 +42,10 @@ from cuspquot.varieties import (
     _count_system,
     _digit_width,
     _factor,
+    _h0_exact,
     _motive,
     _Poly,
+    _rref,
     _staircase_block,
     _symbolic_count,
 )
@@ -649,6 +651,31 @@ def test_profile_invariants_rank_four_full_sweep():
     assert seen >= 200
 
 
+@pytest.mark.parametrize("ker, spanned, t_rows, exact", [
+    # a 2-dimensional H0 with T = 0: kernel 2, image 0
+    ([(1, 0), (0, 1)], [], [[0, 0], [0, 0]], False),
+    # T e1 = e2, T e2 = 0: image and kernel both span(e2)
+    ([(1, 0), (0, 1)], [], [[0, 0], [1, 0]], True),
+    # T = 1: T0^2 is not 0
+    ([(1, 0), (0, 1)], [], [[1, 0], [0, 1]], False),
+    # T e1 = e2, T e2 = e3, T e3 = 0 modulo span(e3): exact on the quotient
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 1)], [[0, 0, 0], [1, 0, 0], [0, 1, 0]], True),
+    # the same T with nothing divided out: T^2 e1 = e3 survives
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [], [[0, 0, 0], [1, 0, 0], [0, 1, 0]], False),
+])
+def test_h0_exactness_is_decided_from_the_linear_data(ker, spanned, t_rows, exact):
+    # every cusp module checked so far is exact, so the False branch is only
+    # reachable through hand-built linear data
+    p = 3
+    rows, pivots = _rref(spanned, p)
+    assert _h0_exact(rows, pivots, ker, GFMatrix(t_rows, p), p) is exact
+
+
+def test_h0_t_exact_refuses_non_module_pairs():
+    with pytest.raises(ValueError, match="cusp relations"):
+        h0_t_exact(GFMatrix.identity(2, 2), GFMatrix.zero(2, 2, 2))
+
+
 @pytest.mark.parametrize("n, p, pairs", [(2, 2, 22), (2, 3, 105), (3, 2, 848)])
 def test_profiles_of_every_cusp_pair_match_a_set_reference(n, p, pairs):
     # every (X, Y) with XY = YX and X^2 = Y^3, most of them not staircase
@@ -667,6 +694,7 @@ def test_profiles_of_every_cusp_pair_match_a_set_reference(n, p, pairs):
             X = GFMatrix([xs[i * n : (i + 1) * n] for i in range(n)], p)
             A, Ap = _factorization_ops(X, Y)
             T = GFMatrix.block2(zero, Y, one, zero)
+            assert A * T == T * A and Ap * T == T * Ap  # so T induces T0 on H0
             kernel = [v for v in vectors if not any(A.apply(v))]
             image = {Ap.apply(v) for v in vectors}
             t0_kernel = {v for v in kernel if T.apply(v) in image}
