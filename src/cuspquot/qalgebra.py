@@ -36,7 +36,6 @@ __all__ = [
     "tpoly_to_triples",
     "tpoly_from_triples",
     "series_to_json",
-    "series_from_json",
     "is_prime",
     "check_prime",
     "PRIME_TEST_LIMIT",
@@ -96,11 +95,6 @@ class LaurentPolyQ:
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
         return min(self._terms)
-
-    def max_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._terms)
 
     def is_unit(self) -> bool:
         """True when the polynomial is a single term +-q^k."""
@@ -442,41 +436,6 @@ class TPoly:
             out[2 * m] = c
         return TPoly(out)
 
-    def exact_div(self, other: "TPoly") -> "TPoly":
-        """Exact quotient; raises ValueError when the division is not exact."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero TPoly")
-        if self.is_zero():
-            return TPoly.zero()
-        # Strip common factors of t first so other has a nonzero constant term.
-        low = next(i for i, c in enumerate(other._coeffs) if not c.is_zero())
-        f = self.shift_t(-low) if low else self
-        g = other.shift_t(-low) if low else other
-        g0 = g.coeff(0)
-        deg = f.degree() - g.degree()
-        if deg < 0:
-            raise ValueError("quotient degree would be negative")
-        out: list[LaurentPolyQ] = []
-        for k in range(deg + 1):
-            acc = f.coeff(k)
-            for j in range(1, min(k, g.degree()) + 1):
-                acc = acc - g.coeff(j) * out[k - j]
-            c = acc.try_divide(g0)
-            if c is None:
-                raise ValueError("division not exact (coefficient step failed)")
-            out.append(c)
-        quot = TPoly(out)
-        if quot * g != f:
-            raise ValueError("division not exact (remainder)")
-        return quot
-
-    def evaluate_t(self, t_value: QValue, q_value: QValue) -> Fraction:
-        tv = Fraction(t_value)
-        total = Fraction(0)
-        for m, c in enumerate(self._coeffs):
-            total += c.evaluate(q_value) * tv ** m
-        return total
-
     def evaluate_t_symbolic(self, t_value: int) -> LaurentPolyQ:
         """Plug an integer for t, keeping q symbolic."""
         total = ZERO
@@ -712,12 +671,6 @@ class CyclotomicInt:
     def from_int(cls, order: int, c: int) -> "CyclotomicInt":
         return cls(order, [c])
 
-    @classmethod
-    def from_q_exponent(cls, order: int, e: int) -> "CyclotomicInt":
-        """x^e with e reduced mod the order (handles negative exponents)."""
-        e %= order
-        return cls(order, [0] * e + [1])
-
     def _check(self, other: "CyclotomicInt") -> None:
         if self.order != other.order:
             raise ValueError("mixed cyclotomic orders")
@@ -797,8 +750,10 @@ def tpoly_to_triples(tp: TPoly) -> list[list[int]]:
 def tpoly_from_triples(triples: Iterable[Iterable[int]]) -> TPoly:
     by_t: dict[int, dict[int, int]] = {}
     for t_exp, q_exp, coeff in triples:
-        d = by_t.setdefault(operator.index(t_exp), {})
-        q_exp = operator.index(q_exp)
+        t_exp, q_exp = operator.index(t_exp), operator.index(q_exp)
+        if t_exp < 0:
+            raise ValueError(f"negative t-exponent in triple {[t_exp, q_exp, coeff]}")
+        d = by_t.setdefault(t_exp, {})
         d[q_exp] = d.get(q_exp, 0) + operator.index(coeff)
     if not by_t:
         return TPoly.zero()
@@ -808,7 +763,3 @@ def tpoly_from_triples(triples: Iterable[Iterable[int]]) -> TPoly:
 
 def series_to_json(s: TSeries) -> dict:
     return {"num": tpoly_to_triples(s.num), "den": tpoly_to_triples(s.den)}
-
-
-def series_from_json(obj: dict) -> TSeries:
-    return TSeries(tpoly_from_triples(obj["num"]), tpoly_from_triples(obj["den"]))

@@ -48,7 +48,7 @@ from .qalgebra import (
     TSeries,
     check_prime,
     cyclotomic_poly,
-    q_binomial_inv,
+    q_pascal_inverse,
     q_pochhammer,
     t_pochhammer,
 )
@@ -339,15 +339,15 @@ def quot_series(d: int, prime: Optional[int] = None) -> TSeries:
 def hilb_from_quot(d: int) -> TSeries:
     """Recover the framed series from the unframed ones (symbolic only).
 
-    The alternating inverse transform: t^-d times the q^-1-binomial
-    combination of the unframed series at t -> q^(d-r) t.
+    The alternating inverse transform: t^-d times the combination of the
+    unframed series at t -> q^(d-r) t weighted by row d of the inverse
+    q-Pascal matrix, (-1)^(d-r) q^(-C(d-r,2)) [d r]_(q^-1).
     """
+    weights = q_pascal_inverse(d + 1)[d]
     total = TPoly.zero()
     for r in range(d + 1):
         part = quot_numerator(r).substitute_t_scale(d - r) * t_pochhammer(d - r)
-        k = d - r
-        weight = LaurentPolyQ.q_power(-(k * (k - 1) // 2), -1 if k % 2 else 1)
-        total = total + part * (weight * q_binomial_inv(d, r))
+        total = total + part * weights[r]
     return TSeries(total.shift_t(-d), t_pochhammer(d))
 
 
@@ -462,17 +462,20 @@ def cyclotomic_divisibility_check(d: int, f: Optional[TPoly] = None) -> bool:
     """Divisibility of the numerator at t = -1 by a product of cyclotomics.
 
     For odd d the factor 1 + q^d t is stripped first (it vanishes at
-    t = -1, q = 1).  The value at t = -1 must then be divisible by
-    Phi_r(q)^floor((d+r-1)/(2r)) for every odd r <= d.
+    t = -1, q = 1): f must vanish at t = -q^-d, and the value at t = -1
+    of the cofactor is f(-1) / (1 - q^d).  That value must then be
+    divisible by Phi_r(q)^floor((d+r-1)/(2r)) for every odd r <= d.
     """
     d = operator.index(d)
     if d < 0:
         raise ValueError("rank must be >= 0")
     if f is None:
         f = solve_nh(d)
-    if d % 2:
-        f = f.exact_div(TPoly([ONE, LaurentPolyQ.q_power(d)]))
     value = f.evaluate_t_symbolic(-1)
+    if d % 2:
+        if f.substitute_t_scale(-d).evaluate_t_symbolic(-1):
+            return False
+        value = value.divide_exact(ONE - LaurentPolyQ.q_power(d))
     for r in range(1, d + 1, 2):
         phi = LaurentPolyQ(dict(enumerate(cyclotomic_poly(r))))
         for _ in range((d + r - 1) // (2 * r)):

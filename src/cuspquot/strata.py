@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from operator import index
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .groebner import Monomial
 
@@ -181,24 +181,6 @@ class LeadingTermDatum:
             new_levels[target - 1] = self.levels[avail[k] - 1] + (1 if k == m - 1 else 0)
         return LeadingTermDatum(new_levels, self.colors)
 
-    def gamma_inverse(self, j: int) -> Optional["LeadingTermDatum"]:
-        """Undo gamma_j when possible, else None."""
-        avail = self._moved_seats(j)
-        m = len(avail)
-        if self.levels[avail[0] - 1] < 1:
-            return None
-        old_levels = list(self.levels)
-        for k in range(m):
-            src = avail[(k + 1) % m]
-            old_levels[avail[k] - 1] = self.levels[src - 1] - (1 if k == m - 1 else 0)
-        try:
-            cand = LeadingTermDatum(old_levels, self.colors)
-        except ValueError:
-            return None
-        if cand.gamma(j) != self:
-            return None
-        return cand
-
     def seats_after_gamma(self, j: int) -> list[int]:
         """Seat of each rank after gamma_j (rank order is preserved)."""
         avail = self._moved_seats(j)
@@ -237,50 +219,6 @@ class LeadingTermDatum:
                     or (ib < ih2 < ih)
                 ):
                     out.append((b, h))
-        return out
-
-    def is_stable(self, j: int) -> bool:
-        """Stability under gamma_j: every pair b < j <= h keeps its shape.
-
-        A J-colored lower rank needs distance >= 1; a K-K pair needs
-        distance >= 3.  gamma_1 never breaks anything.
-        """
-        for b in range(1, j):
-            cb = self.colors[b - 1]
-            for h in range(j, self.d + 1):
-                delta = self.distance(b, h)
-                if cb == "J" and delta < 1:
-                    return False
-                if cb == "K" and self.colors[h - 1] == "K" and delta < 3:
-                    return False
-        return True
-
-    # -- orbit addressing ---------------------------------------------------
-
-    def orbit_address(self) -> tuple[int, ...]:
-        """Exponents a with gamma_1^a1 ... gamma_d^ad (all-zero datum) = self."""
-        addr = [0] * self.d
-        work = self
-        for j in range(self.d, 0, -1):
-            while True:
-                prev = work.gamma_inverse(j)
-                if prev is None:
-                    break
-                work = prev
-                addr[j - 1] += 1
-        if any(work.levels):
-            raise ArithmeticError("address stripping did not reach zero")
-        return tuple(addr)
-
-    def apply_address(self, addr: Sequence[int]) -> "LeadingTermDatum":
-        if len(addr) != self.d:
-            raise ValueError("address length mismatch")
-        out = self
-        for j, a in enumerate(addr, start=1):
-            if a < 0:
-                raise ValueError("address exponents are nonnegative")
-            for _ in range(a):
-                out = out.gamma(j)
         return out
 
     # -- text form -----------------------------------------------------------

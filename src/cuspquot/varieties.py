@@ -165,19 +165,8 @@ class GFMatrix:
     def __hash__(self) -> int:
         return hash((self.rows, self.p))
 
-    def __add__(self, other: "GFMatrix") -> "GFMatrix":
-        if self.p != other.p or self.shape != other.shape:
-            raise ValueError("sum of matrices of different shapes or fields")
-        return GFMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.p,
-        )
-
     def __neg__(self) -> "GFMatrix":
         return GFMatrix([[-a for a in r] for r in self.rows], self.p)
-
-    def __sub__(self, other: "GFMatrix") -> "GFMatrix":
-        return self + (-other)
 
     def __mul__(self, other: "GFMatrix") -> "GFMatrix":
         p = self.p

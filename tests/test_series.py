@@ -541,6 +541,18 @@ def test_cyclotomic_divisibility_detects_failure():
     assert not cyclotomic_divisibility_check(2, TPoly([ONE, ONE, ONE]))
 
 
+def test_cyclotomic_divisibility_odd_rank_without_the_factor_is_false():
+    # 1 + t lacks the factor 1 + q^3 t: this raised "division not exact"
+    factor = TPoly([ONE, poly({3: 1})])
+    assert not cyclotomic_divisibility_check(3, TPoly([ONE, ONE]))
+    assert not cyclotomic_divisibility_check(5, TPoly([ONE]))
+    # with the factor, the cofactor's value at t = -1 decides: 1 + t gives 0,
+    # which every Phi_r divides, and 1 - t gives 2, which Phi_1 = q - 1 does not
+    assert cyclotomic_divisibility_check(3, factor * TPoly([ONE, ONE]))
+    assert not cyclotomic_divisibility_check(3, factor * TPoly([ONE, -ONE]))
+    assert cyclotomic_divisibility_check(3, TPoly.zero())
+
+
 # ---------------------------------------------------------------------------
 # Matrix pair count formula and the double-sum identity
 

@@ -85,7 +85,6 @@ def test_gfmatrix_construction_and_shape():
 def test_gfmatrix_arithmetic():
     a = GFMatrix([[1, 1], [0, 1]], 2)
     assert a * a == GFMatrix.identity(2, 2)
-    assert a - a == GFMatrix.zero(2, 2, 2)
     assert a.apply((1, 1)) == (0, 1)
     with pytest.raises(ValueError):
         a * GFMatrix([[1, 2, 3]], 2)
@@ -96,10 +95,8 @@ def test_gfmatrix_refuses_what_it_would_get_wrong():
     a = GFMatrix([[1, 2], [0, 1]], 5)
     with pytest.raises(ValueError, match="different fields"):
         GFMatrix([[1]], 3) * GFMatrix([[2]], 2)
-    with pytest.raises(ValueError, match="different shapes"):
-        a + GFMatrix([[1]], 5)
-    with pytest.raises(ValueError, match="different shapes or fields"):
-        GFMatrix([[1]], 3) - GFMatrix([[1]], 2)
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        a * GFMatrix([[1]], 5)
     with pytest.raises(ValueError, match="vector length"):
         a.apply([1])
     with pytest.raises(ValueError, match="vector length"):
