@@ -20,8 +20,8 @@ from .qalgebra import (
     q_pochhammer,
     t_pochhammer,
 )
-from .groebner import Element, Monomial, PreBasis, ReducedGB, divide, is_groebner, reduce_basis
-from .strata import LeadingTermDatum, Orbit, parse_datum, stable_orbit_decomposition
+from .groebner import Element, PreBasis, ReducedGB, divide, is_groebner, reduce_basis
+from .strata import LeadingTermDatum, Monomial, Orbit, parse_datum, stable_orbit_decomposition
 from .varieties import (
     AbProfile,
     GFMatrix,

@@ -5,7 +5,8 @@ T^3 inside k[[T]]; the module is F = R^d, and every submodule handled here
 sits inside mF (m the maximal ideal of R) and has finite codimension.
 Computations happen modulo T^N F for a truncation bound N supplied by the
 caller; N must be at least 2*codim + 4 for the answers to be faithful, and
-reduce() rejects anything whose computed codimension exceeds (N-4)/2.
+reduce_basis() rejects anything whose computed codimension exceeds (N-4)/2.
+A reduced basis reports its stratum as a strata.LeadingTermDatum.
 
 Monomial order: compare T-degree first, then seat index (u_1 < ... < u_d
 < T); the LEADING term of an element is its order-least term.  T^a divides
@@ -20,6 +21,7 @@ from operator import index
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .qalgebra import check_prime
+from .strata import LeadingTermDatum, Monomial
 
 __all__ = [
     "Monomial",
@@ -34,8 +36,6 @@ __all__ = [
     "is_groebner",
     "is_groebner_general",
     "reduce_basis",
-    "standard_monomials",
-    "codim",
     "membership",
 ]
 
@@ -47,16 +47,6 @@ class TruncationError(ValueError):
 def _semigroup(n: int) -> bool:
     """Membership in the exponent semigroup {0, 2, 3, 4, ...}."""
     return n == 0 or n >= 2
-
-
-class Monomial(NamedTuple):
-    """T^t_deg * u_seat; tuple order (t_deg, seat) is the module order."""
-
-    t_deg: int
-    seat: int
-
-    def __str__(self) -> str:
-        return f"T^{self.t_deg}*u{self.seat}"
 
 
 def divides(mu: Monomial, nu: Monomial) -> Optional[int]:
@@ -348,59 +338,16 @@ def is_groebner_general(pb: PreBasis) -> bool:
     return True
 
 
-class ReducedGB:
-    """Reduced Groebner basis with its leading-term data, immutable."""
+class ReducedGB(NamedTuple):
+    """Reduced Groebner basis with the leading-term datum of its stratum."""
 
-    __slots__ = ("elements", "d", "p", "trunc", "seat_data", "codim")
-
-    def __init__(self, elements: tuple[Element, ...], d: int,
-                 seat_data: tuple[tuple[str, int], ...], codim_: int):
-        self.elements = elements
-        self.d = d
-        self.p = elements[0].p
-        self.trunc = elements[0].trunc
-        self.seat_data = seat_data  # per seat: ("J", a) or ("K", a)
-        self.codim = codim_
+    elements: tuple[Element, ...]
+    datum: LeadingTermDatum
+    p: int
+    trunc: int
 
     def prebasis(self) -> PreBasis:
-        return PreBasis(self.elements, self.d)
-
-    def corners(self) -> list[Monomial]:
-        return sorted(g.leading_monomial() for g in self.elements)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReducedGB):
-            return NotImplemented
-        return (self.elements, self.d) == (other.elements, other.d)
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.d))
-
-
-def _seat_data_from_corners(corners: list[Monomial], d: int) -> tuple[tuple[str, int], ...]:
-    by_seat: dict[int, list[int]] = {s: [] for s in range(1, d + 1)}
-    for mono in corners:
-        by_seat[mono.seat].append(mono.t_deg)
-    data = []
-    for s in range(1, d + 1):
-        degs = sorted(by_seat[s])
-        if not degs:
-            raise TruncationError(
-                f"seat {s} has no corner in the window: submodule not finite-codimension"
-            )
-        if len(degs) == 1:
-            data.append(("J", degs[0] - 1))
-        elif len(degs) == 2 and degs[1] == degs[0] + 1:
-            data.append(("K", degs[0] - 2))
-        else:
-            raise AssertionError(f"impossible corner pattern {degs} on seat {s}")
-    return tuple(data)
-
-
-def _standard_degrees(kind: str, a: int) -> list[int]:
-    if kind == "J":
-        return list(range(2, a + 1)) + [a + 2]
-    return list(range(2, a + 2))
+        return PreBasis(self.elements, self.datum.d)
 
 
 def reduce_basis(generators: Iterable[Element], d: int) -> ReducedGB:
@@ -409,9 +356,15 @@ def reduce_basis(generators: Iterable[Element], d: int) -> ReducedGB:
     Adds reduced S-element remainders until the criterion passes, then
     rewrites one generator per corner as corner-minus-remainder.  The
     result depends only on the submodule generated, not on the
-    presentation.  Raises TruncationError when the computed codimension
-    exceeds (trunc-4)/2 or when some seat has no leading term at all.
+    presentation; its datum is the stratum's leading-term datum, whose
+    n() is the codimension.  Raises ValueError for a term on a seat
+    outside 1..d, and TruncationError when the codimension exceeds
+    (trunc-4)/2 or when some seat has no leading term at all.
     """
+    generators = list(generators)
+    for g in generators:
+        if any(not 1 <= mono.seat <= d for mono in g.terms):
+            raise ValueError(f"seat out of range in {g}")
     G = [g.monic() for g in generators if not g.is_zero()]
     if not G:
         raise TruncationError("no nonzero generators: submodule not finite-codimension")
@@ -434,8 +387,19 @@ def reduce_basis(generators: Iterable[Element], d: int) -> ReducedGB:
         m for m in leads
         if not any(other != m and divides(other, m) is not None for other in leads)
     ]
-    seat_data = _seat_data_from_corners(corners, d)
-    n = sum(a for _, a in seat_data)
+    degrees: dict[int, list[int]] = {s: [] for s in range(1, d + 1)}
+    for mono in corners:
+        degrees[mono.seat].append(mono.t_deg)
+    ideals = []
+    for s, degs in degrees.items():
+        if not degs:
+            raise TruncationError(
+                f"seat {s} has no corner in the window: submodule not finite-codimension"
+            )
+        # indivisible degrees on one seat differ by exactly 1: a seat has one or two
+        ideals.append(("J", degs[0] - 1) if len(degs) == 1 else ("K", degs[0] - 2))
+    datum = LeadingTermDatum.from_seat_ideals(ideals)
+    n = datum.n()
     bound = (trunc - 4) // 2
     if n > bound:
         raise TruncationError(f"codimension {n} exceeds the certified bound {bound}")
@@ -444,23 +408,10 @@ def reduce_basis(generators: Iterable[Element], d: int) -> ReducedGB:
     for mono in corners:
         rem = divide(Element.monomial(mono, p, trunc), G).remainder
         reduced.append(Element.monomial(mono, p, trunc) - rem)
-    gb = ReducedGB(tuple(reduced), d, seat_data, n)
+    gb = ReducedGB(tuple(reduced), datum, p, trunc)
     if not is_groebner(gb.prebasis()):
         raise ArithmeticError("the reduced basis fails the standard-basis criterion")
     return gb
-
-
-def standard_monomials(gb: ReducedGB) -> list[Monomial]:
-    """Monomials of mF outside the leading-term submodule, sorted ascending."""
-    out = []
-    for seat0, (kind, a) in enumerate(gb.seat_data):
-        for deg in _standard_degrees(kind, a):
-            out.append(Monomial(deg, seat0 + 1))
-    return sorted(out)
-
-
-def codim(gb: ReducedGB) -> int:
-    return gb.codim
 
 
 def membership(gb: ReducedGB, f: Element) -> bool:

@@ -44,9 +44,9 @@ import math
 import operator
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .groebner import Element, Monomial, PreBasis, divides
+from .groebner import Element, PreBasis, divides
 from .qalgebra import check_prime
-from .strata import LeadingTermDatum
+from .strata import LeadingTermDatum, Monomial
 from .varieties import BudgetError, _commutant_roots, _in_span, check_budget
 
 __all__ = [

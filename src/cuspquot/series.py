@@ -343,6 +343,8 @@ def hilb_from_quot(d: int) -> TSeries:
     unframed series at t -> q^(d-r) t weighted by row d of the inverse
     q-Pascal matrix, (-1)^(d-r) q^(-C(d-r,2)) [d r]_(q^-1).
     """
+    if d < 0:
+        raise ValueError("rank must be >= 0")
     weights = q_pascal_inverse(d + 1)[d]
     total = TPoly.zero()
     for r in range(d + 1):

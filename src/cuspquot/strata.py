@@ -1,4 +1,4 @@
-"""Leading-term data and the spiral raising operators.
+"""Monomials, leading-term data and the spiral raising operators.
 
 A leading-term datum records, for each seat of F = R^d, which monomial
 ideal type the seat carries: J(a) with one corner T^(a+1), or K(a) with
@@ -18,10 +18,9 @@ import re
 from operator import index
 from typing import NamedTuple, Sequence
 
-from .groebner import Monomial
-
 __all__ = [
     "LeadingTermDatum",
+    "Monomial",
     "Orbit",
     "base_level_walk",
     "parse_datum",
@@ -29,6 +28,16 @@ __all__ = [
 ]
 
 _IDEAL_RE = re.compile(r"([JK])\((\d+)\)")
+
+
+class Monomial(NamedTuple):
+    """T^t_deg * u_seat; tuple order (t_deg, seat) is the module order."""
+
+    t_deg: int
+    seat: int
+
+    def __str__(self) -> str:
+        return f"T^{self.t_deg}*u{self.seat}"
 
 
 class LeadingTermDatum:
@@ -129,6 +138,8 @@ class LeadingTermDatum:
 
     def distance(self, b: int, h: int) -> int:
         """Distance between ranks b < h (1-based)."""
+        if not 1 <= b < h <= self.d:
+            raise ValueError(f"ranks ({b}, {h}) need 1 <= b < h <= {self.d}")
         comps = self.ranked_components()
         lb, sb, _ = comps[b - 1]
         lh, sh, _ = comps[h - 1]

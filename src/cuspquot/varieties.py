@@ -220,6 +220,9 @@ class VAlphaSpec:
     __slots__ = ("d", "classes")
 
     def __init__(self, d: int, classes: dict[tuple[int, int], str]):
+        d = operator.index(d)
+        if d < 0:
+            raise ValueError("rank must be >= 0")
         expected = {(b, h) for b in range(1, d + 1) for h in range(b + 1, d + 1)}
         if set(classes) != expected:
             raise ValueError("need exactly one class per ranked pair")

@@ -1,6 +1,7 @@
 """Groebner machinery for finite-colength submodules of the free module
 over the subring generated by the square and the cube of the uniformizer."""
 
+import ast
 import itertools
 import os
 import random
@@ -10,12 +11,12 @@ import sys
 import pytest
 
 import cuspquot
+from cuspquot import groebner, strata
 from cuspquot.groebner import (
     Element,
     Monomial,
     PreBasis,
     TruncationError,
-    codim,
     divide,
     divides,
     is_groebner,
@@ -23,9 +24,8 @@ from cuspquot.groebner import (
     lcm_set,
     membership,
     reduce_basis,
-    standard_monomials,
 )
-from cuspquot.oracles import stratum_slots
+from cuspquot.oracles import count_stratum_bruteforce, stratum_slots
 from cuspquot.strata import LeadingTermDatum
 from cuspquot.varieties import GFMatrix
 
@@ -36,6 +36,17 @@ def M(t_deg, seat):
 
 # ---------------------------------------------------------------------------
 # Monomials and divisibility
+
+
+def test_monomial_lives_in_strata():
+    # strata holds the leading-term vocabulary and imports nothing from groebner
+    assert groebner.Monomial is strata.Monomial
+    with open(strata.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    assert not any(
+        isinstance(node, ast.ImportFrom) and (node.module or "").endswith("groebner")
+        for node in ast.walk(tree)
+    )
 
 
 def test_monomial_order_is_degree_then_seat():
@@ -276,11 +287,11 @@ def test_prebasis_validation():
 def test_reduce_basis_frozen_single_generator():
     gen = Element({M(2, 1): 1, M(3, 1): 1}, p=5, trunc=10)
     gb = reduce_basis([gen], d=1)
-    assert gb.codim == 1
-    assert codim(gb) == 1
-    assert gb.seat_data == (("J", 1),)
-    assert gb.corners() == [M(2, 1)]
-    assert standard_monomials(gb) == [M(3, 1)]
+    assert isinstance(gb.datum, LeadingTermDatum)
+    assert gb.datum.n() == 1
+    assert gb.datum.seat_ideals() == [("J", 1)]
+    assert gb.datum.corners() == [M(2, 1)]
+    assert gb.datum.standard_set() == [M(3, 1)]
     assert gb.elements == (gen,)
 
 
@@ -288,22 +299,22 @@ def test_reduce_basis_frozen_codimensions():
     p, trunc = 3, 12
     pair = [Element.monomial(M(2, 1), p, trunc), Element.monomial(M(3, 1), p, trunc)]
     gb0 = reduce_basis(pair, d=1)
-    assert gb0.codim == 0
-    assert gb0.seat_data == (("K", 0),)
-    assert standard_monomials(gb0) == []
+    assert gb0.datum.n() == 0
+    assert gb0.datum.seat_ideals() == [("K", 0)]
+    assert gb0.datum.standard_set() == []
 
     gb1 = reduce_basis(
         [Element.monomial(M(3, 1), p, trunc), Element.monomial(M(4, 1), p, trunc)],
         d=1,
     )
-    assert gb1.codim == 1
-    assert gb1.seat_data == (("K", 1),)
-    assert standard_monomials(gb1) == [M(2, 1)]
+    assert gb1.datum.n() == 1
+    assert gb1.datum.seat_ideals() == [("K", 1)]
+    assert gb1.datum.standard_set() == [M(2, 1)]
 
     gb2 = reduce_basis([Element.monomial(M(3, 1), p, trunc)], d=1)
-    assert gb2.codim == 2
-    assert gb2.seat_data == (("J", 2),)
-    assert standard_monomials(gb2) == [M(2, 1), M(4, 1)]
+    assert gb2.datum.n() == 2
+    assert gb2.datum.seat_ideals() == [("J", 2)]
+    assert gb2.datum.standard_set() == [M(2, 1), M(4, 1)]
 
 
 def test_membership_frozen():
@@ -328,6 +339,18 @@ def test_truncation_errors():
     with pytest.raises(TruncationError):
         # codimension 8 exceeds the certified bound (10-4)//2 = 3
         reduce_basis([Element.monomial(M(9, 1), p, trunc)], d=1)
+
+
+def test_reduce_basis_refuses_a_seat_outside_the_rank():
+    # each raised KeyError while grouping the corners by seat
+    cases = [
+        ([Element({M(2, 5): 1}, 2, 12)], 1),
+        ([Element.monomial(M(2, 1), 2, 12)], 0),
+        ([Element.monomial(M(2, 1), 2, 12), Element.monomial(M(3, 0), 2, 12)], 1),
+    ]
+    for gens, d in cases:
+        with pytest.raises(ValueError, match="seat out of range"):
+            reduce_basis(gens, d)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +426,7 @@ def test_reduced_basis_uniqueness_100_trials():
         p = rng.choice([2, 3])
         gens = _random_module_generators(rng, d, p, trunc)
         gb = reduce_basis(gens, d)
-        if gb.codim > 4:
+        if gb.datum.n() > 4:
             continue
         # deterministic and presentation-independent
         assert reduce_basis(gens, d) == gb
@@ -411,10 +434,11 @@ def test_reduced_basis_uniqueness_100_trials():
         assert reduce_basis(gb.elements, d) == gb
         gb2 = reduce_basis(_scrambled_generators(rng, gb), d)
         assert gb2 == gb
-        assert gb2.seat_data == gb.seat_data
+        assert gb2.datum == gb.datum
+        assert [g.leading_monomial() for g in gb.elements] == gb.datum.corners()
         # codimension agrees with a rank computation that never sees corners
-        assert _window_codim(gens, d, p, trunc) == gb.codim
-        assert len(standard_monomials(gb)) == gb.codim
+        assert _window_codim(gens, d, p, trunc) == gb.datum.n()
+        assert len(gb.datum.standard_set()) == gb.datum.n()
         assert is_groebner(gb.prebasis())
         done += 1
 
@@ -467,17 +491,25 @@ def _small_data(max_d, max_n):
 
 
 def test_adjacent_pair_criterion_agrees_with_full_criterion():
+    # every passing candidate is the reduced basis of its own stratum, and
+    # the passing candidates of a datum are the stratum's F_2-points
     passes = fails = 0
     for datum in _small_data(max_d=2, max_n=3):
         if len(stratum_slots(datum)) > 6:
             continue
+        closed = 0
         for pb in _candidate_bases(datum, p=2):
             fast = is_groebner(pb)
             assert fast == is_groebner_general(pb)
             if fast:
-                passes += 1
+                gb = reduce_basis(list(pb), datum.d)
+                assert gb.elements == pb.elements
+                assert gb.datum == datum
+                closed += 1
             else:
                 fails += 1
+        assert closed == count_stratum_bruteforce(datum, 2), datum
+        passes += closed
     assert passes > 0 and fails > 0
 
 

@@ -601,6 +601,7 @@ def test_affine_guess_is_partial_sum_of_point_guess():
 NEGATIVE_ARGUMENT_MESSAGES = {
     solve_nh: "rank must be >= 0",
     nh_guess: "rank must be >= 0",
+    hilb_from_quot: "rank must be >= 0",
     zhat_coefficient: "order must be >= 0",
     cohen_lenstra_coefficient: "order must be >= 0",
     affine_cohen_lenstra_coefficient: "order must be >= 0",

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from cuspquot.groebner import Monomial
 from cuspquot.strata import (
     LeadingTermDatum,
+    Monomial,
     Orbit,
     base_level_walk,
     parse_datum,
@@ -132,6 +132,16 @@ def test_distance_matches_floor_formula():
             )
             assert delta == floor_val.__floor__()
             assert delta == x.distance(b, h)
+
+
+def test_distance_refuses_ranks_outside_the_datum():
+    # rank 0 wrapped to the last rank, reversed or equal ranks gave a
+    # number, and rank 4 raised IndexError
+    x = parse_datum("(K(1),J(3),K(0))")
+    assert x.distance(1, 3) == 1
+    for b, h in [(0, 2), (3, 1), (2, 2), (1, 4)]:
+        with pytest.raises(ValueError, match="need 1 <= b < h <= 3"):
+            x.distance(b, h)
 
 
 def test_exponents_frozen_small_cases():

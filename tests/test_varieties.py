@@ -177,6 +177,14 @@ def test_valphaspec_validation():
     assert VAlphaSpec(2, {(1, 2): "1-"}).free_y() == []
 
 
+def test_negative_rank_spec_is_refused():
+    # symbolic_v_alpha(VAlphaSpec(-1, {})) returned 1, while count_v_spec
+    # refused the same spec
+    with pytest.raises(ValueError, match="rank must be >= 0"):
+        symbolic_v_alpha(VAlphaSpec(-1, {}))
+    assert symbolic_v_alpha(VAlphaSpec(0, {})) == symbolic_v_alpha(LeadingTermDatum([], []))
+
+
 def test_from_datum_requires_pure_K():
     with pytest.raises(ValueError):
         VAlphaSpec.from_datum(parse_datum("(K(0),J(1))"))
@@ -395,10 +403,11 @@ def test_patterned_counts_match_the_pair_walk():
 def test_enumerators_reject_non_primes_and_negative_ranks(d, p):
     # a composite p once gave wrong counts (896 for the full rank-3 pattern
     # at p = 4, where F_4 has 640 points) and d = -1 counted one point
-    spec = VAlphaSpec(d, {(b, h): "3+" for b in range(1, d + 1) for h in range(b + 1, d + 1)})
+    full = {(b, h): "3+" for b in range(1, d + 1) for h in range(b + 1, d + 1)}
     message = "is not a prime" if d >= 0 else "rank must be >= 0"
     with pytest.raises(ValueError, match=message):
-        count_v_spec(spec, p)
+        # a negative rank is refused already when the spec is built
+        count_v_spec(VAlphaSpec(d, full), p)
     with pytest.raises(ValueError, match=message):
         brute_v_d(d, p)
     with pytest.raises(ValueError, match=message):
