@@ -13,10 +13,13 @@ Monomial order: compare T-degree first, then seat index (u_1 < ... < u_d
 T^b on the same seat iff b - a is 0 or >= 2, because T^1 is missing from R.
 divide() sweeps the terms upward once: multiplying by T^s keeps this order,
 so cancelling a term by a divisor adds only larger terms, and it ends.
+One standard-basis test, _closed_count, serves is_groebner and the stratum
+oracle; is_groebner_general, the full criterion over divide, checks it.
 """
 
 from __future__ import annotations
 
+import itertools
 from operator import index
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -299,30 +302,70 @@ class PreBasis:
         return len(self.elements)
 
 
-def _s_remainders_cusp(pb: PreBasis) -> list[Element]:
-    """The two S-elements per seat carrying a degree-adjacent leading pair."""
-    by_seat: dict[int, list[Element]] = {}
-    for g in pb:
-        by_seat.setdefault(g.leading_monomial().seat, []).append(g)
-    out = []
-    for seat, gens in by_seat.items():
-        if len(gens) == 1:
-            continue
-        if len(gens) != 2:
-            raise ArithmeticError(f"more than two mutually indivisible degrees on seat {seat}")
-        g0, g1 = sorted(gens, key=lambda g: g.leading_monomial())
-        if g1.leading_monomial().t_deg != g0.leading_monomial().t_deg + 1:
-            raise ArithmeticError(f"the two leading degrees on seat {seat} are not adjacent")
-        m0, m1 = g0.monic(), g1.monic()
-        out.append(m0.shift(3) - m1.shift(2))
-        out.append(m0.shift(4) - m1.shift(3))
-    return out
+def _axpy(acc: dict, mono: Monomial, a: Sequence[int], x: Sequence[int], p: int) -> None:
+    """acc[mono] += a * x, entry by entry mod p."""
+    acc[mono] = [(w + u * v) % p for w, u, v in zip(acc.get(mono, itertools.repeat(0)), a, x)]
+
+
+def _shifted(element: list, s: int, trunc: int) -> list:
+    """T^s times an element given as (monomial, column) pairs, below T^trunc."""
+    return [(Monomial(nu.t_deg + s, nu.seat), col) for nu, col in element if nu.t_deg + s < trunc]
+
+
+def _closed_count(corners: list[Monomial], elements: list, p: int, trunc: int, size: int) -> int:
+    """How many of size candidates pass; corners ascend and are every candidate's leads.
+
+    elements[j] is the monic g_j as (monomial, column) pairs, lead first, one
+    column entry per candidate.  Per seat with two corners, divide's sweep of
+    T^3 g0 - T^2 g1 and T^4 g0 - T^3 g1 runs on columns (the divisor is the
+    first corner dividing the term) with its three contract checks, the
+    dividend rebuilt from the elements' own terms, not through _shifted."""
+    ok = [True] * size
+    for j0, j1 in itertools.combinations(range(len(corners)), 2):
+        for s in (3, 4) if corners[j0].seat == corners[j1].seat else ():
+            f: dict[Monomial, list[int]] = {}  # T^s*g0 - T^(s-1)*g1
+            for sign, j, shift in ((1, j0, s), (p - 1, j1, s - 1)):
+                for mono, col in _shifted(elements[j], shift, trunc):
+                    _axpy(f, mono, [sign] * size, col, p)
+            work, rem, quotients = dict(f), {}, []
+            waiting = [True] * size  # the candidate's lead of f is not yet swept
+            while work:
+                mono = min(work)
+                q = work.pop(mono)
+                if mono in f:
+                    waiting = [w and not v for w, v in zip(waiting, f[mono])]
+                j = next((j for j, c in enumerate(corners) if divides(c, mono) is not None), None)
+                if j is None:
+                    rem[mono] = q
+                elif any(q):
+                    if any(itertools.compress(q, waiting)):
+                        raise ArithmeticError("a quotient term starts below the lead of the dividend")
+                    # the lead of T^s*g_j cancels mono; its tails land above it
+                    shift = mono.t_deg - corners[j].t_deg
+                    quotients.append((j, shift, q))
+                    neg = [p - v for v in q]
+                    for key, col in _shifted(elements[j], shift, trunc)[1:]:
+                        _axpy(work, key, neg, col, p)
+            for mono, col in rem.items():
+                if any(col) and any(divides(c, mono) is not None for c in corners):
+                    raise ArithmeticError(f"remainder term {mono} is divisible by a divisor lead")
+                ok = [o and not v for o, v in zip(ok, col)]
+            recon, zero = dict(rem), [0] * size
+            for j, shift, q in quotients:
+                for nu, col in elements[j]:
+                    if nu.t_deg + shift < trunc:
+                        _axpy(recon, Monomial(nu.t_deg + shift, nu.seat), q, col, p)
+            if any(recon.get(m, zero) != f.get(m, zero) for m in recon.keys() | f.keys()):
+                raise ArithmeticError("quotients and remainder do not reconstruct the dividend")
+    return sum(ok)
 
 
 def is_groebner(pb: PreBasis) -> bool:
-    """Degree-adjacent pairs only: T^3 g0 - T^2 g1 and T^4 g0 - T^3 g1 reduce to 0."""
-    divisors = list(pb.elements)
-    return all(divide(s, divisors).remainder.is_zero() for s in _s_remainders_cusp(pb))
+    """Degree-adjacent pairs only (a PreBasis has at most two, adjacent leads per
+    seat): _closed_count on one-entry columns."""
+    gens = sorted((g.monic() for g in pb), key=Element.leading_monomial)
+    elements = [[(m, [c]) for m, c in sorted(g.terms.items())] for g in gens]
+    return _closed_count([g.leading_monomial() for g in gens], elements, pb.p, pb.trunc, 1) == 1
 
 
 def is_groebner_general(pb: PreBasis) -> bool:

@@ -4,10 +4,11 @@ Everything here counts by exhaustive enumeration, with no input from
 the closed formulas it is meant to check.  Before any work each count
 hands the number of candidates it will walk to varieties.check_budget,
 which raises BudgetError past ENUMERATION_BUDGET instead of hanging:
-the [2dn, n]_p subspaces of the quot window (all that its walk would
-meet without pruning), p^(n^2) matrices B for the
-nilpotent pairs, p^(n^2+1) for all pairs (each of the p scalar B has
-the whole matrix space as commutant), p^(free slots) for a stratum.
+the Gaussian binomial [dim_total, dim_sub]_p for echelon_subspaces and
+[2dn, n]_p for the quot window (all that its walk would meet without
+pruning), p^(n^2) matrices B for the nilpotent pairs, p^(n^2+1) for all
+pairs (each of the p scalar B has the whole matrix space as commutant),
+p^(free slots) for a stratum.
 A size only admits or rejects a call; it never enters a count.
 
 count_quot_bruteforce counts invariant subspaces of fixed codimension
@@ -29,11 +30,9 @@ audit.  For each representative B, varieties._commutant_roots walks the
 commutant of B, every cell of A free, and keeps the A with A^2 = B^3: the
 walk the staircase-variety counts run over each of their Y.
 
-count_stratum_bruteforce runs groebner.is_groebner's closure test on up
-to 2^12 candidate bases at once, each coefficient a column with one entry
-per candidate.  The criterion, the divisor chosen for each monomial (it
-depends only on the leads, the corners for every candidate) and divide's
-three contract checks are the same, each check made for every candidate.
+count_stratum_bruteforce runs groebner's standard-basis test on up to
+2^12 candidate bases at once, each coefficient a column with one entry
+per candidate.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ import functools
 import itertools
 import math
 import operator
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
-from .groebner import Element, PreBasis, divides
+from .groebner import Element, PreBasis, _closed_count
 from .qalgebra import check_prime
 from .strata import LeadingTermDatum, Monomial
 from .varieties import BudgetError, _commutant_roots, _in_span, check_budget
@@ -63,6 +62,14 @@ __all__ = [
 Matrix = tuple[int, ...]  # n x n matrix over F_p, row-major
 
 
+def _check_subspaces(call: str, total: int, k: int, p: int) -> None:
+    """check_budget for a walk over the [total, k]_p subspaces of F_p^total,
+    at least p^(k*(total-k)): the largest echelon cell alone holds that many."""
+    k = min(k, total - k)
+    check_budget(call, p, k * (total - k), lambda: math.prod(
+        p ** (total - i) - 1 for i in range(k)) // math.prod(p ** (i + 1) - 1 for i in range(k)))
+
+
 def echelon_subspaces(
     dim_total: int, dim_sub: int, p: int
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
@@ -71,14 +78,11 @@ def echelon_subspaces(
     if not 0 <= dim_sub <= dim_total:
         raise ValueError("subspace dimension out of range")
     check_prime(p)
+    _check_subspaces(f"echelon_subspaces({dim_total}, {dim_sub}, {p})", dim_total, dim_sub, p)
     for pivots in itertools.combinations(range(dim_total), dim_sub):
         pivset = set(pivots)
-        free = [
-            (i, j)
-            for i, pc in enumerate(pivots)
-            for j in range(pc + 1, dim_total)
-            if j not in pivset
-        ]
+        free = [(i, j) for i, pc in enumerate(pivots)
+                for j in range(pc + 1, dim_total) if j not in pivset]
         for vals in itertools.product(range(p), repeat=len(free)):
             rows = [[0] * dim_total for _ in range(dim_sub)]
             for i, pc in enumerate(pivots):
@@ -113,14 +117,8 @@ def count_quot_bruteforce(d: int, n: int, p: int) -> int:
     win = 2 * n
     total = d * win
     keep = total - n
-    # the walk without pruning would meet each of the [total, n]_p subspaces
-    # once (the Gaussian binomial below); its largest echelon cell alone
-    # holds p^(n*(total-n))
-    check_budget(
-        f"count_quot_bruteforce({d}, {n}, {p})", p, n * (total - n),
-        lambda: math.prod(p ** (total - i) - 1 for i in range(n))
-        // math.prod(p ** (i + 1) - 1 for i in range(n)),
-    )
+    # the walk without pruning would meet each of the [total, n]_p subspaces once
+    _check_subspaces(f"count_quot_bruteforce({d}, {n}, {p})", total, n, p)
     # each shift as the (source, target) pairs that stay in the window
     shifts = [[(i, i + s) for i in range(total) if i % win + s < win] for s in (2, 3)]
     shifts = [pairs for pairs in shifts if pairs]  # none at n = 1
@@ -303,11 +301,10 @@ def count_stratum_bruteforce(
     """Count reduced bases over F_p whose leading monomials are the datum's corners.
 
     pins fixes some slot values; the rest range over all of F_p, and a
-    choice counts when groebner.is_groebner's closure test passes.  The test
-    runs on columns of up to 2^12 candidates in itertools.product order: a
-    free slot is the column of its digit, a pinned slot a constant column, a
-    corner the constant 1.  It is the same criterion, divisor choice and
-    three contract checks as divide, each check made for every candidate.
+    choice counts when groebner's standard-basis test passes.  The test runs
+    on columns of up to 2^12 candidates in itertools.product order: a free
+    slot is the column of its digit, a pinned slot a constant column, a
+    corner the constant 1.
     """
     p = check_prime(operator.index(p))
     pins = dict(pins or {})
@@ -322,8 +319,8 @@ def count_stratum_bruteforce(
     call = f"count_stratum_bruteforce({datum}, {p}) with {len(pins)} pinned slots"
     check_budget(call, p, len(free))
     corners, trunc = datum.corners(), 2 * datum.n() + 4
-    # every candidate leads with the corners, so one PreBasis checks them all
-    PreBasis([Element({c: 1}, p, trunc) for c in corners], datum.d)
+    if corners:  # every candidate leads with them, so one PreBasis checks them all
+        PreBasis([Element({c: 1}, p, trunc) for c in corners], datum.d)
     inner = max(k for k in range(len(free) + 1) if p**k <= _COLUMN)
     outer, size = len(free) - inner, p**inner
     digits = list(zip(*itertools.product(range(p), repeat=inner)))
@@ -333,54 +330,6 @@ def count_stratum_bruteforce(
         cols += zip(free[outer:], digits)
         elements = [[(c, [1] * size)] + [(nu, col) for (ci, nu), col in cols if ci == j]
                     for j, c in enumerate(corners)]
-        count += _closed_candidates(corners, elements, p, trunc, size)
+        count += _closed_count(corners, elements, p, trunc, size)
     return count
 
-
-def _axpy(acc: dict, mono: Monomial, a: Sequence[int], x: Sequence[int], p: int) -> None:
-    """acc[mono] += a * x, entry by entry mod p."""
-    acc[mono] = [(w + u * v) % p for w, u, v in zip(acc.get(mono, itertools.repeat(0)), a, x)]
-
-
-def _closed_candidates(corners: list[Monomial], elements: list, p: int, trunc: int, size: int) -> int:
-    """Candidates passing the test; elements[j] is g_j as (monomial, column), lead first."""
-    def shifted(j: int, s: int) -> list:
-        return [(Monomial(nu.t_deg + s, nu.seat), col)
-                for nu, col in elements[j] if nu.t_deg + s < trunc]
-
-    ok = [True] * size
-    for j0, j1 in itertools.combinations(range(len(corners)), 2):
-        for s in (3, 4) if corners[j0].seat == corners[j1].seat else ():
-            f: dict[Monomial, list[int]] = {}  # T^s*g0 - T^(s-1)*g1
-            for sign, j, shift in ((1, j0, s), (p - 1, j1, s - 1)):
-                for mono, col in shifted(j, shift):
-                    _axpy(f, mono, [sign] * size, col, p)
-            work, rem, quotients = dict(f), {}, []
-            waiting = [True] * size  # the candidate's lead of f is not yet swept
-            while work:
-                mono = min(work)
-                q = work.pop(mono)
-                if mono in f:
-                    waiting = [w and not v for w, v in zip(waiting, f[mono])]
-                j = next((j for j, c in enumerate(corners) if divides(c, mono) is not None), None)
-                if j is None:
-                    rem[mono] = q
-                elif any(q):
-                    if any(itertools.compress(q, waiting)):
-                        raise ArithmeticError("a quotient term starts below the lead of the dividend")
-                    # the lead of T^s*g_j cancels mono; its tails land above it
-                    quotients.append((j, mono, q))
-                    neg = [p - v for v in q]
-                    for key, col in shifted(j, mono.t_deg - corners[j].t_deg)[1:]:
-                        _axpy(work, key, neg, col, p)
-            for mono, col in rem.items():
-                if any(col) and any(divides(c, mono) is not None for c in corners):
-                    raise ArithmeticError(f"remainder term {mono} is divisible by a divisor lead")
-                ok = [o and not v for o, v in zip(ok, col)]
-            recon, zero = dict(rem), [0] * size
-            for j, mono, q in quotients:
-                for key, col in shifted(j, mono.t_deg - corners[j].t_deg):
-                    _axpy(recon, key, q, col, p)
-            if any(recon.get(m, zero) != f.get(m, zero) for m in recon.keys() | f.keys()):
-                raise ArithmeticError("quotients and remainder do not reconstruct the dividend")
-    return sum(ok)

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import cuspquot
-from cuspquot import groebner, strata
+from cuspquot import groebner, oracles, strata
 from cuspquot.groebner import (
     Element,
     Monomial,
@@ -519,3 +519,84 @@ def test_single_corner_per_seat_is_always_closed():
     for pb in _candidate_bases(datum, p=3):
         assert is_groebner(pb)
         assert is_groebner_general(pb)
+
+
+def _random_prebasis(rng, datum, p):
+    """Elements leading with the datum's corners: non-monic leads, random
+    standard tails, one window monomial that a corner may divide, a multiple
+    of another element added, and the elements shuffled."""
+    corners, trunc = datum.corners(), 2 * datum.n() + 4
+    window = [M(t, s) for t in range(2, trunc) for s in range(1, datum.d + 1)]
+    elements = []
+    for c in corners:
+        tails = [nu for nu in datum.standard_set() if nu > c and rng.random() < 0.5]
+        terms = {nu: rng.randrange(1, p) for nu in tails}
+        extra = rng.choice(window)
+        if extra > c:
+            terms[extra] = rng.randrange(1, p)
+        terms[c] = rng.randrange(1, p)
+        elements.append(Element(terms, p, trunc))
+    for j, g in enumerate(elements):
+        k, s = rng.randrange(len(elements)), rng.choice([0, 2, 3])
+        if M(corners[k].t_deg + s, corners[k].seat) > corners[j]:
+            elements[j] = g + elements[k].shift(s).scale(rng.randrange(1, p))
+    rng.shuffle(elements)
+    return PreBasis(elements, datum.d)
+
+
+def test_adjacent_pair_criterion_agrees_with_full_criterion_on_any_presentation():
+    # 600 bases with a degree-adjacent pair at p in {2, 3, 5}, beyond the monic,
+    # corner-ordered, reduced candidates of the agreement test over F_2
+    rng = random.Random(20261019)
+    outcomes = {True: 0, False: 0}
+    divisible_tails = 0
+    while sum(outcomes.values()) < 600:
+        d, p = rng.randrange(1, 4), rng.choice([2, 3, 5])
+        datum = LeadingTermDatum([rng.randrange(4) for _ in range(d)], rng.choices("JK", k=d))
+        if "K" not in datum.colors:
+            continue
+        pb = _random_prebasis(rng, datum, p)
+        leads = {g.leading_monomial() for g in pb}
+        divisible_tails += any(
+            divides(c, mono) is not None
+            for g in pb for mono in g.terms if mono not in leads for c in leads
+        )
+        fast = is_groebner(pb)
+        assert fast == is_groebner_general(pb), [str(g) for g in pb]
+        outcomes[fast] += 1
+    assert min(outcomes.values()) > 20, outcomes
+    assert divisible_tails > 300, divisible_tails
+
+
+def test_is_groebner_and_the_stratum_oracle_share_one_closure_test(monkeypatch):
+    assert oracles._closed_count is groebner._closed_count
+    assert not hasattr(oracles, "_closed_candidates") and not hasattr(oracles, "_axpy")
+    sizes = []
+    closed_count = groebner._closed_count
+
+    def recording(corners, elements, p, trunc, size):
+        sizes.append(size)
+        return closed_count(corners, elements, p, trunc, size)
+
+    monkeypatch.setattr(groebner, "_closed_count", recording)
+    monkeypatch.setattr(oracles, "_closed_count", recording)
+    pb = PreBasis([Element({M(2, 1): 1, M(4, 1): 1}, 3, 12), Element({M(3, 1): 2}, 3, 12)], 1)
+    assert is_groebner(pb)
+    assert sizes == [1]
+    assert count_stratum_bruteforce(strata.parse_datum("(K(0),K(2),J(2))"), 2) == 256
+    assert sizes == [1, 256]
+
+
+def test_closure_test_rebuilds_the_dividend_without_its_shift(monkeypatch):
+    # a sweep shift that drops the top term must be caught: the check rebuilds
+    # the dividend from the elements' own terms, not through groebner._shifted
+    pb = PreBasis([Element({M(2, 1): 1, M(4, 1): 1}, 3, 12), Element({M(3, 1): 1}, 3, 12)], 1)
+    assert is_groebner(pb)
+    shifted = groebner._shifted
+
+    def dropping_the_top_term(element, s, trunc):
+        return shifted(element, s, trunc)[:-1]
+
+    monkeypatch.setattr(groebner, "_shifted", dropping_the_top_term)
+    with pytest.raises(ArithmeticError, match="do not reconstruct the dividend"):
+        is_groebner(pb)

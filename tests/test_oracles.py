@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import cuspquot.oracles as oracles_module
-from cuspquot.groebner import Element, Monomial, PreBasis, is_groebner
+from cuspquot.groebner import Element, Monomial, PreBasis, is_groebner_general
 from cuspquot.oracles import (
     BudgetError,
     _orbits,
@@ -25,8 +25,15 @@ from cuspquot.oracles import (
     first_corner_slots,
     stratum_slots,
 )
-from cuspquot.qalgebra import gl_order, q_binomial
-from cuspquot.series import hilb_series, matrix_count_formula, zhat_coefficient
+from cuspquot.qalgebra import TSeries, gl_order, q_binomial, t_pochhammer
+from cuspquot.series import (
+    MAX_D,
+    cohen_lenstra_coefficient,
+    hilb_series,
+    matrix_count_formula,
+    solve_nh,
+    zhat_coefficient,
+)
 from cuspquot.strata import LeadingTermDatum, parse_datum
 from cuspquot.varieties import (
     ENUMERATION_BUDGET,
@@ -175,6 +182,19 @@ def test_echelon_dimension_validation():
         list(echelon_subspaces(3, 4, 2))
 
 
+def test_echelon_enumeration_refuses_over_budget_before_the_first_row():
+    # the [40, 20]_2 subspaces would never finish; the refusal names the call
+    refusal = r"echelon_subspaces\(40, 20, 2\) would walk at least 2\^400"
+    with pytest.raises(BudgetError, match=refusal):
+        next(echelon_subspaces(40, 20, 2))
+    with pytest.raises(BudgetError, match=r"echelon_subspaces\(1000, 500, 2\)"):
+        next(echelon_subspaces(1000, 500, 2))
+    # the size is the Gaussian binomial, symmetric in the dimension
+    for dim_sub in (3, 17):
+        with pytest.raises(BudgetError, match=f"would walk {q_binomial(20, 3).evaluate(2)} "):
+            next(echelon_subspaces(20, dim_sub, 2))
+
+
 def test_echelon_rejects_non_integers_and_a_composite_modulus():
     # a float is refused before any row is built; p = 4 yielded rows over Z/4
     for args in [(3.0, 1, 2), (3, 1.0, 2), (3, 1, 2.0)]:
@@ -256,6 +276,37 @@ def test_framed_submodule_budget():
     # any prime within the budget is admitted: [2, 1]_5 = 6 subspaces to walk
     assert count_quot_bruteforce(1, 1, 5) == 6
     assert hilb_series(1, prime=5).expand(1)[1].evaluate(5) == 6
+
+
+# Brute-force counts past ENUMERATION_BUDGET, measured once with the budget
+# lifted and frozen here; the oracles refuse these inputs, so each is checked
+# against the series only.  The quot counts were taken with
+# count_quot_bruteforce (times on a shared 2-vCPU host: 1.35 s, 2.2 s, 0.3 s,
+# 22 s and 423 s, the last with another job running), the pair count with
+# count_nilpotent_pairs in 358 s.
+OVER_BUDGET_QUOT = {
+    (4, 2, 2): 12_715,
+    (3, 3, 2): 5_763,
+    (2, 4, 2): 323,
+    (5, 2, 2): 190_123,
+    (6, 2, 2): 2_923_179,
+}
+OVER_BUDGET_NILPOTENT_PAIRS = {(5, 2): 6_524_416}
+
+
+def test_over_budget_quot_counts_match_the_series():
+    for (d, n, p), expected in OVER_BUDGET_QUOT.items():
+        solved = TSeries(solve_nh(d), t_pochhammer(d)).expand(n)[n]
+        assert solved.evaluate(p) == expected, (d, n, p)
+        if d <= MAX_D:
+            assert hilb_series(d, prime=p).expand(n)[n].evaluate(p) == expected, (d, n, p)
+        with pytest.raises(BudgetError):
+            count_quot_bruteforce(d, n, p)
+
+
+def test_over_budget_pair_count_matches_cohen_lenstra():
+    for (n, p), expected in OVER_BUDGET_NILPOTENT_PAIRS.items():
+        assert (cohen_lenstra_coefficient(n) * gl_order(n)).evaluate(p) == expected, (n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +577,9 @@ def test_fibers_are_constant_on_a_non_full_stratum():
     assert datum.exponents()[0] == 0
 
 
-# The per-candidate walk the column test replaced, kept as the reference and
-# as the cross-check of groebner.is_groebner: each candidate basis is built
-# as Elements and tested alone.
+# The per-candidate walk the column test replaced, kept as the reference: each
+# candidate basis is built as Elements and tested alone by the full criterion
+# over divide, a path independent of the column test the oracle runs.
 
 
 def _reference_stratum_count(datum, p, pins=None):
@@ -547,7 +598,7 @@ def _reference_stratum_count(datum, p, pins=None):
                 if cj == ci and v:
                     terms[nu] = v
             elements.append(Element(terms, p, trunc))
-        if is_groebner(PreBasis(elements, datum.d)):
+        if is_groebner_general(PreBasis(elements, datum.d)):
             count += 1
     return count
 
@@ -582,6 +633,14 @@ def test_pinned_stratum_columns_match_the_per_candidate_walk():
         pins = {slot: rng.randrange(3) for slot in pinned}
         expected = _reference_stratum_count(WORKED, 3, pins)
         assert count_stratum_bruteforce(WORKED, 3, pins=pins) == expected, pins
+
+
+def test_rank_zero_datum_has_one_point():
+    # the single rank-0 orbit of the series: its one candidate, the empty basis,
+    # passes the closure test
+    empty = LeadingTermDatum([], [])
+    for p in (2, 3):
+        assert count_stratum_bruteforce(empty, p) == count_v_alpha(empty, p) == 1
 
 
 def test_stratum_columns_bound_memory():
@@ -620,6 +679,7 @@ OVER_BUDGET = [
     (brute_v_d, (3, 13), str(13**6)),
     (brute_v_d, (6, 2), str(2**30)),
     (lambda d, p: next(enumerate_v_d_points(d, p)), (3, 11), str(11**6)),
+    (lambda *args: next(echelon_subspaces(*args)), (40, 20, 2), "at least 2^400"),
 ]
 
 
