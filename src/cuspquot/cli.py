@@ -6,8 +6,9 @@ Subcommands:
   verify      run the self-check registry and report pass/fail
   conjecture  scan structural identities of the numerators by rank
 
-Exit codes: 0 success, 1 a verify/conjecture check failed, 2 bad usage,
-out-of-range arguments (series stop at rank series.MAX_D) or an
+Exit codes: 0 success, 1 a verify/conjecture check failed or the reader
+closed stdout early (a broken pipe, reported without a traceback), 2 bad
+usage, out-of-range arguments (series stop at rank series.MAX_D) or an
 enumeration over budget.  Every command computes its result afresh; none
 keeps results between runs.
 """
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -27,8 +29,8 @@ from . import __version__
 from .qalgebra import (
     PRIME_TEST_LIMIT,
     LaurentPolyQ,
+    check_prime,
     gl_order,
-    is_prime,
     q_pascal_inverse,
     q_pascal_matrix,
     series_to_json,
@@ -86,8 +88,11 @@ def _cmd_series(args: argparse.Namespace) -> int:
     d, prime, order = args.d, args.prime, args.order
     if d < 0:
         raise RangeUsageError("--d must be >= 0")
-    if prime is not None and not (prime < PRIME_TEST_LIMIT and is_prime(prime)):
-        raise RangeUsageError(f"--prime {prime} is not a prime below {PRIME_TEST_LIMIT}")
+    if prime is not None:
+        try:
+            check_prime(prime)
+        except ValueError:
+            raise RangeUsageError(f"--prime {prime} is not a prime below {PRIME_TEST_LIMIT}") from None
     if d > MAX_D:
         raise RangeUsageError(f"series stop at --d {MAX_D}")
     if order is not None and order < 0:
@@ -172,12 +177,12 @@ def _chk_closed_forms() -> bool:
 
 def _chk_quot_is_square() -> bool:
     return all(
-        quot_numerator(d) == hilb_numerator(d).substitute_t_square() for d in range(4)
+        quot_numerator(d) == hilb_numerator(d).substitute_t_square() for d in range(MAX_D + 1)
     )
 
 
 def _chk_inverse_transform() -> bool:
-    return all(hilb_from_quot(d) == hilb_series(d) for d in range(4))
+    return all(hilb_from_quot(d) == hilb_series(d) for d in range(MAX_D + 1))
 
 
 def _chk_solve_matches_guess() -> bool:
@@ -185,7 +190,7 @@ def _chk_solve_matches_guess() -> bool:
 
 
 def _chk_engine_matches_solve() -> bool:
-    return all(hilb_numerator(d) == solve_nh(d) for d in range(4))
+    return all(hilb_numerator(d) == solve_nh(d) for d in range(MAX_D + 1))
 
 
 def _chk_functional_equation() -> bool:
@@ -445,10 +450,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         with _exact_ints():
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at the exit flush
+        return code
     except (RangeUsageError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:  # so the exit flush cannot raise
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ class Element:
     __slots__ = ("terms", "p", "trunc")
 
     def __init__(self, terms: dict[Monomial, int], p: int, trunc: int):
-        p, trunc = check_prime(index(p)), index(trunc)
+        p, trunc = check_prime(p), index(trunc)
         clean: dict[Monomial, int] = {}
         for (t_deg, seat), c in terms.items():
             mono = Monomial(index(t_deg), index(seat))

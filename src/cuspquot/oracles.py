@@ -44,7 +44,7 @@ import operator
 from typing import Callable, Iterable, Iterator, Optional
 
 from .groebner import Element, PreBasis, _closed_count
-from .qalgebra import check_prime
+from .qalgebra import check_nonnegative, check_prime
 from .strata import LeadingTermDatum, Monomial
 from .varieties import BudgetError, _commutant_roots, _in_span, check_budget
 
@@ -236,10 +236,7 @@ def _pairs_over(b: Matrix, n: int, p: int) -> int:
 def _check_pair_count(call: str, n: int, p: int, extra: int) -> tuple[int, int]:
     """n and p as ints, after checking them and the walk of p^(n^2 + extra)
     candidates, before any work."""
-    n, p = operator.index(n), operator.index(p)
-    if n < 0:
-        raise ValueError("size must be >= 0")
-    check_prime(p)
+    n, p = check_nonnegative(n, "size"), check_prime(p)
     check_budget(f"{call}({n}, {p})", p, n * n + extra)
     return n, p
 
@@ -306,7 +303,7 @@ def count_stratum_bruteforce(
     slot is the column of its digit, a pinned slot a constant column, a
     corner the constant 1.
     """
-    p = check_prime(operator.index(p))
+    p = check_prime(p)
     pins = dict(pins or {})
     slots = stratum_slots(datum)
     unknown = set(pins) - set(slots)

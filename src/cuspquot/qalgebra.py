@@ -38,6 +38,7 @@ __all__ = [
     "series_to_json",
     "is_prime",
     "check_prime",
+    "check_nonnegative",
     "PRIME_TEST_LIMIT",
 ]
 
@@ -532,10 +533,18 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    """p itself when it is a prime, else ValueError; every prime check goes through here."""
+    """operator.index(p) if p is a prime, else ValueError; every prime check goes through here."""
     if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
-    return p
+    return operator.index(p)
+
+
+def check_nonnegative(n: int, what: str) -> int:
+    """operator.index(n) if n >= 0, else ValueError; every rank, order or size check goes through here."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +553,7 @@ def check_prime(p: int) -> int:
 
 def q_pochhammer(n: int, exp_sign: int = 1) -> LaurentPolyQ:
     """(q;q)_n for exp_sign=+1, (q^-1;q^-1)_n for exp_sign=-1."""
-    if n < 0:
-        raise ValueError("pochhammer length must be >= 0")
+    n = check_nonnegative(n, "pochhammer length")
     if exp_sign not in (1, -1):
         raise ValueError("exp_sign must be +-1")
     out = ONE
@@ -556,8 +564,7 @@ def q_pochhammer(n: int, exp_sign: int = 1) -> LaurentPolyQ:
 
 def t_pochhammer(d: int) -> TPoly:
     """(t;q)_d = prod_{i=0}^{d-1} (1 - q^i t) as a TPoly."""
-    if d < 0:
-        raise ValueError("pochhammer length must be >= 0")
+    d = check_nonnegative(d, "pochhammer length")
     out = TPoly.one()
     for i in range(d):
         out = out * TPoly([ONE, -LaurentPolyQ.q_power(i)])
@@ -634,6 +641,7 @@ def _poly_divmod_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]
 @functools.cache
 def cyclotomic_poly(r: int) -> list[int]:
     """Coefficients (ascending) of the r-th cyclotomic polynomial."""
+    r = operator.index(r)
     if r < 1:
         raise ValueError("cyclotomic order must be >= 1")
     f = [-1] + [0] * (r - 1) + [1]  # x^r - 1

@@ -46,13 +46,14 @@ from .qalgebra import (
     RationalQ,
     TPoly,
     TSeries,
+    check_nonnegative,
     check_prime,
     cyclotomic_poly,
     q_pascal_inverse,
     q_pochhammer,
     t_pochhammer,
 )
-from .strata import Orbit, base_level_walk
+from .strata import Orbit, base_level_walk, rank_seats
 from .varieties import VAlphaSpec, _digit_width, _digits, distance_class, symbolic_v_alpha
 
 __all__ = [
@@ -137,7 +138,7 @@ def _level_invariants(levels: tuple[int, ...]) -> tuple[tuple[str, ...], tuple[i
     J ranks js has n = n0 + |js| and delta = delta0 + sum of j_extra over js.
     """
     d = len(levels)
-    seats = sorted(range(d), key=lambda s: (levels[s], s))  # the seat of each rank
+    seats = rank_seats(levels)  # the seat of each rank
     classes = tuple(
         distance_class(levels[seats[h]] - levels[seats[b]] - (seats[b] > seats[h]))
         for b, h in itertools.combinations(range(d), 2)
@@ -192,8 +193,7 @@ def _color_rows(d: int) -> dict[tuple[str, ...], TPoly]:
     coefficient is at most B = sum over parts of #monomials * 2^#tails *
     L1(count), and w = _digit_width(B).
     """
-    if d < 0:
-        raise ValueError("rank must be >= 0")
+    d = check_nonnegative(d, "rank")
     if d > MAX_D:
         raise ValueError(f"series stop at rank {MAX_D}")
     # rank 0 has one orbit, the empty datum
@@ -343,8 +343,7 @@ def hilb_from_quot(d: int) -> TSeries:
     unframed series at t -> q^(d-r) t weighted by row d of the inverse
     q-Pascal matrix, (-1)^(d-r) q^(-C(d-r,2)) [d r]_(q^-1).
     """
-    if d < 0:
-        raise ValueError("rank must be >= 0")
+    d = check_nonnegative(d, "rank")
     weights = q_pascal_inverse(d + 1)[d]
     total = TPoly.zero()
     for r in range(d + 1):
@@ -374,8 +373,7 @@ def zhat_coefficient(n: int) -> RationalQ:
     (q^-1;q^-1)_n / (q^-1;q^-1)_d; needs the framed series of every
     rank up to n, so n is capped by MAX_D.
     """
-    if n < 0:
-        raise ValueError("order must be >= 0")
+    n = check_nonnegative(n, "order")
     return _over_pochhammer(n, (
         (LaurentPolyQ.q_power(-d * d - d * (n - d)) * hilb_series(d).expand(n - d)[n - d],
          q_pochhammer(d, exp_sign=-1))
@@ -397,8 +395,7 @@ def solve_nh(d: int) -> TPoly:
     every middle coefficient, and the full relation is re-checked at the
     end.
     """
-    if d < 0:
-        raise ValueError("rank must be >= 0")
+    d = check_nonnegative(d, "rank")
     if d == 0:
         return TPoly.one()
     rhs = _unframe_sum(d, [solve_nh(r) for r in range(d)])
@@ -417,8 +414,7 @@ def solve_nh(d: int) -> TPoly:
 
 def nh_guess(d: int) -> TPoly:
     """Closed form: [t^j] = q^(C(j+1,2) + j(d-j)) [t^j](-t;q)_d."""
-    if d < 0:
-        raise ValueError("rank must be >= 0")
+    d = check_nonnegative(d, "rank")
     # [t^j](-t;q)_d = (-1)^j [t^j](t;q)_d
     return TPoly(
         [
@@ -433,9 +429,7 @@ def functional_equation_check(d: int, f: Optional[TPoly] = None) -> bool:
 
     A coefficient above t^d pairs with one below t^0, so it must vanish.
     """
-    d = operator.index(d)
-    if d < 0:
-        raise ValueError("rank must be >= 0")
+    d = check_nonnegative(d, "rank")
     if f is None:
         f = solve_nh(d)
     return all(
@@ -468,9 +462,7 @@ def cyclotomic_divisibility_check(d: int, f: Optional[TPoly] = None) -> bool:
     of the cofactor is f(-1) / (1 - q^d).  That value must then be
     divisible by Phi_r(q)^floor((d+r-1)/(2r)) for every odd r <= d.
     """
-    d = operator.index(d)
-    if d < 0:
-        raise ValueError("rank must be >= 0")
+    d = check_nonnegative(d, "rank")
     if f is None:
         f = solve_nh(d)
     value = f.evaluate_t_symbolic(-1)
@@ -494,8 +486,7 @@ def cyclotomic_divisibility_check(d: int, f: Optional[TPoly] = None) -> bool:
 
 def matrix_count_formula(n: int) -> LaurentPolyQ:
     """Closed count of all n x n matrix pairs (A, B) with A^2 = B^3, AB = BA."""
-    if n < 0:
-        raise ValueError("size must be >= 0")
+    n = check_nonnegative(n, "size")
     total = ZERO
     qq_n = q_pochhammer(n)
     for j in range(n // 2 + 1):
@@ -516,8 +507,7 @@ def cohen_lenstra_coefficient(n: int) -> RationalQ:
     Multiplied by |GL_n| this conjecturally counts *nilpotent* matrix
     pairs (A, B) with A^2 = B^3 and AB = BA.
     """
-    if n < 0:
-        raise ValueError("order must be >= 0")
+    n = check_nonnegative(n, "order")
     return _over_pochhammer(n, (
         (LaurentPolyQ.q_power(-(n - 2 * k) - k * k),
          q_pochhammer(n - 2 * k, exp_sign=-1) * q_pochhammer(k, exp_sign=-1))
@@ -536,7 +526,6 @@ def affine_cohen_lenstra_coefficient(n: int) -> RationalQ:
     matrix_count_formula(n), the count of *all* matrix pairs (A, B) with
     A^2 = B^3 and AB = BA.
     """
-    if n < 0:
-        raise ValueError("order must be >= 0")
+    n = check_nonnegative(n, "order")
     point = (cohen_lenstra_coefficient(j) for j in range(n + 1))
     return _over_pochhammer(n, ((c.num, c.den) for c in point))

@@ -24,10 +24,16 @@ __all__ = [
     "Orbit",
     "base_level_walk",
     "parse_datum",
+    "rank_seats",
     "stable_orbit_decomposition",
 ]
 
 _IDEAL_RE = re.compile(r"([JK])\((\d+)\)")
+
+
+def rank_seats(levels: Sequence[int]) -> list[int]:
+    """Seats (0-based) sorted by (level, seat): entry r is the seat of rank r + 1."""
+    return sorted(range(len(levels)), key=lambda s: (levels[s], s))
 
 
 class Monomial(NamedTuple):
@@ -65,7 +71,7 @@ class LeadingTermDatum:
 
     def rank_order(self) -> list[int]:
         """Seats (1-based) sorted by (level, seat); entry r-1 is rank r's seat."""
-        return sorted(range(1, self.d + 1), key=lambda s: (self.levels[s - 1], s))
+        return [s + 1 for s in rank_seats(self.levels)]
 
     def ranked_components(self) -> list[tuple[int, int, str]]:
         """(level, seat, color) triples in rank order."""
@@ -76,9 +82,7 @@ class LeadingTermDatum:
 
     def seat_ideals(self) -> list[tuple[str, int]]:
         """Per seat: ("J", a) or ("K", a) with J(a) at level a-1, K(a) at level a."""
-        color_of_seat = {}
-        for r, s in enumerate(self.rank_order()):
-            color_of_seat[s] = self.colors[r]
+        color_of_seat = dict(zip(self.rank_order(), self.colors))
         out = []
         for s in range(1, self.d + 1):
             l = self.levels[s - 1]
@@ -100,10 +104,7 @@ class LeadingTermDatum:
                 levels.append(a)
             else:
                 raise ValueError(f"unknown ideal kind {kind!r}")
-        seat_colors = [kind for kind, _ in ideals]
-        order = sorted(range(len(levels)), key=lambda i: (levels[i], i))
-        colors = [seat_colors[i] for i in order]
-        return cls(levels, colors)
+        return cls(levels, [ideals[s][0] for s in rank_seats(levels)])
 
     # -- invariants of the datum ------------------------------------------
 
@@ -192,19 +193,6 @@ class LeadingTermDatum:
             new_levels[target - 1] = self.levels[avail[k] - 1] + (1 if k == m - 1 else 0)
         return LeadingTermDatum(new_levels, self.colors)
 
-    def seats_after_gamma(self, j: int) -> list[int]:
-        """Seat of each rank after gamma_j (rank order is preserved)."""
-        avail = self._moved_seats(j)
-        m = len(avail)
-        order = self.rank_order()
-        out = []
-        for r, s in enumerate(order, start=1):
-            if r < j:
-                out.append(s)
-            else:
-                out.append(avail[(avail.index(s) + 1) % m])
-        return out
-
     def stretches(self, j: int) -> list[tuple[int, int]]:
         """Rank pairs (b, h), b < j <= h, whose distance gamma_j raises by 1.
 
@@ -216,7 +204,7 @@ class LeadingTermDatum:
         the level climbs by 1) every lower rank is stretched against it.
         """
         before = self.rank_order()
-        after = self.seats_after_gamma(j)
+        after = self.gamma(j).rank_order()  # gamma_j keeps every rank, moving seats
         out = []
         for b in range(1, j):
             ib = before[b - 1]

@@ -35,7 +35,7 @@ import itertools
 import operator
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .qalgebra import LaurentPolyQ, check_prime
+from .qalgebra import LaurentPolyQ, check_nonnegative, check_prime
 from .strata import LeadingTermDatum
 
 __all__ = [
@@ -220,9 +220,7 @@ class VAlphaSpec:
     __slots__ = ("d", "classes")
 
     def __init__(self, d: int, classes: dict[tuple[int, int], str]):
-        d = operator.index(d)
-        if d < 0:
-            raise ValueError("rank must be >= 0")
+        d = check_nonnegative(d, "rank")
         expected = {(b, h) for b in range(1, d + 1) for h in range(b + 1, d + 1)}
         if set(classes) != expected:
             raise ValueError("need exactly one class per ranked pair")
@@ -309,10 +307,8 @@ def _cusp_points(call: str, d: int, x_slots: list, y_slots: list, p: int) -> Ite
 
     For each Y the X are _commutant_roots at the entries j - i >= 2, the
     only ones where XY - YX and X^2 - Y^3 can be nonzero.  The points over
-    one Y share its list: copy before mutating.  d, p and the p^(slots)
-    candidates of call are checked before the walk."""
-    if d < 0:
-        raise ValueError("rank must be >= 0")
+    one Y share its list: copy before mutating.  p and the p^(slots)
+    candidates of call are checked before the walk, d by the callers."""
     check_prime(p)
     check_budget(call, p, len(x_slots) + len(y_slots))
     roots = _commutant_roots(x_slots, [(i, j) for i in range(d) for j in range(i + 2, d)], p)
@@ -671,9 +667,7 @@ def staircase_motive(d: int) -> LaurentPolyQ:
     motive recursion; ranks are computed in blocks up to the next multiple
     of 16 and kept.
     """
-    d = operator.index(d)
-    if d < 0:
-        raise ValueError("rank must be >= 0")
+    d = check_nonnegative(d, "rank")
     return _staircase_block(-(-d // 16) * 16)[d]
 
 
@@ -682,9 +676,8 @@ def _v_d_points(name: str, d: int, p: int) -> Iterator[tuple[list, list]]:
 
     d, p and the p^(d(d-1)) candidates are checked before the d(d-1)/2
     slots are listed, so a refused call costs no memory quadratic in d."""
+    d = check_nonnegative(d, "rank")
     call = f"{name}({d}, {p})"
-    if d < 0:
-        raise ValueError("rank must be >= 0")
     check_prime(p)
     check_budget(call, p, d * (d - 1))
     slots = [(i, j) for i in range(d) for j in range(i + 1, d)]

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cuspquot
-from cuspquot import __version__
+from cuspquot import __version__, cli, series
 from cuspquot.cli import CHECKS, _exact_ints, main
-from cuspquot.series import hilb_series, solve_nh
+from cuspquot.series import MAX_D, hilb_series, solve_nh
 
 
 def run_cli(argv, capsys):
@@ -220,10 +220,17 @@ def test_verify_quick_passes(capsys):
     assert lines[-1] == "all checks passed"
 
 
-def test_verify_quick_is_the_same_under_python_O():
+def _cli_env() -> dict:
+    """The environment of a fresh `python -m cuspquot.cli` on this checkout."""
     src = os.path.dirname(os.path.dirname(cuspquot.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONOPTIMIZE", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_verify_quick_is_the_same_under_python_O():
+    env = _cli_env()
     runs = [
         subprocess.run(
             [sys.executable, *flags, "-m", "cuspquot.cli", "verify", "--level", "quick"],
@@ -234,6 +241,46 @@ def test_verify_quick_is_the_same_under_python_O():
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.endswith("all checks passed\n")
+
+
+def test_engine_checks_ask_for_every_rank_through_max_d(monkeypatch):
+    asked = []
+    real = series.hilb_numerator
+
+    def recording(d, prime=None):
+        asked.append(d)
+        return real(d, prime)
+
+    # cli calls it by its own name, hilb_series through the series module
+    monkeypatch.setattr(cli, "hilb_numerator", recording)
+    monkeypatch.setattr(series, "hilb_numerator", recording)
+    for check in (cli._chk_quot_is_square, cli._chk_inverse_transform, cli._chk_engine_matches_solve):
+        asked.clear()
+        assert check()
+        assert sorted(set(asked)) == list(range(MAX_D + 1)), check.__name__
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--level", "quick"], ["series", "--d", "1"], ["motive", "--d", "2"],
+     ["conjecture", "--max-d", "1"]],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    env = _cli_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "cuspquot.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_conjecture_small_ranks(capsys):

@@ -1,0 +1,95 @@
+"""Each shared rule has one definition in src/cuspquot: the argument check,
+the prime check, the rank order and the seat of each rank after gamma_j.
+The tests read the modules' syntax trees, so a restated copy fails here."""
+
+import ast
+import pathlib
+
+import pytest
+
+import cuspquot
+from cuspquot.strata import LeadingTermDatum
+
+SOURCES = sorted(pathlib.Path(cuspquot.__file__).parent.glob("*.py"))
+
+# (function, message) of each "must be >= 0" raise; the cli ones are usage
+# messages about command line flags, not about a function argument
+NONNEGATIVE_RAISES = {
+    "qalgebra": [("check_nonnegative", "{} must be >= 0")],
+    "cli": [("_cmd_series", "--d must be >= 0"), ("_cmd_series", "--order must be >= 0")],
+}
+
+
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _enclosing(tree: ast.Module) -> dict[int, str]:
+    """id of every node -> name of the innermost function defining it."""
+    out = {}
+    for fn in ast.walk(tree):  # breadth first: inner functions overwrite outer ones
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                out[id(node)] = fn.name
+    return out
+
+
+def _text(node: ast.AST) -> str:
+    """The literal text of a string constant or f-string, placeholders as {}."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_text(v) if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return ""
+
+
+def test_sources_are_found():
+    assert {p.stem for p in SOURCES} >= {"cli", "qalgebra", "series", "strata", "varieties"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_nonnegative_argument_message_only_in_check_nonnegative(path):
+    tree = _tree(path)
+    owner = _enclosing(tree)
+    raised = [
+        (owner.get(id(node)), _text(node.exc.args[0]))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args
+    ]
+    sites = [(fn, text) for fn, text in raised if "must be >= 0" in text]
+    assert sorted(sites) == NONNEGATIVE_RAISES.get(path.stem, [])
+
+
+def _level_seat_sorts(tree: ast.Module) -> list[str]:
+    """Functions that sort by a key lambda whose tuple starts with a level lookup."""
+    owner = _enclosing(tree)
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sorted"):
+            continue
+        for kw in node.keywords:
+            body = kw.value.body if isinstance(kw.value, ast.Lambda) else None
+            if (kw.arg == "key" and isinstance(body, ast.Tuple) and body.elts
+                    and "levels" in ast.unparse(body.elts[0])):
+                out.append(owner.get(id(node)))
+    return out
+
+
+def test_only_strata_rank_seats_sorts_by_level_and_seat():
+    found = {path.stem: _level_seat_sorts(_tree(path)) for path in SOURCES}
+    assert {stem: fns for stem, fns in found.items() if fns} == {"strata": ["rank_seats"]}
+
+
+def test_cli_checks_primes_through_check_prime():
+    names = {
+        alias.name
+        for node in ast.walk(_tree(pathlib.Path(cuspquot.__file__).parent / "cli.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "check_prime" in names and "is_prime" not in names
+
+
+def test_no_second_gamma_seat_map():
+    assert not hasattr(LeadingTermDatum, "seats_after_gamma")
+    assert [p.stem for p in SOURCES if "seats_after_gamma" in p.read_text(encoding="utf-8")] == []

@@ -19,6 +19,7 @@ from cuspquot.qalgebra import (
     RationalQ,
     TPoly,
     TSeries,
+    check_nonnegative,
     check_prime,
     cyclotomic_poly,
     gl_order,
@@ -397,6 +398,15 @@ def test_cyclotomic_poly_frozen():
         cyclotomic_poly(0)
 
 
+def test_cyclotomic_order_must_be_an_integer():
+    # a float order used to fail inside the recursion, on list repetition
+    for make in (cyclotomic_poly, lambda r: CyclotomicInt(r, [1])):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make(2.0)
+        with pytest.raises(ValueError, match="cyclotomic order must be >= 1"):
+            make(0)
+
+
 def _int_poly_mul(f, g):
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
@@ -670,6 +680,22 @@ def test_is_prime_rejects_non_integers_and_check_prime_names_the_value():
     assert check_prime(5) == 5
     with pytest.raises(ValueError, match="^4 is not a prime$"):
         check_prime(4)
+
+
+class _Tagged(int):
+    """An int subclass: the checks hand back a plain int."""
+
+
+def test_check_prime_and_check_nonnegative_return_the_plain_int():
+    for got in (check_prime(_Tagged(5)), check_nonnegative(_Tagged(5), "rank")):
+        assert got == 5 and type(got) is int
+    assert check_nonnegative(0, "rank") == 0
+    with pytest.raises(ValueError) as exc:
+        check_nonnegative(-1, "widget")
+    assert str(exc.value) == "widget must be >= 0"
+    for check in (check_prime, lambda n: check_nonnegative(n, "rank")):
+        with pytest.raises(TypeError):
+            check(2.0)
 
 
 def test_is_prime_rejects_values_past_its_exact_range():

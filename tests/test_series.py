@@ -43,7 +43,16 @@ from cuspquot.series import (
     zhat_coefficient,
 )
 from cuspquot.strata import LeadingTermDatum, base_level_walk, stable_orbit_decomposition
-from cuspquot.varieties import VAlphaSpec, _count_system, _factor, _symbolic_count
+from cuspquot.oracles import count_all_pairs, count_nilpotent_pairs
+from cuspquot.varieties import (
+    VAlphaSpec,
+    _count_system,
+    _factor,
+    _symbolic_count,
+    brute_v_d,
+    enumerate_v_d_points,
+    staircase_motive,
+)
 
 
 def poly(terms):
@@ -606,6 +615,29 @@ NEGATIVE_ARGUMENT_MESSAGES = {
     cohen_lenstra_coefficient: "order must be >= 0",
     affine_cohen_lenstra_coefficient: "order must be >= 0",
     matrix_count_formula: "size must be >= 0",
+    hilb_numerator: "rank must be >= 0",
+    hilb_series: "rank must be >= 0",
+    quot_numerator: "rank must be >= 0",
+    quot_series: "rank must be >= 0",
+    color_numerators: "rank must be >= 0",
+    functional_equation_check: "rank must be >= 0",
+    cyclotomic_divisibility_check: "rank must be >= 0",
+    q_pochhammer: "pochhammer length must be >= 0",
+    t_pochhammer: "pochhammer length must be >= 0",
+    staircase_motive: "rank must be >= 0",
+}
+
+# entries that take more than the checked argument, as calls of that argument
+NEGATIVE_ARGUMENT_CALLS = {
+    "VAlphaSpec": (lambda n: VAlphaSpec(n, {}), "rank must be >= 0"),
+    "brute_v_d": (lambda n: brute_v_d(n, 2), "rank must be >= 0"),
+    "enumerate_v_d_points": (lambda n: next(enumerate_v_d_points(n, 2)), "rank must be >= 0"),
+    "count_nilpotent_pairs": (lambda n: count_nilpotent_pairs(n, 2), "size must be >= 0"),
+    "count_all_pairs": (lambda n: count_all_pairs(n, 2), "size must be >= 0"),
+}
+
+ARGUMENT_CALLS = {fn.__name__: fn for fn in NEGATIVE_ARGUMENT_MESSAGES} | {
+    name: call for name, (call, _) in NEGATIVE_ARGUMENT_CALLS.items()
 }
 
 
@@ -613,3 +645,25 @@ NEGATIVE_ARGUMENT_MESSAGES = {
 def test_negative_rank_or_order_raises(fn):
     with pytest.raises(ValueError, match=NEGATIVE_ARGUMENT_MESSAGES[fn]):
         fn(-1)
+
+
+@pytest.mark.parametrize("name", NEGATIVE_ARGUMENT_CALLS)
+def test_negative_argument_of_a_multi_argument_entry_raises(name):
+    call, message = NEGATIVE_ARGUMENT_CALLS[name]
+    with pytest.raises(ValueError) as exc:
+        call(-1)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ARGUMENT_CALLS)
+def test_non_integer_rank_or_order_raises_type_error(name):
+    with pytest.raises(TypeError):
+        ARGUMENT_CALLS[name](2.0)
+
+
+@pytest.mark.parametrize("fn", [hilb_numerator, color_numerators, quot_numerator, solve_nh])
+def test_memoized_entries_refuse_a_float_after_the_int(fn):
+    # 2.0 == 2 and hashes alike: the check, not the memo, must refuse it
+    fn(2)
+    with pytest.raises(TypeError):
+        fn(2.0)

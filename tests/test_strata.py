@@ -13,6 +13,7 @@ from cuspquot.strata import (
     Orbit,
     base_level_walk,
     parse_datum,
+    rank_seats,
     stable_orbit_decomposition,
     zero_datum,
 )
@@ -76,6 +77,16 @@ def test_worked_example_shape():
     assert WORKED.colors == ("K", "J", "K")  # rank order: seats 1, 3, 2
     assert WORKED.rank_order() == [1, 3, 2]
     assert WORKED.n() == 4
+
+
+def test_rank_seats_break_level_ties_by_seat():
+    assert rank_seats(WORKED.levels) == [0, 2, 1]
+    assert rank_seats([2, 0, 2, 0]) == [1, 3, 0, 2]
+    assert rank_seats([]) == []
+    # gamma_j keeps every rank: the raised datum ranks its colors the same way
+    for j in (1, 2, 3):
+        raised = WORKED.gamma(j)
+        assert [raised.seat_ideals()[s][0] for s in rank_seats(raised.levels)] == list(WORKED.colors)
 
 
 def test_worked_example_corners_and_standard_set():
