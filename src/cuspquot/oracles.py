@@ -74,10 +74,10 @@ def echelon_subspaces(
     dim_total: int, dim_sub: int, p: int
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
     """Yield (pivots, reduced echelon rows) for every subspace of the given dimension."""
-    dim_total, dim_sub, p = map(operator.index, (dim_total, dim_sub, p))
+    dim_total, dim_sub = map(operator.index, (dim_total, dim_sub))
     if not 0 <= dim_sub <= dim_total:
         raise ValueError("subspace dimension out of range")
-    check_prime(p)
+    p = check_prime(p)
     _check_subspaces(f"echelon_subspaces({dim_total}, {dim_sub}, {p})", dim_total, dim_sub, p)
     for pivots in itertools.combinations(range(dim_total), dim_sub):
         pivset = set(pivots)
@@ -110,10 +110,10 @@ def count_quot_bruteforce(d: int, n: int, p: int) -> int:
     a refused row lies in no invariant subspace with them above it, and
     each invariant subspace is met once, at its unique reduced basis.
     """
-    d, n, p = map(operator.index, (d, n, p))
+    d, n = map(operator.index, (d, n))
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
-    check_prime(p)
+    p = check_prime(p)
     win = 2 * n
     total = d * win
     keep = total - n

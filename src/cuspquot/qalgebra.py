@@ -593,6 +593,7 @@ def gl_order(n: int) -> LaurentPolyQ:
 
 def q_pascal_matrix(size: int) -> list[list[LaurentPolyQ]]:
     """Lower-triangular matrix P with P[i][j] = [i j] at q -> q^-1."""
+    size = check_nonnegative(size, "size")
     return [
         [q_binomial_inv(i, j) if j <= i else ZERO for j in range(size)]
         for i in range(size)
@@ -601,6 +602,7 @@ def q_pascal_matrix(size: int) -> list[list[LaurentPolyQ]]:
 
 def q_pascal_inverse(size: int) -> list[list[LaurentPolyQ]]:
     """Inverse of q_pascal_matrix: entries (-1)^(i-j) q^(-C(i-j,2)) [i j]_(q^-1)."""
+    size = check_nonnegative(size, "size")
     out = []
     for i in range(size):
         row = []

@@ -440,7 +440,7 @@ def functional_equation_check(d: int, f: Optional[TPoly] = None) -> bool:
 
 def root_of_unity_check(d: int, r: int, f: Optional[TPoly] = None) -> bool:
     """At q a primitive r-th root of unity (r | d) the numerator is (1+t^r)^(d/r)."""
-    d, r = operator.index(d), operator.index(r)
+    d, r = check_nonnegative(d, "rank"), operator.index(r)
     if r < 1 or d % r != 0:
         raise ValueError(f"order {r} must divide the rank {d}")
     if f is None:

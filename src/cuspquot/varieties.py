@@ -127,9 +127,8 @@ class GFMatrix:
     __slots__ = ("rows", "p")
 
     def __init__(self, rows: Iterable[Sequence[int]], p: int):
-        check_prime(p)
+        self.p = p = check_prime(p)
         self.rows = tuple(tuple(operator.index(c) % p for c in row) for row in rows)
-        self.p = p
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
@@ -376,17 +375,6 @@ class _Poly(dict):
             out = out * self
         return out
 
-    def variables(self) -> set[int]:
-        return {v for m in self for v, _ in m}
-
-    def by_degree(self, v: int) -> dict[int, "_Poly"]:
-        """{e: coefficient of v^e}, each coefficient free of v."""
-        out: dict[int, _Poly] = {}
-        for m, c in self.items():
-            e = dict(m).get(v, 0)
-            out.setdefault(e, _Poly())[tuple(p for p in m if p[0] != v)] = c
-        return out
-
     def at_zero(self, v: int) -> "_Poly":
         return _Poly({m: c for m, c in self.items() if all(w != v for w, _ in m)})
 
@@ -441,6 +429,8 @@ def _count(eqs: list[_Poly], free: frozenset, units: frozenset) -> LaurentPolyQ:
 
     Counts are memoised on the equations as given: each one's sorted
     terms, in the given equation order, which the rule choice reads.
+    A node reads each equation's terms once, into a table by variable, and
+    takes every rule choice and the substitution from these tables.
     """
     return _count_system(tuple(tuple(sorted(f.items())) for f in eqs), free, units)
 
@@ -453,7 +443,7 @@ def _factor(free: int, units: int) -> LaurentPolyQ:
 
 @functools.cache
 def _count_system(system: tuple, free: frozenset, units: frozenset) -> LaurentPolyQ:
-    live = []
+    live, tables = [], []  # tables[k] = {v: [(exponent of v, monomial, coefficient)]}
     for f in map(_Poly, system):
         f = f.strip(units)
         if not f:
@@ -464,8 +454,13 @@ def _count_system(system: tuple, free: frozenset, units: frozenset) -> LaurentPo
                 if abs(c) == 1:
                     return LaurentPolyQ.zero()
                 raise ArithmeticError(f"the count depends on whether {c} vanishes in F_q")
+        table: dict[int, list] = {}
+        for m, c in f.items():
+            for v, e in m:
+                table.setdefault(v, []).append((e, m, c))
         live.append(f)
-    used = set().union(*(f.variables() for f in live))
+        tables.append(table)
+    used = set().union(*tables)
     factor = _factor(len(free - used), len(units - used))
     free, units = free & used, units & used
     if not live:
@@ -474,25 +469,22 @@ def _count_system(system: tuple, free: frozenset, units: frozenset) -> LaurentPo
     # an equation linear in v with coefficient c = +-monomial; fewest non-unit
     # variables in c first, as each one costs a split before v can be solved
     best = None
-    for n, f in enumerate(live):
-        for v in sorted(f.variables()):
-            parts = f.by_degree(v)
-            if max(parts) != 1 or len(parts[1]) != 1:
+    for n, table in enumerate(tables):
+        for v in sorted(table):
+            (e, m, c), *more = table[v]
+            if more or e != 1 or abs(c) != 1:
                 continue
-            ((m, c),) = parts[1].items()
-            if abs(c) != 1:
-                continue
-            splits = [w for w, _ in m if w not in units]
-            cand = (len(splits), v in units, n, v, splits, parts[1], parts.get(0, _Poly()))
+            splits = [w for w, _ in m if w not in units and w != v]
+            cand = (len(splits), v in units, n, v, splits, m, c)
             if best is None or cand[:3] < best[:3]:
                 best = cand
     if best is None:
         if not free:
             raise ArithmeticError(f"symbolic count stuck on {len(live)} equations in unit variables")
-        weight = {w: sum(len(f) for f in live if w in f.variables()) for w in free}
+        weight = {w: sum(len(f) for f, table in zip(live, tables) if w in table) for w in free}
         split = max(sorted(free), key=weight.__getitem__)
     else:
-        _, v_unit, n, v, splits, c, r = best
+        _, v_unit, n, v, splits, m, c = best
         split = splits[0] if splits else None
     if split is not None:
         zero = [f.at_zero(split) for f in live]
@@ -503,11 +495,16 @@ def _count_system(system: tuple, free: frozenset, units: frozenset) -> LaurentPo
         zero = [f.at_zero(v) for f in live]
         return factor * (_count(live, free | {v}, units - {v}) - _count(zero, free, units - {v}))
     # v = -r/c; c is invertible here, so clearing denominators keeps the zero set
+    r = _Poly({t: a for t, a in live[n].items() if t != m})
+    c = _Poly({tuple(p for p in m if p[0] != v): c})
     rest = []
-    for k, f in enumerate(live):
+    for k, (f, table) in enumerate(zip(live, tables)):
         if k == n:
             continue
-        parts = f.by_degree(v)
+        parts = {0: _Poly(f)}
+        for e, t, a in table.get(v, ()):
+            del parts[0][t]
+            parts.setdefault(e, _Poly())[tuple(p for p in t if p[0] != v)] = a
         top = max(parts)
         out = _Poly()
         for e, part in parts.items():
@@ -788,7 +785,7 @@ def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:
 
 def staircase_table_csv(max_d: int) -> str:
     lines = ["d,polynomial"]
-    for d in range(operator.index(max_d) + 1):
+    for d in range(check_nonnegative(max_d, "rank") + 1):
         lines.append(f"{d},{staircase_motive(d)}")
     return "\n".join(lines) + "\n"
 

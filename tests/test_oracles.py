@@ -204,6 +204,13 @@ def test_echelon_rejects_non_integers_and_a_composite_modulus():
         next(echelon_subspaces(3, 1, 4))
 
 
+def test_dimensions_are_checked_before_the_prime():
+    with pytest.raises(ValueError, match="subspace dimension out of range"):
+        next(echelon_subspaces(3, 4, 2.0))
+    with pytest.raises(ValueError, match="need d >= 1"):
+        count_quot_bruteforce(0, 1, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # framed submodule counts
 

@@ -20,6 +20,8 @@ from cuspquot.qalgebra import (
     TSeries,
     gl_order,
     q_binomial,
+    q_pascal_inverse,
+    q_pascal_matrix,
     q_pochhammer,
     t_pochhammer,
     tpoly_to_triples,
@@ -52,6 +54,7 @@ from cuspquot.varieties import (
     brute_v_d,
     enumerate_v_d_points,
     staircase_motive,
+    staircase_table_csv,
 )
 
 
@@ -625,6 +628,9 @@ NEGATIVE_ARGUMENT_MESSAGES = {
     q_pochhammer: "pochhammer length must be >= 0",
     t_pochhammer: "pochhammer length must be >= 0",
     staircase_motive: "rank must be >= 0",
+    staircase_table_csv: "rank must be >= 0",
+    q_pascal_matrix: "size must be >= 0",
+    q_pascal_inverse: "size must be >= 0",
 }
 
 # entries that take more than the checked argument, as calls of that argument
@@ -634,6 +640,7 @@ NEGATIVE_ARGUMENT_CALLS = {
     "enumerate_v_d_points": (lambda n: next(enumerate_v_d_points(n, 2)), "rank must be >= 0"),
     "count_nilpotent_pairs": (lambda n: count_nilpotent_pairs(n, 2), "size must be >= 0"),
     "count_all_pairs": (lambda n: count_all_pairs(n, 2), "size must be >= 0"),
+    "root_of_unity_check": (lambda n: root_of_unity_check(n, 1, solve_nh(2)), "rank must be >= 0"),
 }
 
 ARGUMENT_CALLS = {fn.__name__: fn for fn in NEGATIVE_ARGUMENT_MESSAGES} | {

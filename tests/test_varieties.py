@@ -3,6 +3,8 @@
 import functools
 import hashlib
 import itertools
+import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -80,6 +82,15 @@ def test_gfmatrix_construction_and_shape():
     assert GFMatrix.identity(2, 3) == GFMatrix([[1, 0], [0, 1]], 3)
     with pytest.raises(ValueError):
         GFMatrix([[1, 2], [3]], 5)
+
+
+def test_gfmatrix_stores_the_plain_prime():
+    # the prime is kept as check_prime returns it, as groebner.Element keeps it
+    class Tagged(int):
+        pass
+
+    m = GFMatrix([[1]], Tagged(3))
+    assert m.p == 3 and type(m.p) is int
 
 
 def test_gfmatrix_arithmetic():
@@ -284,6 +295,59 @@ def test_unresolved_systems_raise():
     x = _Poly.var(0)
     with pytest.raises(ArithmeticError, match="vanishes"):
         _count([x + x], frozenset({0}), frozenset())
+
+
+def _random_system(rng, n_vars):
+    eqs = []
+    for _ in range(rng.randint(1, 3)):
+        f = _Poly()
+        for _ in range(rng.randint(1, 4)):
+            m = tuple((v, e) for v in range(n_vars) if (e := rng.choice((0, 0, 1, 2))))
+            f = f + _Poly({m: rng.choice((1, -1, 1, -1, 2, -2))})
+        eqs.append(f)
+    return eqs
+
+
+def _common_zeros(eqs, free, units, p):
+    ranges = [range(1, p) if v in units else range(p) for v in sorted(free | units)]
+    return sum(
+        all(sum(c * math.prod(point[v] ** e for v, e in m) for m, c in f.items()) % p == 0
+            for f in eqs)
+        for point in itertools.product(*ranges)
+    )
+
+
+def test_counter_matches_enumeration_on_random_systems():
+    # beyond the staircase systems: each count the counter returns must be the
+    # number of common zeros over F_2, F_3 and F_5, and each refusal must say why
+    rng = random.Random(20231)
+    resolved = 0
+    for _ in range(1000):
+        n_vars = rng.randint(1, 4)
+        units = frozenset(v for v in range(n_vars) if rng.random() < 0.3)
+        free = frozenset(range(n_vars)) - units
+        eqs = _random_system(rng, n_vars)
+        try:
+            count = _count(eqs, free, units)
+        except ArithmeticError as exc:
+            assert "stuck" in str(exc) or "depends on whether" in str(exc), exc
+            continue
+        resolved += 1
+        for p in (2, 3, 5):
+            assert count.evaluate(p) == _common_zeros(eqs, free, units, p), (eqs, free, units, p)
+    # the rest raise; a new rule that resolves more of them moves this number
+    assert resolved == 323
+
+
+def test_rank_four_recursion_is_pinned():
+    # the _count nodes and memo hits of a cold rank-4 series; a new rule or a
+    # changed rule order moves them
+    series._color_rows.cache_clear()
+    for memo in (_symbolic_count, _count_system, _factor):
+        memo.cache_clear()
+    series.hilb_numerator(4)
+    info = _count_system.cache_info()
+    assert (info.misses, info.hits) == (344, 161)
 
 
 def _rank5_counts():
