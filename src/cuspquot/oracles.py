@@ -23,12 +23,13 @@ count_all_pairs and count_nilpotent_pairs count pairs (A, B) with
 AB = BA and A^2 = B^3 one conjugacy orbit of B at a time: A -> gAg^-1 is
 a bijection between the solutions for B and for gBg^-1, so one
 representative, weighted by its orbit size, stands for the whole orbit.
-The orbits come from a flood fill under generators of GL_n(F_p), and
-their sizes are what the fill reaches; no class-size or centralizer
-formula enters, so the counts stay independent of the formulas they
-audit.  For each representative B, varieties._commutant_roots walks the
-commutant of B, every cell of A free, and keeps the A with A^2 = B^3: the
-walk the staircase-variety counts run over each of their Y.
+The orbits come from a flood fill under a cyclic shift, one transvection
+and one diagonal matrix, which generate GL_n(F_p), and their sizes are
+what the fill reaches; no class-size or centralizer formula enters, so
+the counts stay independent of the formulas they audit.  For each
+representative B, varieties._commutant_roots walks the commutant of B,
+every cell of A free, and keeps the A with A^2 = B^3: the walk the
+staircase-variety counts run over each of their Y.
 
 count_stratum_bruteforce runs groebner's standard-basis test on up to
 2^12 candidate bases at once, each coefficient a column with one entry
@@ -154,20 +155,25 @@ def count_quot_bruteforce(d: int, n: int, p: int) -> int:
 
 
 def _generators(n: int, p: int) -> list[Callable[[Matrix], Matrix]]:
-    """Conjugations B -> g B g^-1 by generators g of GL_n(F_p).
+    """Conjugations B -> g B g^-1 by three generators g of GL_n(F_p).
 
-    The g are the transvections I + E_ij and diag(w, 1, ..., 1) with w a
-    generator of F_p^x.  Each conjugation is one row operation and one
-    column operation on the flat matrix.
+    The g are the cyclic shift e_i -> e_(i+1), the transvection I + E_01
+    and diag(w, 1, ..., 1) with w a generator of F_p^x; at n = 1 only the
+    diagonal one is left, and at n = 0 none.  Conjugating I + E_01 by
+    powers of the shift gives every I + E_(i,i+1) with indices mod n, and
+    their commutators every I + E_ij, which generate SL_n(F_p); the
+    diagonal matrix makes the determinant onto F_p^x.  The shift only
+    permutes entries, and each other conjugation is one row operation and
+    one column operation on the flat matrix.
     """
 
-    def transvect(b: Matrix, i: int, j: int) -> Matrix:
-        # row i += row j, then column j -= column i
+    def transvect(b: Matrix) -> Matrix:
+        # row 0 += row 1, then column 1 -= column 0
         m = list(b)
         for k in range(n):
-            m[i * n + k] = (m[i * n + k] + m[j * n + k]) % p
+            m[k] = (m[k] + m[n + k]) % p
         for k in range(n):
-            m[k * n + j] = (m[k * n + j] - m[k * n + i]) % p
+            m[k * n + 1] = (m[k * n + 1] - m[k * n]) % p
         return tuple(m)
 
     def rescale(b: Matrix, w: int, w_inv: int) -> Matrix:
@@ -179,14 +185,13 @@ def _generators(n: int, p: int) -> list[Callable[[Matrix], Matrix]]:
             m[k * n] = m[k * n] * w_inv % p
         return tuple(m)
 
-    moves = [
-        functools.partial(transvect, i=i, j=j)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    ]
+    moves: list[Callable[[Matrix], Matrix]] = []
+    if n >= 2:
+        # entry (i, j) of S B S^-1 is entry (i - 1, j - 1) of B
+        shift = operator.itemgetter(*((i - 1) % n * n + (j - 1) % n for i in range(n) for j in range(n)))
+        moves += [shift, transvect]
     w = next(w for w in range(1, p) if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
-    if w != 1:
+    if n and w != 1:
         moves.append(functools.partial(rescale, w=w, w_inv=pow(w, p - 2, p)))
     return moves
 
@@ -194,9 +199,10 @@ def _generators(n: int, p: int) -> list[Callable[[Matrix], Matrix]]:
 def _orbits(seeds: Iterable[Matrix], n: int, p: int) -> list[tuple[Matrix, int]]:
     """(representative, size) of each conjugacy orbit that meets seeds.
 
-    A flood fill under the generators: the size of an orbit is the number
-    of matrices the fill reaches, and no class-size formula enters.  A
-    generating set that fell short of GL_n(F_p) would only split orbits.
+    A flood fill under the three conjugations of _generators: the size of
+    an orbit is the number of matrices the fill reaches, and no class-size
+    formula enters.  A generating set that fell short of GL_n(F_p) would
+    only split orbits.
     """
     moves = _generators(n, p)
     seen: set[Matrix] = set()

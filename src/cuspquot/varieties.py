@@ -135,6 +135,14 @@ class GFMatrix:
                 raise ValueError("ragged matrix")
 
     @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...], p: int) -> "GFMatrix":
+        """A matrix from rows that are already tuples of ints in range(p), of
+        one width, over a checked prime: nothing is reduced or checked again."""
+        out = object.__new__(cls)
+        out.rows, out.p = rows, p
+        return out
+
+    @classmethod
     def zero(cls, n: int, m: int, p: int) -> "GFMatrix":
         return cls([[0] * m for _ in range(n)], p)
 
@@ -147,10 +155,11 @@ class GFMatrix:
         if {tr.p, bl.p, br.p} != {tl.p}:
             raise ValueError("blocks over different fields")
         if tl.shape[0] != tr.shape[0] or bl.shape[0] != br.shape[0] or tl.shape[1] != bl.shape[1]:
-            raise ValueError("blocks of mismatched shapes")  # a wrong width on the right is ragged
-        rows = [list(a) + list(b) for a, b in zip(tl.rows, tr.rows)]
-        rows += [list(a) + list(b) for a, b in zip(bl.rows, br.rows)]
-        return cls(rows, tl.p)
+            raise ValueError("blocks of mismatched shapes")
+        if tr.rows and br.rows and tr.shape[1] != br.shape[1]:
+            raise ValueError("ragged matrix")
+        halves = itertools.chain(zip(tl.rows, tr.rows), zip(bl.rows, br.rows))
+        return cls._of(tuple(a + b for a, b in halves), tl.p)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -165,7 +174,8 @@ class GFMatrix:
         return hash((self.rows, self.p))
 
     def __neg__(self) -> "GFMatrix":
-        return GFMatrix([[-a for a in r] for r in self.rows], self.p)
+        p = self.p
+        return GFMatrix._of(tuple(tuple(-a % p for a in r) for r in self.rows), p)
 
     def __mul__(self, other: "GFMatrix") -> "GFMatrix":
         p = self.p
@@ -174,8 +184,8 @@ class GFMatrix:
         if k != k2 or p != other.p:
             raise ValueError("product of matrices of mismatched shapes or different fields")
         cols = list(zip(*other.rows)) if other.rows else []
-        return GFMatrix(
-            [[sum(map(operator.mul, row, col)) % p for col in cols] for row in self.rows],
+        return GFMatrix._of(
+            tuple(tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in self.rows),
             p,
         )
 
@@ -370,8 +380,8 @@ class _Poly(dict):
         return _Poly({m: c for m, c in out.items() if c})
 
     def __pow__(self, n: int) -> "_Poly":
-        out = _Poly({(): 1})
-        for _ in range(n):
+        out = self if n else _Poly({(): 1})
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -501,14 +511,21 @@ def _count_system(system: tuple, free: frozenset, units: frozenset) -> LaurentPo
     for k, (f, table) in enumerate(zip(live, tables)):
         if k == n:
             continue
+        if v not in table:
+            rest.append(f)
+            continue
         parts = {0: _Poly(f)}
-        for e, t, a in table.get(v, ()):
+        for e, t, a in table[v]:
             del parts[0][t]
             parts.setdefault(e, _Poly())[tuple(p for p in t if p[0] != v)] = a
         top = max(parts)
         out = _Poly()
         for e, part in parts.items():
-            out = out + part * (-r) ** e * c ** (top - e)
+            if e:
+                part = part * (-r) ** e
+            if e != top:
+                part = part * c ** (top - e)
+            out = out + part
         rest.append(out)
     return factor * _count(rest, free - {v}, units)
 
@@ -704,9 +721,14 @@ class AbProfile(NamedTuple):
     w2: int
 
 
-def _module(X: GFMatrix, Y: GFMatrix) -> tuple[GFMatrix, GFMatrix, list, list, list]:
+@functools.lru_cache(maxsize=1)
+def _module(X: GFMatrix, Y: GFMatrix) -> tuple[GFMatrix, GFMatrix, tuple, tuple, tuple]:
     """A, T, ker A and the reduced echelon rows and pivots of im A' on M + M,
-    after checking that (X, Y) is a module."""
+    after checking that (X, Y) is a module; the last three are tuples.
+
+    The last point is kept, so ab_profile and h0_t_exact on one point build
+    its module once; the values are immutable, so no caller can change what
+    a later call is served."""
     if X.p != Y.p or X.shape != Y.shape or X.shape[0] != X.shape[1]:
         raise ValueError("X, Y must be square over the same field")
     Y2 = Y * Y
@@ -718,7 +740,7 @@ def _module(X: GFMatrix, Y: GFMatrix) -> tuple[GFMatrix, GFMatrix, list, list, l
     Ap = GFMatrix.block2(X, Y2, Y, X)
     T = GFMatrix.block2(zero, Y, GFMatrix.identity(m, p), zero)
     rows, pivots = _rref(zip(*Ap.rows), p)
-    return A, T, A.kernel_basis(), rows, pivots
+    return A, T, tuple(A.kernel_basis()), tuple(rows), tuple(pivots)
 
 
 def ab_profile(X: GFMatrix, Y: GFMatrix) -> AbProfile:
@@ -727,7 +749,7 @@ def ab_profile(X: GFMatrix, Y: GFMatrix) -> AbProfile:
     a = len(ker)
     # W1 = vectors of ker A whose T-image falls into im A'; its codimension in
     # ker A is the rank of T(ker A) modulo im A'
-    t_rank = len(_rref(rows + [T.apply(v) for v in ker], X.p)[0]) - len(rows)
+    t_rank = len(_rref([*rows, *map(T.apply, ker)], X.p)[0]) - len(rows)
     return AbProfile(a=a, b=2 * X.shape[0] - a, w0=len(rows), w1=a - t_rank, w2=a)
 
 
@@ -754,18 +776,19 @@ def extend_point(X: GFMatrix, Y: GFMatrix, z: Sequence[int], w: Sequence[int]) -
     return GFMatrix(xr, p), GFMatrix(yr, p)
 
 
-def _h0_exact(rows: list, pivots: list[int], ker: list, T: GFMatrix, p: int) -> bool:
+def _h0_exact(rows: Sequence, pivots: Sequence[int], ker: Sequence, T: GFMatrix, p: int) -> bool:
     """On H0 = span(ker) / span(rows), the map T0 induced by T has image
     equal to kernel.
 
     rows and pivots are the reduced echelon rows of a subspace of span(ker),
     ker is a basis, and T maps span(ker) and span(rows) into themselves, so
-    T0 is defined.  T0 is exact iff T0^2 = 0, i.e. T^2(ker) lies in
+    T0 is defined; the three sequences are only read, so the tuples of
+    _module serve.  T0 is exact iff T0^2 = 0, i.e. T^2(ker) lies in
     span(rows), and its rank is half of dim H0."""
     images = [T.apply(v) for v in ker]
     if not all(_in_span(rows, pivots, T.apply(tv), p) for tv in images):
         return False
-    return 2 * (len(_rref(rows + images, p)[0]) - len(rows)) == len(ker) - len(rows)
+    return 2 * (len(_rref([*rows, *images], p)[0]) - len(rows)) == len(ker) - len(rows)
 
 
 def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:

@@ -1,12 +1,18 @@
-"""Orbit addressing of leading-term data: a reference that only tests read.
+"""Orbit references that only tests read.
 
-The engine walks the stable orbit bases forward (strata.base_level_walk)
-and never needs to undo a raise.  These functions invert the raising
-operators, so every datum gets an address a with
-gamma_1^a1 ... gamma_d^ad (zero datum) = datum, and they decide stability
-pair by pair.  Tests check the walk, the orbit partition and the raising
-laws against them.
+Orbit addressing of leading-term data: the engine walks the stable orbit
+bases forward (strata.base_level_walk) and never needs to undo a raise.
+These functions invert the raising operators, so every datum gets an
+address a with gamma_1^a1 ... gamma_d^ad (zero datum) = datum, and they
+decide stability pair by pair.  Tests check the walk, the orbit partition
+and the raising laws against them.
+
+Conjugacy orbits of matrices: transvection_moves is a second generating
+set of GL_n(F_p), every I + E_ij and one diagonal matrix, that the pair
+oracle's flood fill is checked against.
 """
+
+import functools
 
 from cuspquot.strata import LeadingTermDatum
 
@@ -63,3 +69,33 @@ def apply_address(x: LeadingTermDatum, addr) -> LeadingTermDatum:
         for _ in range(a):
             x = x.gamma(j)
     return x
+
+
+def transvection_moves(n: int, p: int):
+    """Conjugations B -> g B g^-1 of flat n x n matrices, for the n(n-1) + 1
+    generators g of GL_n(F_p): every transvection I + E_ij and
+    diag(w, 1, ..., 1) with w a generator of F_p^x."""
+
+    def transvect(b, i, j):
+        # row i += row j, then column j -= column i
+        m = list(b)
+        for k in range(n):
+            m[i * n + k] = (m[i * n + k] + m[j * n + k]) % p
+        for k in range(n):
+            m[k * n + j] = (m[k * n + j] - m[k * n + i]) % p
+        return tuple(m)
+
+    def rescale(b, w, w_inv):
+        # row 0 times w, then column 0 times w^-1
+        m = list(b)
+        for k in range(n):
+            m[k] = m[k] * w % p
+        for k in range(n):
+            m[k * n] = m[k * n] * w_inv % p
+        return tuple(m)
+
+    moves = [functools.partial(transvect, i=i, j=j) for i in range(n) for j in range(n) if i != j]
+    w = next(w for w in range(1, p) if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
+    if w != 1:
+        moves.append(functools.partial(rescale, w=w, w_inv=pow(w, p - 2, p)))
+    return moves

@@ -1,5 +1,6 @@
 """Each shared rule has one definition in src/cuspquot: the argument check,
 the prime check, the rank order and the seat of each rank after gamma_j.
+The unchecked matrix constructor GFMatrix._of stays inside varieties.
 The tests read the modules' syntax trees, so a restated copy fails here."""
 
 import ast
@@ -93,3 +94,13 @@ def test_cli_checks_primes_through_check_prime():
 def test_no_second_gamma_seat_map():
     assert not hasattr(LeadingTermDatum, "seats_after_gamma")
     assert [p.stem for p in SOURCES if "seats_after_gamma" in p.read_text(encoding="utf-8")] == []
+
+
+def test_unchecked_matrix_constructor_stays_in_varieties():
+    # GFMatrix._of neither reduces nor checks its rows, so only varieties'
+    # own arithmetic, on rows it has already reduced, may reach it
+    found = {
+        path.stem: sum(isinstance(node, ast.Attribute) and node.attr == "_of" for node in ast.walk(_tree(path)))
+        for path in SOURCES
+    }
+    assert {stem for stem, uses in found.items() if uses} == {"varieties"}

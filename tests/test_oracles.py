@@ -45,7 +45,7 @@ from cuspquot.varieties import (
     enumerate_v_d_points,
 )
 
-from orbit_reference import is_stable
+from orbit_reference import is_stable, transvection_moves
 
 
 def M(t_deg, seat):
@@ -395,8 +395,10 @@ def test_orbit_counter_matches_per_b_walk(n, p):
     assert count_nilpotent_pairs(n, p) == _reference_pair_walk(n, p, nilpotent_only=True)
 
 
-# Orbit counts as the flood fill finds them; at (2, 3) the transvections
-# alone leave 15 orbits, and diag(2, 1) joins them into 12.
+# Orbit counts as the flood fill finds them.  At (2, 3) the shift has
+# determinant -1, which generates F_3^x, so the shift and the transvection
+# alone find the 12 orbits; at (2, 5) they leave 35, and diag(2, 1) joins
+# them into 30.
 ORBIT_COUNTS = {(1, 2): 2, (2, 2): 6, (3, 2): 14, (1, 3): 3, (2, 3): 12, (3, 3): 39}
 
 
@@ -412,6 +414,24 @@ def test_orbit_sizes_cover_the_matrices(n, p):
     nil_orbits = _orbits(_strictly_upper(n, p), n, p)
     assert sum(size for _, size in nil_orbits) == nilpotent
     assert len(nil_orbits) == sum(_is_nilpotent(_rows(b, n), n, p) for b, _ in orbits)
+
+
+@pytest.mark.parametrize("n, p, nilpotent", [
+    (2, 2, False), (2, 3, False), (2, 5, False), (3, 2, False), (3, 3, False), (4, 2, True),
+])
+def test_three_generators_find_the_orbits_of_every_transvection(monkeypatch, n, p, nilpotent):
+    # the shift, I + E_01 and the diagonal move against the n(n-1) + 1 moves
+    # of every I + E_ij and the diagonal one: the same orbits in the same
+    # order, so the same representatives and the same multiset of sizes
+    def seeds():
+        return _strictly_upper(n, p) if nilpotent else itertools.product(range(p), repeat=n * n)
+
+    assert [len(oracles_module._generators(k, p)) for k in range(3)] == ([0, 1, 3] if p > 2 else [0, 0, 2])
+    orbits = _orbits(seeds(), n, p)
+    monkeypatch.setattr(oracles_module, "_generators", transvection_moves)
+    reference = _orbits(seeds(), n, p)
+    assert sorted(size for _, size in orbits) == sorted(size for _, size in reference)
+    assert orbits == reference
 
 
 def test_conjugate_has_the_same_pair_count():

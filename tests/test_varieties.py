@@ -45,6 +45,7 @@ from cuspquot.varieties import (
     _digit_width,
     _factor,
     _h0_exact,
+    _module,
     _motive,
     _Poly,
     _rref,
@@ -118,6 +119,39 @@ def test_gfmatrix_refuses_what_it_would_get_wrong():
     for blocks in [(column, one, one, one), (one, one, one, column), (one, one, row, one), (one, one, one, row)]:
         with pytest.raises(ValueError, match="mismatched shapes|ragged"):
             GFMatrix.block2(*blocks)
+
+
+def test_gfmatrix_arithmetic_keeps_reduced_rows():
+    # products, negations and blocks skip the constructor's reduction, so
+    # their rows must already be what the constructor would store
+    rng = random.Random(2710)
+
+    def rand(n, m, p):
+        return GFMatrix([[rng.randint(-2 * p, 2 * p) for _ in range(m)] for _ in range(n)], p)
+
+    def stored(mat, p):
+        assert GFMatrix(mat.rows, mat.p) == mat and mat.p == p
+        assert type(mat.rows) is tuple
+        assert all(type(r) is tuple and all(type(c) is int and 0 <= c < p for c in r) for r in mat.rows)
+
+    for _ in range(200):
+        p = rng.choice((2, 3, 5))
+        n, k, m, j = (rng.randint(1, 4) for _ in range(4))
+        a, b, c, e = rand(n, k, p), rand(k, m, p), rand(j, n, p), rand(j, k, p)
+        prod = a * b
+        stored(prod, p)
+        assert prod.rows == tuple(
+            tuple(sum(a.rows[i][t] * b.rows[t][s] for t in range(k)) % p for s in range(m))
+            for i in range(n)
+        )
+        neg = -a
+        stored(neg, p)
+        assert neg.rows == tuple(tuple(-x % p for x in r) for r in a.rows)
+        tr, br = rand(n, m, p), rand(j, m, p)
+        blk = GFMatrix.block2(a, tr, e, br)
+        stored(blk, p)
+        assert blk.rows == tuple(x + y for x, y in zip(a.rows + e.rows, tr.rows + br.rows))
+        stored(c * a, p)
 
 
 def test_gfmatrix_rank_kernel_image():
@@ -739,6 +773,36 @@ def test_h0_exactness_is_decided_from_the_linear_data(ker, spanned, t_rows, exac
     p = 3
     rows, pivots = _rref(spanned, p)
     assert _h0_exact(rows, pivots, ker, GFMatrix(t_rows, p), p) is exact
+
+
+def test_module_memo_never_serves_a_stale_point(monkeypatch):
+    # _module keeps only the last point: alternating any two points, some
+    # with one matrix in common, must give what each computes from an empty
+    # memo, and the ab_profile, h0_t_exact
+    # pair of the module-profile check builds each point's module once
+    points = list(enumerate_v_d_points(3, 2))
+    fresh = {}
+    for X, Y in points:
+        _module.cache_clear()
+        prof = ab_profile(X, Y)
+        _module.cache_clear()
+        fresh[X, Y] = (prof, h0_t_exact(X, Y))
+    assert len({prof for prof, _ in fresh.values()}) > 1
+    for (X, Y), (U, V) in itertools.permutations(points, 2):
+        assert ab_profile(X, Y) == fresh[X, Y][0]
+        assert h0_t_exact(U, V) == fresh[U, V][1]
+        assert ab_profile(U, V) == fresh[U, V][0]
+        assert h0_t_exact(X, Y) == fresh[X, Y][1]
+        assert all(type(part) is tuple for part in _module(X, Y)[2:])
+
+    calls = []
+    kernel_basis = GFMatrix.kernel_basis
+    monkeypatch.setattr(GFMatrix, "kernel_basis", lambda self: calls.append(1) or kernel_basis(self))
+    _module.cache_clear()
+    for X, Y in points:
+        prof = ab_profile(X, Y)
+        assert h0_t_exact(X, Y) and prof == fresh[X, Y][0]
+    assert len(calls) == len(points) == 32
 
 
 def test_h0_t_exact_refuses_non_module_pairs():
