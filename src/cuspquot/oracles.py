@@ -185,13 +185,15 @@ def _generators(n: int, p: int) -> list[Callable[[Matrix], Matrix]]:
             m[k * n] = m[k * n] * w_inv % p
         return tuple(m)
 
+    if not n:
+        return []
     moves: list[Callable[[Matrix], Matrix]] = []
     if n >= 2:
         # entry (i, j) of S B S^-1 is entry (i - 1, j - 1) of B
         shift = operator.itemgetter(*((i - 1) % n * n + (j - 1) % n for i in range(n) for j in range(n)))
         moves += [shift, transvect]
     w = next(w for w in range(1, p) if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
-    if n and w != 1:
+    if w != 1:
         moves.append(functools.partial(rescale, w=w, w_inv=pow(w, p - 2, p)))
     return moves
 

@@ -329,6 +329,15 @@ def test_pair_counts_frozen():
     assert count_all_pairs(0, 3) == 1
 
 
+def test_empty_pair_count_searches_no_generator():
+    # 0 x 0 pairs are inside the budget at every prime, so the count must not
+    # look for a generator of F_p^x: at p = 2^61 - 1 that search would build
+    # a set of p - 1 powers
+    p = 2**61 - 1
+    assert oracles_module._generators(0, p) == []
+    assert count_nilpotent_pairs(0, p) == 1
+
+
 def test_nilpotent_pair_ratio_matches_punctual_coefficient():
     for (n, p), nil in FROZEN_NILPOTENT_PAIRS.items():
         ratio = Fraction(nil) / gl_order(n).evaluate(p)
