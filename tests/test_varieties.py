@@ -778,8 +778,8 @@ def test_h0_exactness_is_decided_from_the_linear_data(ker, spanned, t_rows, exac
 def test_module_memo_never_serves_a_stale_point(monkeypatch):
     # _module keeps only the last point: alternating any two points, some
     # with one matrix in common, must give what each computes from an empty
-    # memo, and the ab_profile, h0_t_exact
-    # pair of the module-profile check builds each point's module once
+    # memo, and the ab_profile, h0_t_exact pair of the module-profile check
+    # builds each point's module once
     points = list(enumerate_v_d_points(3, 2))
     fresh = {}
     for X, Y in points:
