@@ -53,6 +53,7 @@ from .series import (
 )
 from .strata import LeadingTermDatum, parse_datum
 from .varieties import (
+    MAX_MOTIVE_D,
     BudgetError,
     MotiveTable,
     VAlphaSpec,
@@ -71,7 +72,6 @@ from .oracles import (
     count_stratum_bruteforce,
 )
 
-MAX_MOTIVE_D = 64
 MAX_CONJECTURE_D = 16
 MAX_ORDER = 200
 

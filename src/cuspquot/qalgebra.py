@@ -184,13 +184,33 @@ class LaurentPolyQ:
         return _from_clean({e * k: c for e, c in self._terms.items()})
 
     def evaluate(self, value: QValue) -> Fraction:
+        """The value at q = a/b, in integers until one Fraction at the end.
+
+        With lo and hi the extreme exponents, the value is
+        a^lo b^-hi * sum c a^(e - lo) b^(hi - e), and the sum is one
+        ascending Horner pass that raises a and b to each gap between
+        exponents, so a sparse q^(10^6) costs one step.
+        """
         v = Fraction(value)
-        if v == 0 and self._terms and self.min_exp() < 0:
+        terms = self._terms
+        if not terms:
+            return Fraction(0)
+        a, b = v.numerator, v.denominator
+        exps = sorted(terms)
+        lo, hi = exps[0], exps[-1]
+        if a == 0 and lo < 0:
             raise ZeroDivisionError("negative exponent at q=0")
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            total += c * v ** e
-        return total
+        total, apow, prev = 0, 1, lo
+        for e in exps:
+            if e != prev:
+                gap, prev = e - prev, e
+                apow *= a**gap
+                if b != 1:
+                    total *= b**gap
+            total += terms[e] * apow
+        num = total * (a**lo if lo > 0 else 1) * (b**-hi if hi < 0 else 1)
+        den = (a**-lo if lo < 0 else 1) * (b**hi if hi > 0 else 1)
+        return Fraction(num, den)
 
     def at_root_of_unity(self, r: int) -> "CyclotomicInt":
         """The value at x, a primitive r-th root of unity: exponents fold mod r."""

@@ -48,7 +48,6 @@ from .qalgebra import (
     TSeries,
     check_nonnegative,
     check_prime,
-    cyclotomic_poly,
     q_pascal_inverse,
     q_pochhammer,
     t_pochhammer,
@@ -470,13 +469,33 @@ def cyclotomic_divisibility_check(d: int, f: Optional[TPoly] = None) -> bool:
         if f.substitute_t_scale(-d).evaluate_t_symbolic(-1):
             return False
         value = value.divide_exact(ONE - LaurentPolyQ.q_power(d))
-    for r in range(1, d + 1, 2):
-        phi = LaurentPolyQ(dict(enumerate(cyclotomic_poly(r))))
-        for _ in range((d + r - 1) // (2 * r)):
-            nxt = value.try_divide(phi)
-            if nxt is None:
-                return False
-            value = nxt
+    return all(
+        _cyclotomic_power_divides(value, r, (d + r - 1) // (2 * r)) for r in range(1, d + 1, 2)
+    )
+
+
+def _cyclotomic_power_divides(f: LaurentPolyQ, r: int, k: int) -> bool:
+    """Whether Phi_r(q)^k divides f in Z[q, q^-1], with no division.
+
+    Phi_r is monic with simple roots, so it does exactly when the Hasse
+    derivatives D_j = sum C(e - lo, j) c q^(e - lo - j), j < k, of the
+    polynomial q^-lo f vanish at a primitive r-th root of unity.  The
+    weights c C(e - lo, j) are updated from j - 1 by an exact integer
+    division, and each D_j is folded mod r into a CyclotomicInt.
+    """
+    terms = f.terms
+    lo = min(terms, default=0)
+    zero = CyclotomicInt.zero(r)
+    spans = [e - lo for e in terms]
+    weights = list(terms.values())
+    for j in range(k):
+        if j:
+            weights = [c * (n - j + 1) // j for c, n in zip(weights, spans)]
+        folded = [0] * r
+        for c, n in zip(weights, spans):
+            folded[(n - j) % r] += c
+        if CyclotomicInt(r, folded) != zero:
+            return False
     return True
 
 

@@ -585,6 +585,9 @@ def symbolic_v_alpha(spec_or_datum: "VAlphaSpec | LeadingTermDatum") -> LaurentP
 # motive of the full staircase variety
 
 
+MAX_MOTIVE_D = 64  # staircase_motive ranks; motive table entries reach a = 2 * MAX_MOTIVE_D
+
+
 def _motive_rows(top: int, width: Optional[int] = None) -> Iterator[list[int]]:
     """Rows k = 0..top of the motive recursion, packed at q = 2^w.
 
@@ -645,18 +648,40 @@ def _unpack(n: int, w: int) -> LaurentPolyQ:
     return LaurentPolyQ(dict(enumerate(_digits(n, w))))
 
 
+@functools.lru_cache(maxsize=1)
+def _antidiagonal(top: int) -> list[list[int]]:
+    """One slot for the widest packed prefix of row top of _motive_rows
+    walked so far.
+
+    One entry, keyed by top: a new antidiagonal a + b = 2 top evicts the
+    last one before its walk.  _motive replaces the slot's prefix, never
+    edits it, so a prefix it has read stays whole."""
+    return [[]]
+
+
 @functools.cache
 def _motive(a: int, b: int) -> LaurentPolyQ:
     """The two-parameter motive recursion M(a, b).
 
-    Nonzero only for a >= b >= 0 with a = b mod 2; read off one pass of
-    _motive_rows over columns 0..b, since no entry reads to its right.
+    Nonzero only for a >= b >= 0 with a = b mod 2, and defined here for
+    a <= 2 * MAX_MOTIVE_D.  Entry b of row (a + b) / 2 of _motive_rows;
+    a walk over columns 0..b serves every narrower entry of its
+    antidiagonal, since no entry reads to its right, so an entry inside
+    the last prefix (_antidiagonal) is read off it, and a wider one walks
+    again to width b + 1 after freeing the old prefix.
     """
     if a < 0 or b < 0 or a < b or (a - b) % 2:
         return LaurentPolyQ.zero()
+    if a > 2 * MAX_MOTIVE_D:
+        raise ValueError(f"motive table entries stop at a = {2 * MAX_MOTIVE_D}")
     top = (a + b) // 2
-    for row in _motive_rows(top, b + 1):
-        pass
+    slot = _antidiagonal(top)
+    row = slot[0]
+    if b >= len(row):
+        slot[0] = []
+        for row in _motive_rows(top, b + 1):
+            pass
+        slot[0] = row
     return _unpack(row[b], _digit_width(5**top))
 
 
@@ -681,8 +706,16 @@ def staircase_motive(d: int) -> LaurentPolyQ:
     motive recursion; ranks are computed in blocks up to the next multiple
     of 16 and kept.
     """
-    d = check_nonnegative(d, "rank")
+    d = _check_motive_rank(d)
     return _staircase_block(-(-d // 16) * 16)[d]
+
+
+def _check_motive_rank(d: int) -> int:
+    """The rank d as an int, refused before any work past MAX_MOTIVE_D."""
+    d = check_nonnegative(d, "rank")
+    if d > MAX_MOTIVE_D:
+        raise ValueError(f"staircase motives stop at rank {MAX_MOTIVE_D}")
+    return d
 
 
 def _v_d_points(name: str, d: int, p: int) -> Iterator[tuple[list, list]]:
@@ -808,7 +841,7 @@ def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:
 
 def staircase_table_csv(max_d: int) -> str:
     lines = ["d,polynomial"]
-    for d in range(check_nonnegative(max_d, "rank") + 1):
+    for d in range(_check_motive_rank(max_d) + 1):
         lines.append(f"{d},{staircase_motive(d)}")
     return "\n".join(lines) + "\n"
 

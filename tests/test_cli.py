@@ -2,6 +2,7 @@
 and byte-stable output with no result cache."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -291,6 +292,16 @@ def test_conjecture_small_ranks(capsys):
         "nonnegative_coefficients=ok"
     )
     assert out.strip().splitlines() == [expected_line.format(d=d) for d in (1, 2, 3)]
+
+
+def test_conjecture_output_through_rank_sixteen_is_pinned(capsys):
+    # sha256 of the stdout of `cuspquot conjecture --max-d 16`, as the
+    # repeated long division by Phi_r printed it
+    code, out, err = run_cli(["conjecture", "--max-d", "16"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c5f572d52e6bb7dfa8396890464978b7396ead963666d51116f98e1ffc16300c"
+    )
 
 
 @pytest.mark.parametrize("bad", ["0", "17"])

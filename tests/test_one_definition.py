@@ -1,5 +1,6 @@
 """Each shared rule has one definition in src/cuspquot: the argument check,
-the prime check, the rank order and the seat of each rank after gamma_j.
+the prime check, the rank order, the seat of each rank after gamma_j and
+each MAX_ rank limit.
 The unchecked matrix constructor GFMatrix._of stays inside varieties.
 The tests read the modules' syntax trees, so a restated copy fails here."""
 
@@ -104,3 +105,17 @@ def test_unchecked_matrix_constructor_stays_in_varieties():
         for path in SOURCES
     }
     assert {stem for stem, uses in found.items() if uses} == {"varieties"}
+
+
+def test_each_rank_limit_is_assigned_in_one_module():
+    # the cli imports MAX_MOTIVE_D from varieties, where the motive walk
+    # enforces it; a second assignment could drift from the first
+    assigned: dict[str, list[str]] = {}
+    for path in SOURCES:
+        for node in _tree(path).body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.startswith("MAX_"):
+                    assigned.setdefault(target.id, []).append(path.stem)
+    assert assigned["MAX_MOTIVE_D"] == ["varieties"]
+    assert {name: stems for name, stems in assigned.items() if len(stems) > 1} == {}

@@ -133,6 +133,54 @@ def test_laurent_evaluate():
         LaurentPolyQ.q_power(-1).evaluate(0)
 
 
+def fraction_evaluate(terms: dict, value) -> Fraction:
+    """The value as a Fraction term sum, one power of Fraction(value) per term."""
+    v = Fraction(value)
+    if v == 0 and terms and min(terms) < 0:
+        raise ZeroDivisionError("negative exponent at q=0")
+    return sum((c * v**e for e, c in terms.items()), Fraction(0))
+
+
+# dense exponents near 0 mixed with sparse ones far out on either side
+evaluate_terms = st.dictionaries(
+    st.integers(-6, 6) | st.integers(-(10**3), 10**3) | st.sampled_from([-(10**4), 10**4]),
+    st.integers(-50, 50).filter(bool),
+    max_size=8,
+)
+evaluate_values = (
+    st.integers(-7, 7)
+    | st.fractions(min_value=-11, max_value=11, max_denominator=9)
+    | st.sampled_from([0.5, -0.25, 3.0, 0.0, -1.5])
+)
+
+
+@given(evaluate_terms, evaluate_values)
+def test_laurent_evaluate_matches_the_fraction_term_sum(terms, value):
+    p = LaurentPolyQ(terms)
+    try:
+        expected = fraction_evaluate(terms, value)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="negative exponent at q=0"):
+            p.evaluate(value)
+        return
+    got = p.evaluate(value)
+    assert type(got) is Fraction
+    assert got == expected
+
+
+def test_laurent_evaluate_edges():
+    sparse = LaurentPolyQ({10**6: 1, -(10**6): -1})
+    assert sparse.evaluate(1) == 0 and sparse.evaluate(-1) == 0
+    assert LaurentPolyQ({10**6: 3}).evaluate(-1) == 3
+    assert type(ZERO.evaluate(0)) is Fraction and ZERO.evaluate(Fraction(1, 3)) == 0
+    assert LaurentPolyQ({0: 5, 2: 1}).evaluate(0) == 5
+    assert LaurentPolyQ({3: 2}).evaluate(0.0) == 0
+    assert LaurentPolyQ({-2: 1, 1: 1}).evaluate(Fraction(-1, 2)) == Fraction(7, 2)
+    for value in (0, 0.0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            LaurentPolyQ({-1: 1, 4: 2}).evaluate(value)
+
+
 def test_laurent_str_ordering():
     p = LaurentPolyQ({1: 1, 2: -3, 0: 2})
     assert str(p) == "-3*q^2 + q + 2"

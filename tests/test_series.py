@@ -18,6 +18,7 @@ from cuspquot.qalgebra import (
     RationalQ,
     TPoly,
     TSeries,
+    cyclotomic_poly,
     gl_order,
     q_binomial,
     q_pascal_inverse,
@@ -29,6 +30,7 @@ from cuspquot.qalgebra import (
 from cuspquot.series import (
     affine_cohen_lenstra_coefficient,
     cohen_lenstra_coefficient,
+    _cyclotomic_power_divides,
     color_numerators,
     cyclotomic_divisibility_check,
     functional_equation_check,
@@ -563,6 +565,50 @@ def test_cyclotomic_divisibility_odd_rank_without_the_factor_is_false():
     assert cyclotomic_divisibility_check(3, factor * TPoly([ONE, ONE]))
     assert not cyclotomic_divisibility_check(3, factor * TPoly([ONE, -ONE]))
     assert cyclotomic_divisibility_check(3, TPoly.zero())
+
+
+def _divides_by_long_division(f, r, k):
+    """Reference: Phi_r^k divides f, decided by k exact long divisions."""
+    phi = LaurentPolyQ(dict(enumerate(cyclotomic_poly(r))))
+    for _ in range(k):
+        f = f.try_divide(phi)
+        if f is None:
+            return False
+    return True
+
+
+def test_cyclotomic_power_criterion_matches_long_division():
+    rng = random.Random(28)
+    for r in range(1, 16, 2):
+        phi = LaurentPolyQ(dict(enumerate(cyclotomic_poly(r))))
+        for k in range(4):
+            for _ in range(3):
+                exps = rng.sample(range(-4, 9), 4)
+                g = poly({e: rng.choice([-3, -2, -1, 1, 2, 3]) for e in exps})
+                product = g * phi**k
+                perturbed = [product + poly({rng.randrange(-4, 9 + k * r): rng.choice([-1, 1])})]
+                if product:
+                    e = rng.choice(sorted(product.terms))
+                    perturbed.append(product + poly({e: product.coeff(e) * rng.choice([1, -2])}))
+                for f in (product, product * phi, *perturbed):
+                    for j in range(k + 3):
+                        assert _cyclotomic_power_divides(f, r, j) == _divides_by_long_division(
+                            f, r, j
+                        ), (r, k, j, f)
+                assert _cyclotomic_power_divides(product, r, k)
+
+
+def test_cyclotomic_power_criterion_on_sparse_and_zero_polynomials():
+    # q^(10^9) - 1 has simple roots, the (10^9)-th roots of unity; long
+    # division would take 10^9 steps, the derivatives two passes of two terms
+    sparse = poly({10**9: 1, 0: -1})
+    assert _cyclotomic_power_divides(sparse, 5, 1)
+    assert not _cyclotomic_power_divides(sparse, 5, 2)
+    assert not _cyclotomic_power_divides(sparse, 3, 1)
+    assert _cyclotomic_power_divides(sparse, 1, 1)
+    assert _cyclotomic_power_divides(ZERO, 7, 5)
+    assert not _cyclotomic_power_divides(ONE, 3, 1)
+    assert _cyclotomic_power_divides(ONE, 3, 0)
 
 
 # ---------------------------------------------------------------------------

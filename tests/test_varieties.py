@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspquot import series
+from cuspquot import series, varieties
 from cuspquot.oracles import count_stratum_bruteforce
 from cuspquot.strata import (
     LeadingTermDatum,
@@ -19,6 +19,7 @@ from cuspquot.strata import (
     stable_orbit_decomposition,
 )
 from cuspquot.varieties import (
+    MAX_MOTIVE_D,
     AbProfile,
     BudgetError,
     GFMatrix,
@@ -39,6 +40,7 @@ from cuspquot.varieties import (
     symbolic_v_alpha,
 )
 from cuspquot.varieties import (
+    _antidiagonal,
     _commutant_roots,
     _count,
     _count_system,
@@ -664,6 +666,63 @@ def test_packed_motives_match_the_reference_recursion():
         _staircase_block.cache_clear()
         for d in ranks:
             assert staircase_motive(d) == reference(d), d
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_motive_entries_do_not_depend_on_query_order(order):
+    entries = [(2 * top - b, b) for top in range(25) for b in range(top + 1)]
+    if order == "descending":
+        entries.reverse()
+    elif order == "shuffled":
+        random.Random(28).shuffle(entries)
+    _motive.cache_clear()
+    _antidiagonal.cache_clear()
+    for a, b in entries:
+        assert MotiveTable().get(a, b) == poly(_reference_motive(a, b)), (a, b)
+        assert _antidiagonal.cache_info().currsize == 1  # one prefix, never more
+
+
+def test_motive_entries_walk_only_as_wide_as_asked(monkeypatch):
+    walks = []
+    walk = varieties._motive_rows
+
+    def spy(top, width=None):
+        walks.append((top, width))
+        return walk(top, width)
+
+    monkeypatch.setattr(varieties, "_motive_rows", spy)
+    _motive.cache_clear()
+    _antidiagonal.cache_clear()
+    assert MotiveTable().get(128, 0) == 1
+    assert walks == [(64, 1)]
+    # a narrower entry of the last antidiagonal reads its prefix; a wider
+    # one walks again, and another antidiagonal walks its own
+    for a, b in [(40, 8), (44, 4), (38, 10), (20, 2)]:
+        assert MotiveTable().get(a, b) == poly(_reference_motive(a, b))
+    assert walks == [(64, 1), (24, 9), (24, 11), (11, 3)]
+    assert len(_antidiagonal(11)[0]) == 3
+
+
+def test_motive_ranks_past_the_limit_raise_before_any_walk(monkeypatch):
+    def no_walk(top, width=None):
+        raise AssertionError(f"walked to top {top}")
+
+    monkeypatch.setattr(varieties, "_motive_rows", no_walk)
+    monkeypatch.setattr(varieties, "_staircase_block", no_walk)
+    _motive.cache_clear()
+    limit = 2 * MAX_MOTIVE_D
+    for call, message in (
+        (lambda: staircase_motive(10**9), f"staircase motives stop at rank {MAX_MOTIVE_D}"),
+        (lambda: staircase_motive(MAX_MOTIVE_D + 1), "stop at rank"),
+        (lambda: staircase_table_csv(MAX_MOTIVE_D + 1), "stop at rank"),
+        (lambda: MotiveTable().get(limit + 1, 1), f"motive table entries stop at a = {limit}"),
+        (lambda: MotiveTable().get(10**9, 10**9), "stop at a"),
+        (lambda: motive_table_csv([(limit + 2, 0)]), "stop at a"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # entries outside the cone stay zero without a walk at any size
+    assert MotiveTable().get(10**9, 10**9 + 2).is_zero()
 
 
 def test_packing_width_fits_the_bound():
