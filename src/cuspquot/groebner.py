@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .qalgebra import check_prime
 from .strata import LeadingTermDatum, Monomial
+from .varieties import _Lanes, _lanes
 
 __all__ = [
     "Monomial",
@@ -302,9 +303,9 @@ class PreBasis:
         return len(self.elements)
 
 
-def _axpy(acc: dict, mono: Monomial, a: Sequence[int], x: Sequence[int], p: int) -> None:
-    """acc[mono] += a * x, entry by entry mod p."""
-    acc[mono] = [(w + u * v) % p for w, u, v in zip(acc.get(mono, itertools.repeat(0)), a, x)]
+def _closure_lanes(p: int, size: int) -> _Lanes:
+    """The lanes of _closed_count's columns: no lane it reduces exceeds p^2 - 1."""
+    return _lanes(p, size, p * p - 1)
 
 
 def _shifted(element: list, s: int, trunc: int) -> list:
@@ -315,56 +316,66 @@ def _shifted(element: list, s: int, trunc: int) -> list:
 def _closed_count(corners: list[Monomial], elements: list, p: int, trunc: int, size: int) -> int:
     """How many of size candidates pass; corners ascend and are every candidate's leads.
 
-    elements[j] is the monic g_j as (monomial, column) pairs, lead first, one
-    column entry per candidate.  Per seat with two corners, divide's sweep of
-    T^3 g0 - T^2 g1 and T^4 g0 - T^3 g1 runs on columns (the divisor is the
-    first corner dividing the term) with its three contract checks, the
-    dividend rebuilt from the elements' own terms, not through _shifted."""
-    ok = [True] * size
+    elements[j] is the monic g_j as (monomial, column) pairs, lead first, each
+    column reduced in the size _closure_lanes, one lane per candidate.  Per
+    seat with two corners, divide's sweep of T^3 g0 - T^2 g1 and
+    T^4 g0 - T^3 g1 runs on columns (the divisor is the first corner dividing
+    the term) with its three contract checks, the dividend rebuilt from the
+    elements' own terms, not through _shifted.  Every sum is reduced as it is
+    made, a residue plus at most a product of a residue and a lane in 1..p,
+    so no lane exceeds p^2 - 1; a reduced column is 0 exactly when it is 0
+    for every candidate."""
+    lanes = _closure_lanes(p, size)
+    reduce, nonzero = lanes.reduce, lanes.nonzero
+    times = {col: lanes.multiplier(col) for element in elements for _, col in element}
+    minus = p * lanes.ones  # minus - q is -q in every lane, in 1..p
+    ok = lanes.top
     for j0, j1 in itertools.combinations(range(len(corners)), 2):
         for s in (3, 4) if corners[j0].seat == corners[j1].seat else ():
-            f: dict[Monomial, list[int]] = {}  # T^s*g0 - T^(s-1)*g1
+            f: dict[Monomial, int] = {}  # T^s*g0 - T^(s-1)*g1
             for sign, j, shift in ((1, j0, s), (p - 1, j1, s - 1)):
                 for mono, col in _shifted(elements[j], shift, trunc):
-                    _axpy(f, mono, [sign] * size, col, p)
+                    f[mono] = f.get(mono, 0) + sign * col
+            f = {mono: reduce(col) for mono, col in f.items()}
             work, rem, quotients = dict(f), {}, []
-            waiting = [True] * size  # the candidate's lead of f is not yet swept
+            waiting = lanes.top  # the candidate's lead of f is not yet swept
             while work:
                 mono = min(work)
                 q = work.pop(mono)
                 if mono in f:
-                    waiting = [w and not v for w, v in zip(waiting, f[mono])]
+                    waiting &= ~nonzero(f[mono])
                 j = next((j for j, c in enumerate(corners) if divides(c, mono) is not None), None)
                 if j is None:
                     rem[mono] = q
-                elif any(q):
-                    if any(itertools.compress(q, waiting)):
+                elif q:
+                    if nonzero(q) & waiting:
                         raise ArithmeticError("a quotient term starts below the lead of the dividend")
                     # the lead of T^s*g_j cancels mono; its tails land above it
                     shift = mono.t_deg - corners[j].t_deg
                     quotients.append((j, shift, q))
-                    neg = [p - v for v in q]
+                    neg = minus - q
                     for key, col in _shifted(elements[j], shift, trunc)[1:]:
-                        _axpy(work, key, neg, col, p)
+                        work[key] = reduce(work.get(key, 0) + times[col](neg))
             for mono, col in rem.items():
-                if any(col) and any(divides(c, mono) is not None for c in corners):
+                if col and any(divides(c, mono) is not None for c in corners):
                     raise ArithmeticError(f"remainder term {mono} is divisible by a divisor lead")
-                ok = [o and not v for o, v in zip(ok, col)]
-            recon, zero = dict(rem), [0] * size
+                ok &= ~nonzero(col)
+            recon = dict(rem)
             for j, shift, q in quotients:
                 for nu, col in elements[j]:
                     if nu.t_deg + shift < trunc:
-                        _axpy(recon, Monomial(nu.t_deg + shift, nu.seat), q, col, p)
-            if any(recon.get(m, zero) != f.get(m, zero) for m in recon.keys() | f.keys()):
+                        key = Monomial(nu.t_deg + shift, nu.seat)
+                        recon[key] = reduce(recon.get(key, 0) + times[col](q))
+            if any(recon.get(m, 0) != f.get(m, 0) for m in recon.keys() | f.keys()):
                 raise ArithmeticError("quotients and remainder do not reconstruct the dividend")
-    return sum(ok)
+    return ok.bit_count()
 
 
 def is_groebner(pb: PreBasis) -> bool:
     """Degree-adjacent pairs only (a PreBasis has at most two, adjacent leads per
-    seat): _closed_count on one-entry columns."""
+    seat): _closed_count on one-lane columns, each coefficient its own column."""
     gens = sorted((g.monic() for g in pb), key=Element.leading_monomial)
-    elements = [[(m, [c]) for m, c in sorted(g.terms.items())] for g in gens]
+    elements = [sorted(g.terms.items()) for g in gens]
     return _closed_count([g.leading_monomial() for g in gens], elements, pb.p, pb.trunc, 1) == 1
 
 

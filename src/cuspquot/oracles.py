@@ -32,8 +32,8 @@ every cell of A free, and keeps the A with A^2 = B^3: the walk the
 staircase-variety counts run over each of their Y.
 
 count_stratum_bruteforce runs groebner's standard-basis test on up to
-2^12 candidate bases at once, each coefficient a column with one entry
-per candidate.
+_COLUMN = 2^12 candidate bases at once, each coefficient a packed column
+of varieties._Lanes with one lane per candidate.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ import math
 import operator
 from typing import Callable, Iterable, Iterator, Optional
 
-from .groebner import Element, PreBasis, _closed_count
+from .groebner import Element, PreBasis, _closed_count, _closure_lanes
 from .qalgebra import check_nonnegative, check_prime
 from .strata import LeadingTermDatum, Monomial
-from .varieties import BudgetError, _commutant_roots, _in_span, check_budget
+from .varieties import BudgetError, _commutant_roots, _in_span, _lane_coords, check_budget
 
 __all__ = [
     "BudgetError",
@@ -238,7 +238,7 @@ def _pairs_over(b: Matrix, n: int, p: int) -> int:
     """Number of A in the commutant of B with A^2 = B^3."""
     cells = [(i, j) for i in range(n) for j in range(n)]
     rows = [b[i * n : (i + 1) * n] for i in range(n)]
-    return sum(1 for _ in _commutant_roots(cells, cells, p)(rows))
+    return _commutant_roots(cells, cells, p).count(rows)
 
 
 def _check_pair_count(call: str, n: int, p: int, extra: int) -> tuple[int, int]:
@@ -295,9 +295,6 @@ def first_corner_slots(datum: LeadingTermDatum) -> list[tuple[int, Monomial]]:
     return [(ci, nu) for ci, nu in stratum_slots(datum) if corners[ci] in firsts]
 
 
-_COLUMN = 1 << 12  # most candidates in a column; further free slots are walked one by one
-
-
 def count_stratum_bruteforce(
     datum: LeadingTermDatum,
     p: int,
@@ -307,9 +304,9 @@ def count_stratum_bruteforce(
 
     pins fixes some slot values; the rest range over all of F_p, and a
     choice counts when groebner's standard-basis test passes.  The test runs
-    on columns of up to 2^12 candidates in itertools.product order: a free
-    slot is the column of its digit, a pinned slot a constant column, a
-    corner the constant 1.
+    on packed columns of up to _COLUMN candidates in itertools.product
+    order: the last free slots are the digit columns of the lanes, packed
+    once, and the others, the pinned slots and the corners' 1 are constant.
     """
     p = check_prime(p)
     pins = dict(pins or {})
@@ -326,15 +323,13 @@ def count_stratum_bruteforce(
     corners, trunc = datum.corners(), 2 * datum.n() + 4
     if corners:  # every candidate leads with them, so one PreBasis checks them all
         PreBasis([Element({c: 1}, p, trunc) for c in corners], datum.d)
-    inner = max(k for k in range(len(free) + 1) if p**k <= _COLUMN)
-    outer, size = len(free) - inner, p**inner
-    digits = list(zip(*itertools.product(range(p), repeat=inner)))
+    outer = len(free) - _lane_coords(p, len(free))
+    lanes = _closure_lanes(p, p ** (len(free) - outer))
     count = 0
     for vals in itertools.product(range(p), repeat=outer):
-        cols = [(s, [v] * size) for s, v in itertools.chain(pins.items(), zip(free, vals)) if v]
-        cols += zip(free[outer:], digits)
-        elements = [[(c, [1] * size)] + [(nu, col) for (ci, nu), col in cols if ci == j]
+        cols = [(s, v * lanes.ones) for s, v in itertools.chain(pins.items(), zip(free, vals)) if v]
+        cols += zip(free[outer:], lanes.digits)
+        elements = [[(c, lanes.ones)] + [(nu, col) for (ci, nu), col in cols if ci == j]
                     for j, c in enumerate(corners)]
-        count += _closed_count(corners, elements, p, trunc, size)
+        count += _closed_count(corners, elements, p, trunc, lanes.size)
     return count
-

@@ -458,11 +458,16 @@ class TPoly:
         return TPoly(out)
 
     def evaluate_t_symbolic(self, t_value: int) -> LaurentPolyQ:
-        """Plug an integer for t, keeping q symbolic."""
-        total = ZERO
-        for m, c in enumerate(self._coeffs):
-            total = total + c * (t_value ** m)
-        return total
+        """Plug an integer for t, keeping q symbolic: each coefficient times
+        t_value^m is merged into one dict, and one LaurentPolyQ is built."""
+        t_value = operator.index(t_value)
+        out: dict[int, int] = {}
+        k = 1
+        for c in self._coeffs:
+            if k:
+                _merge(out, c._terms, 0, k)
+            k *= t_value
+        return _from_clean(out)
 
     def at_root_of_unity(self, r: int) -> list["CyclotomicInt"]:
         return [c.at_root_of_unity(r) for c in self._coeffs]

@@ -11,12 +11,15 @@ staircase variety V_d, whose motive obeys a two-parameter recursion
 computed here exactly, a block of ranks at a time, on big integers that
 pack each polynomial at q = 2^w.
 
-One enumerator, _cusp_points, walks the F_p points of all of them: for
+One enumerator, _cusp_fibres, walks the F_p points of all of them: for
 each Y on its slots, _commutant_roots walks the kernel of the linear
-condition XY = YX and keeps the X with X^2 = Y^3.  count_v_spec (a
-patterned variety), brute_v_d and enumerate_v_d_points (V_d) delegate to
-it; they are the oracles of the closed forms.  The pair counts of oracles
-walk the same commutant fibres with every matrix cell free.  Every
+condition XY = YX and keeps the X with X^2 = Y^3, its innermost kernel
+coordinates packed into the lanes of one int per slot (_Lanes, up to
+_COLUMN lanes).  count_v_spec (a patterned variety) and brute_v_d count
+its solving lanes, and enumerate_v_d_points (V_d) reads the points off
+them; they are the oracles of the closed forms.  The pair counts of
+oracles walk the same commutant fibres with every matrix cell free, and
+the stratum oracle runs groebner's closure test on the same lanes.  Every
 brute-force enumeration, here and in oracles, passes the number of
 candidates it will walk to check_budget before any work: past the one
 ENUMERATION_BUDGET it raises BudgetError.
@@ -83,7 +86,8 @@ def check_budget(call: str, p: int, digits: int, exact: Optional[Callable[[], in
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over F_p; vectors are tuples of ints
+# small exact linear algebra over F_p; vectors are tuples of ints, columns
+# of candidates are packed lanes
 
 
 def _rref(vectors: Iterable[Sequence[int]], p: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -119,6 +123,118 @@ def _in_span(rows: Sequence[Sequence[int]], pivots: Sequence[int], vec: Sequence
         if c:
             v = [(a - c * b) % p for a, b in zip(v, r)]
     return not any(v)
+
+
+_COLUMN = 1 << 12  # most lanes in a packed column; further coordinates are walked one at a time
+
+
+def _lane_coords(p: int, n: int) -> int:
+    """How many of n coordinates over F_p one packed column holds: the most
+    k <= n with p^k <= _COLUMN."""
+    k = 0
+    while k < n and p ** (k + 1) <= _COLUMN:
+        k += 1
+    return k
+
+
+class _Lanes:
+    """Columns of size values over F_p, each one int of w-bit lanes; size is a
+    power of p.
+
+    Lane i of a column x is the field (x >> i*w) & (2^w - 1).  reduce takes
+    a column whose lanes are at most bound and returns the column of their
+    residues in range(p); the other methods read reduced columns, and a
+    reduced column is 0 exactly when every lane is 0.
+
+    reduce is one Barrett step on every lane at once.  With 2^k > bound *
+    (p - 1) and m = ceil(2^k / p) = (2^k + e) / p, 0 <= e < p, a lane
+    v = a p + r <= bound, 0 <= r < p, has v m / 2^k = a + (r + v e / 2^k) / p
+    with v e < 2^k, so floor(v m / 2^k) = a.  w holds v m < 2^w, so x * m
+    carries nothing from lane to lane; after the shift by k, the low w - k
+    bits of each lane are a < 2^(w - k), and the mask drops the bits the
+    next lane shifted in; x - a p borrows nothing, as a p <= v.  A single
+    lane is a single residue, and there reduce is x % p.
+
+    nonzero is one add and one AND: w also holds 2p, so a residue r < p
+    plus 2^(w - 1) - 1 stays below 2^w and reaches the top bit of its lane
+    exactly when r > 0.  multiplier(y) multiplies lane by lane by a reduced
+    column y: one product when every lane of y holds one value (so always
+    at one lane), else one masked, shifted add per bit plane t <
+    ceil(log2 p) of y, the mask covering the lanes whose bit t is set.
+    Counts of lanes are int.bit_count of a mask of top bits, and select
+    reads the set lanes off byte strings, as w is a multiple of 8.  digits
+    holds the digit columns of itertools.product(range(p), repeat=count),
+    size = p^count: lane i holds the tuple at index i.
+    """
+
+    __slots__ = ("size", "width", "ones", "top", "digits", "reduce", "multiplier", "_low", "_field", "_bits")
+
+    def __init__(self, p: int, size: int, bound: int):
+        count = 0
+        while p**count < size:
+            count += 1
+        if p**count != size:
+            raise ValueError(f"{size} lanes is not a power of {p}")
+        k = (bound * (p - 1)).bit_length()
+        m = -(-(1 << k) // p)
+        w = -(-max(bound * m, 2 * p).bit_length() // 8) * 8
+        ones = int.from_bytes((1).to_bytes(w // 8, "little") * size, "little")
+        self.size, self.width, self.ones = size, w, ones
+        self.top = ones << (w - 1)
+        self._low = ones * ((1 << (w - 1)) - 1)
+        self._field, self._bits = (1 << w) - 1, (p - 1).bit_length()
+        quot = ones * ((1 << (w - k)) - 1)
+
+        def reduce(x: int) -> int:
+            return x - (((x * m) >> k) & quot) * p
+
+        self.reduce, self.multiplier = reduce, self._multiplier
+        if size == 1:  # one residue: % reduces it, and it is its own multiplier
+            self.reduce, self.multiplier = p.__rmod__, operator.attrgetter("__mul__")
+        self.digits = []
+        for run in (p ** (count - 1 - i) for i in range(count)):
+            period = b"".join(v.to_bytes(w // 8, "little") * run for v in range(p))
+            self.digits.append(int.from_bytes(period * (size // (p * run)), "little"))
+
+    def nonzero(self, x: int) -> int:
+        """The top bit of each nonzero lane of a reduced column."""
+        return (x + self._low) & self.top
+
+    def _multiplier(self, y: int) -> Callable[[int], int]:
+        ones, field = self.ones, self._field
+        c = y & field
+        if y == c * ones:
+            return c.__mul__
+        planes = [(t, ((y >> t) & ones) * field) for t in range(self._bits)]
+        planes = [(t, plane) for t, plane in planes if plane]
+
+        def times(x: int) -> int:
+            out = 0
+            for t, plane in planes:
+                out += (x & plane) << t
+            return out
+
+        return times
+
+    def select(self, cols: Sequence[int], mask: int) -> Iterator[list[int]]:
+        """The values in cols of each lane set in mask, ascending; mask holds
+        top bits only.  One byte string per column, then O(1) work per
+        selected lane, however few there are."""
+        size = self.size * self.width // 8
+        raws = [c.to_bytes(size, "little") for c in cols]
+        flags = mask.to_bytes(size, "little")  # the top byte of a set lane is 0x80, all else 0
+        step = self.width // 8
+        i = flags.find(128)
+        while i >= 0:
+            lo, i = i + 1 - step, i + 1
+            yield [int.from_bytes(r[lo:i], "little") for r in raws]
+            i = flags.find(128, i)
+
+
+@functools.lru_cache(maxsize=32)
+def _lanes(p: int, size: int, bound: int) -> _Lanes:
+    """The _Lanes of size lanes for columns up to bound, built once."""
+    return _Lanes(p, size, bound)
 
 
 class GFMatrix:
@@ -264,43 +380,70 @@ def _commutant_roots(
     """The X, zero off x_slots, with XY = YX and X^2 = Y^3 at entries.
 
     Returns roots(Y), Y a square list of rows, which yields the values on
-    x_slots of each such X; a yielded list is never mutated.  XY - YX is
-    linear in X, and its kernel is walked by an odometer over the
-    coefficients of a basis: each step adds one basis vector, and a digit
-    that reaches p has added its vector p times, which is zero, and
+    x_slots of each such X, each in a new list; roots.count(Y) is their
+    number, the int.bit_count of the lane masks, with no X read.  XY - YX
+    is linear in X, and its kernel has a basis; the last _lane_coords of its
+    coordinates run over the lanes of packed _Lanes columns, so each slot of
+    X is one column, built once per Y.  The other coordinates are walked by
+    an odometer: each step adds one basis vector to the slot columns, and a
+    digit that reaches p has added its vector p times, which is zero, and
     carries.  X^2 at an entry (i, j) sums the products over the slot pairs
     (i, k), (k, j); that table depends only on the slots and entries, so it
-    is built once here and serves every Y."""
+    is built once here and serves every Y.  Each entry costs one reduce."""
     index = {s: n for n, s in enumerate(x_slots)}
     square = [
         [(index[i, k], index[k, j]) for a, k in x_slots if a == i and (k, j) in index]
         for i, j in entries
     ]
     rows = {i for i, _ in entries}
+    seconds = sorted({t for pairs in square for _, t in pairs})
+    # a lane sums at most this many products of residues, plus one residue
+    terms = max([len(pairs) for pairs in square] + [_lane_coords(p, len(x_slots)), 1])
+    bound = terms * (p - 1) ** 2 + p - 1
+    by_dim: dict[int, tuple[int, _Lanes]] = {}  # kernel dimension -> odometer coordinates, lanes
 
-    def roots(Y: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    def walk(Y: Sequence[Sequence[int]]) -> Iterator[tuple[_Lanes, list[int], int]]:
+        """(lanes, slot columns, mask of the lanes that solve) per odometer step
+        with a solving lane; the columns change in place after each step."""
         # the coefficient of X_ab in (XY - YX)_ij; a zero row when there is no entry
         system = [
             [(Y[b][j] if a == i else 0) - (Y[i][a] if b == j else 0) for a, b in x_slots]
             for i, j in entries
         ] or [[0] * len(x_slots)]
         basis = GFMatrix(system, p).kernel_basis()
-        cols = list(zip(*Y))
-        y2 = {i: [sum(map(operator.mul, Y[i], col)) for col in cols] for i in rows}
-        y3 = [sum(map(operator.mul, y2[i], cols[j])) % p for i, j in entries]
-        vec = [0] * len(x_slots)
-        digits = [0] * len(basis)
+        if len(basis) not in by_dim:
+            inner = _lane_coords(p, len(basis))
+            by_dim[len(basis)] = len(basis) - inner, _lanes(p, p**inner, bound)
+        cut, lanes = by_dim[len(basis)]
+        reduce, nonzero, multiplier, top = lanes.reduce, lanes.nonzero, lanes.multiplier, lanes.top
+        cols = [0] * len(x_slots)
+        for v, digit in zip(basis[cut:], lanes.digits):
+            for s, c in enumerate(v):
+                if c:
+                    cols[s] += c * digit
+        cols = list(map(reduce, cols))
+        steps = [[(s, c * lanes.ones) for s, c in enumerate(v) if c] for v in basis[:cut]]
+        cols_y = list(zip(*Y))
+        y2 = {i: [sum(map(operator.mul, Y[i], col)) for col in cols_y] for i in rows}
+        # X^2 - Y^3 at each entry starts from -Y^3 in every lane
+        starts = [-sum(map(operator.mul, y2[i], cols_y[j])) % p * lanes.ones for i, j in entries]
+        mults = {t: multiplier(cols[t]) for t in seconds}
+        digits = [0] * cut
         while True:
-            for pairs, c in zip(square, y3):
-                acc = 0
+            alive = top
+            for pairs, acc in zip(square, starts):
                 for s, t in pairs:
-                    acc += vec[s] * vec[t]
-                if acc % p != c:
+                    acc += mults[t](cols[s])
+                alive &= ~nonzero(reduce(acc))
+                if not alive:
                     break
             else:
-                yield vec
-            for k, step in enumerate(basis):
-                vec = [(a + b) % p for a, b in zip(vec, step)]
+                yield lanes, cols, alive
+            for k, step in enumerate(steps):
+                for s, c in step:
+                    cols[s] = col = reduce(cols[s] + c)
+                    if s in mults:
+                        mults[s] = multiplier(col)
                 digits[k] += 1
                 if digits[k] < p:
                     break
@@ -308,15 +451,23 @@ def _commutant_roots(
             else:
                 return
 
+    def roots(Y: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+        for lanes, cols, alive in walk(Y):
+            yield from lanes.select(cols, alive)
+
+    def count(Y: Sequence[Sequence[int]]) -> int:
+        return sum(alive.bit_count() for _, _, alive in walk(Y))
+
+    roots.count = count  # type: ignore[attr-defined]
     return roots
 
 
-def _cusp_points(call: str, d: int, x_slots: list, y_slots: list, p: int) -> Iterator[tuple[list, list]]:
-    """The F_p points (X, Y) with X on x_slots and Y on y_slots, as lists of rows.
+def _cusp_fibres(call: str, d: int, x_slots: list, y_slots: list, p: int) -> Iterator[tuple[Callable, list]]:
+    """(roots, Y) for each Y on y_slots, as a list of rows: roots(Y) walks
+    the X on x_slots of the F_p points (X, Y), roots.count(Y) counts them.
 
-    For each Y the X are _commutant_roots at the entries j - i >= 2, the
-    only ones where XY - YX and X^2 - Y^3 can be nonzero.  The points over
-    one Y share its list: copy before mutating.  p and the p^(slots)
+    The roots are _commutant_roots at the entries j - i >= 2, the only ones
+    where XY - YX and X^2 - Y^3 can be nonzero.  p and the p^(slots)
     candidates of call are checked before the walk, d by the callers."""
     check_prime(p)
     check_budget(call, p, len(x_slots) + len(y_slots))
@@ -325,17 +476,13 @@ def _cusp_points(call: str, d: int, x_slots: list, y_slots: list, p: int) -> Ite
         Y = [[0] * d for _ in range(d)]
         for (i, j), c in zip(y_slots, ys):
             Y[i][j] = c
-        for xs in roots(Y):
-            X = [[0] * d for _ in range(d)]
-            for (i, j), c in zip(x_slots, xs):
-                X[i][j] = c
-            yield X, Y
+        yield roots, Y
 
 
 def count_v_spec(spec: VAlphaSpec, p: int) -> int:
     """Exhaustive point count of the patterned variety over F_p."""
     call = f"count_v_spec(VAlphaSpec({spec.d}, {spec.classes}), {p})"
-    return sum(1 for _ in _cusp_points(call, spec.d, spec.free_x(), spec.free_y(), p))
+    return sum(roots.count(Y) for roots, Y in _cusp_fibres(call, spec.d, spec.free_x(), spec.free_y(), p))
 
 
 def count_v_alpha(datum: LeadingTermDatum, p: int) -> int:
@@ -718,8 +865,8 @@ def _check_motive_rank(d: int) -> int:
     return d
 
 
-def _v_d_points(name: str, d: int, p: int) -> Iterator[tuple[list, list]]:
-    """_cusp_points of V_d, every strictly upper slot free for X and Y.
+def _v_d_fibres(name: str, d: int, p: int) -> Iterator[tuple[Callable, list]]:
+    """_cusp_fibres of V_d, every strictly upper slot free for X and Y.
 
     d, p and the p^(d(d-1)) candidates are checked before the d(d-1)/2
     slots are listed, so a refused call costs no memory quadratic in d."""
@@ -728,18 +875,25 @@ def _v_d_points(name: str, d: int, p: int) -> Iterator[tuple[list, list]]:
     check_prime(p)
     check_budget(call, p, d * (d - 1))
     slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    return _cusp_points(call, d, slots, slots, p)
+    return _cusp_fibres(call, d, slots, slots, p)
 
 
 def brute_v_d(d: int, p: int) -> int:
     """Independent count of V_d(F_p) by enumeration."""
-    return sum(1 for _ in _v_d_points("brute_v_d", d, p))
+    return sum(roots.count(Y) for roots, Y in _v_d_fibres("brute_v_d", d, p))
 
 
 def enumerate_v_d_points(d: int, p: int):
     """Yield all (X, Y) GFMatrix pairs in V_d(F_p)."""
-    for X, Y in _v_d_points("enumerate_v_d_points", d, p):
-        yield GFMatrix(X, p), GFMatrix(Y, p)
+    fibres = _v_d_fibres("enumerate_v_d_points", d, p)
+    slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for roots, Y in fibres:
+        y_matrix = GFMatrix(Y, p)
+        for xs in roots(Y):
+            X = [[0] * d for _ in range(d)]
+            for (i, j), c in zip(slots, xs):
+                X[i][j] = c
+            yield GFMatrix(X, p), y_matrix
 
 
 # ---------------------------------------------------------------------------

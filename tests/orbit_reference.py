@@ -10,11 +10,17 @@ and the raising laws against them.
 Conjugacy orbits of matrices: transvection_moves is a second generating
 set of GL_n(F_p), every I + E_ij and one diagonal matrix, that the pair
 oracle's flood fill is checked against.
+
+Commutant roots: commutant_roots_odometer walks the kernel of XY = YX one
+coefficient vector at a time, the walk that varieties._commutant_roots
+packs into lanes; the packed walk is checked against it.
 """
 
 import functools
+import operator
 
 from cuspquot.strata import LeadingTermDatum
+from cuspquot.varieties import GFMatrix
 
 
 def gamma_inverse(x: LeadingTermDatum, j: int):
@@ -99,3 +105,44 @@ def transvection_moves(n: int, p: int):
     if w != 1:
         moves.append(functools.partial(rescale, w=w, w_inv=pow(w, p - 2, p)))
     return moves
+
+
+def commutant_roots_odometer(x_slots, entries, p):
+    """roots(Y): the values on x_slots of each X, zero off x_slots, with
+    XY = YX and X^2 = Y^3 at entries.
+
+    An odometer over the coefficients of a kernel basis of X -> XY - YX:
+    each step adds one basis vector, and a digit that reaches p has added
+    its vector p times, which is zero, and carries.  Each X is checked
+    entry by entry with plain % arithmetic."""
+    index = {s: n for n, s in enumerate(x_slots)}
+    square = [
+        [(index[i, k], index[k, j]) for a, k in x_slots if a == i and (k, j) in index]
+        for i, j in entries
+    ]
+    rows = {i for i, _ in entries}
+
+    def roots(Y):
+        system = [
+            [(Y[b][j] if a == i else 0) - (Y[i][a] if b == j else 0) for a, b in x_slots]
+            for i, j in entries
+        ] or [[0] * len(x_slots)]
+        basis = GFMatrix(system, p).kernel_basis()
+        cols = list(zip(*Y))
+        y2 = {i: [sum(map(operator.mul, Y[i], col)) for col in cols] for i in rows}
+        y3 = [sum(map(operator.mul, y2[i], cols[j])) % p for i, j in entries]
+        vec = [0] * len(x_slots)
+        digits = [0] * len(basis)
+        while True:
+            if all(sum(vec[s] * vec[t] for s, t in pairs) % p == c for pairs, c in zip(square, y3)):
+                yield list(vec)
+            for k, step in enumerate(basis):
+                vec = [(a + b) % p for a, b in zip(vec, step)]
+                digits[k] += 1
+                if digits[k] < p:
+                    break
+                digits[k] = 0
+            else:
+                return
+
+    return roots

@@ -153,8 +153,8 @@ def test_criterion_3_pure_k_tables():
 
 def test_criterion_4_groebner_properties():
     # The division routine re-checks its own contract on every call, so a
-    # soundness violation anywhere in the trials raises ArithmeticError.
-    assert __debug__
+    # soundness violation anywhere in the trials raises ArithmeticError, under
+    # python -O too (test_one_definition pins that no assert guards it).
     test_groebner.test_reduced_basis_uniqueness_100_trials()
     print("PASS criterion-4: 100 reduced-basis trials, division soundness, codim")
 

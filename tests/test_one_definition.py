@@ -2,6 +2,9 @@
 the prime check, the rank order, the seat of each rank after gamma_j and
 each MAX_ rank limit.
 The unchecked matrix constructor GFMatrix._of stays inside varieties.
+The lane cap _COLUMN is assigned once, like the rank limits, and the
+checks of groebner, the oracles and the packed lanes are raises, which
+python -O keeps.
 The tests read the modules' syntax trees, so a restated copy fails here."""
 
 import ast
@@ -109,13 +112,37 @@ def test_unchecked_matrix_constructor_stays_in_varieties():
 
 def test_each_rank_limit_is_assigned_in_one_module():
     # the cli imports MAX_MOTIVE_D from varieties, where the motive walk
-    # enforces it; a second assignment could drift from the first
+    # enforces it, and both lane consumers read the lane cap _COLUMN there;
+    # a second assignment could drift from the first
     assigned: dict[str, list[str]] = {}
     for path in SOURCES:
         for node in _tree(path).body:
             targets = node.targets if isinstance(node, ast.Assign) else []
             for target in targets:
-                if isinstance(target, ast.Name) and target.id.startswith("MAX_"):
+                if isinstance(target, ast.Name) and (target.id.startswith("MAX_") or target.id == "_COLUMN"):
                     assigned.setdefault(target.id, []).append(path.stem)
-    assert assigned["MAX_MOTIVE_D"] == ["varieties"]
+    assert assigned["MAX_MOTIVE_D"] == assigned["_COLUMN"] == ["varieties"]
     assert {name: stems for name, stems in assigned.items() if len(stems) > 1} == {}
+
+
+def _top_level(name: str) -> dict[str, ast.AST]:
+    """The module-level statements of a source module, by the name they define."""
+    out = {}
+    for node in _tree(pathlib.Path(cuspquot.__file__).parent / f"{name}.py").body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node]
+        for target in targets:
+            key = getattr(target, "id", None) or getattr(target, "name", None)
+            if key:
+                out[key] = node
+    return out
+
+
+def test_contract_checks_survive_python_O():
+    # python -O strips assert statements; every check of the division
+    # contracts, the oracles and the lane primitive must be a raise
+    varieties = _top_level("varieties")
+    lanes = [varieties[name] for name in ("_COLUMN", "_lane_coords", "_Lanes", "_lanes")]
+    trees = [_tree(pathlib.Path(cuspquot.__file__).parent / f"{m}.py") for m in ("groebner", "oracles")]
+    found = [node for tree in trees + lanes for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+    assert any(isinstance(node, ast.Raise) for tree in trees for node in ast.walk(tree))

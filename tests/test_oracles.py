@@ -125,9 +125,9 @@ SCALING_CASES = [
 
 
 def test_oracles_import_no_formula():
-    # the oracles may share the span test, the commutant walk and the
-    # budget with varieties, but nothing they audit
-    allowed = {"BudgetError", "_commutant_roots", "_in_span", "check_budget"}
+    # the oracles may share the span test, the commutant walk, the packed
+    # lanes and the budget with varieties, but nothing they audit
+    allowed = {"BudgetError", "_commutant_roots", "_in_span", "_lane_coords", "check_budget"}
     with open(oracles_module.__file__, encoding="utf-8") as f:
         tree = ast.parse(f.read())
     for node in ast.walk(tree):
@@ -669,6 +669,29 @@ def test_pinned_stratum_columns_match_the_per_candidate_walk():
         pins = {slot: rng.randrange(3) for slot in pinned}
         expected = _reference_stratum_count(WORKED, 3, pins)
         assert count_stratum_bruteforce(WORKED, 3, pins=pins) == expected, pins
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packed_stratum_count_matches_the_full_criterion(p):
+    # every candidate basis built as Elements and tested alone by
+    # is_groebner_general, against the packed lanes, with and without a pin
+    rng = random.Random(p)
+    for text in ("(K(0),K(2))", "(J(2),K(0))", "(K(0),J(2))"):
+        datum = parse_datum(text)
+        slots = stratum_slots(datum)
+        assert 3 <= len(slots) <= 4
+        assert count_stratum_bruteforce(datum, p) == _reference_stratum_count(datum, p), (text, p)
+        pins = {rng.choice(slots): rng.randrange(p)}
+        assert count_stratum_bruteforce(datum, p, pins=pins) == _reference_stratum_count(datum, p, pins)
+
+
+def test_pair_counts_at_larger_primes_match_the_formula():
+    # p^(n^2 + 1) within the budget: many lanes of one coordinate, and at
+    # (1, 1021) one kernel coordinate of 1021 lanes per B
+    for n, p in ((2, 13), (1, 1021)):
+        assert count_all_pairs(n, p) == matrix_count_formula(n).evaluate(p), (n, p)
+        nilpotent = count_nilpotent_pairs(n, p)
+        assert Fraction(nilpotent) == zhat_coefficient(n).evaluate(p) * gl_order(n).evaluate(p)
 
 
 def test_rank_zero_datum_has_one_point():

@@ -607,6 +607,24 @@ def test_tpoly_evaluation():
     assert p.evaluate_t_symbolic(0) == ONE
 
 
+def test_tpoly_evaluation_matches_the_sum_of_coefficients():
+    # the one-dict evaluation against the per-coefficient sum c_m * t^m
+    rng = random.Random(29)
+    polys = [TPoly()] + [
+        TPoly([
+            LaurentPolyQ({rng.randrange(-4, 5): rng.randrange(-3, 4) for _ in range(rng.randrange(4))})
+            for _ in range(rng.randrange(1, 7))
+        ])
+        for _ in range(60)
+    ]
+    for p in polys:
+        for t in (-1, 0, 1, 2):
+            expected = sum((c * t**m for m, c in enumerate(p.coeffs)), ZERO)
+            got = p.evaluate_t_symbolic(t)
+            assert got == expected and all(got.terms.values()), (p, t)
+    assert TPoly().evaluate_t_symbolic(2) == ZERO
+
+
 def test_tpoly_at_minus_one_collapse():
     # (t;q)_2 at q = -1 collapses to 1 - t^2.
     vals = t_pochhammer(2).at_root_of_unity(2)

@@ -40,6 +40,7 @@ from cuspquot.varieties import (
     symbolic_v_alpha,
 )
 from cuspquot.varieties import (
+    _COLUMN,
     _antidiagonal,
     _commutant_roots,
     _count,
@@ -47,6 +48,8 @@ from cuspquot.varieties import (
     _digit_width,
     _factor,
     _h0_exact,
+    _lane_coords,
+    _Lanes,
     _module,
     _motive,
     _Poly,
@@ -55,6 +58,8 @@ from cuspquot.varieties import (
     _symbolic_count,
 )
 from cuspquot.qalgebra import LaurentPolyQ
+
+from orbit_reference import commutant_roots_odometer
 
 FROZEN_V_COUNTS = {
     (0, 2): 1,
@@ -956,3 +961,97 @@ def test_extend_point_validates_lengths():
 def test_enumeration_budget():
     with pytest.raises(BudgetError, match=f"would walk {13**6} candidates"):
         next(enumerate_v_d_points(3, 13))
+
+
+# ---------------------------------------------------------------------------
+# packed F_p lanes
+
+
+def _pack(values, w):
+    return sum(v << (i * w) for i, v in enumerate(values))
+
+
+def _unpack(x, w, size):
+    return [(x >> (i * w)) & ((1 << w) - 1) for i in range(size)]
+
+
+def _lane_cases():
+    for p in (2, 3, 5, 7, 67, 4099):
+        largest = p ** _lane_coords(p, 12)
+        for size in sorted({1, p, largest}):
+            # the closure test's bound and a commutant walk's of 12 products
+            for bound in (p * p - 1, 12 * (p - 1) ** 2 + p - 1):
+                yield p, size, bound
+
+
+@pytest.mark.parametrize("p, size, bound", list(_lane_cases()))
+def test_lanes_agree_with_per_entry_arithmetic(p, size, bound):
+    rng = random.Random(f"{p}:{size}:{bound}")
+    lanes = _Lanes(p, size, bound)
+    w = lanes.width
+    assert w % 8 == 0 and lanes.ones == _pack([1] * size, w)
+    # reduce: random lanes, then every lane at the largest value allowed
+    for values in ([rng.randrange(bound + 1) for _ in range(size)], [bound] * size):
+        assert _unpack(lanes.reduce(_pack(values, w)), w, size) == [v % p for v in values]
+    residues = [rng.randrange(p) for _ in range(size)]
+    residues[rng.randrange(size)] = 0
+    x = _pack(residues, w)
+    assert _unpack(lanes.nonzero(x), w, size) == [(1 << (w - 1)) * bool(r) for r in residues]
+    assert lanes.nonzero(x).bit_count() == sum(map(bool, residues))
+    # a product of a lane in 1..p and a residue, for a varying and a constant
+    # multiplier column; (p - 1)^2 + p - 1 more is still within the bound
+    factors = [rng.randrange(1, p + 1) for _ in range(size)]
+    for column in (residues, [p - 1] * size, [0] * size):
+        product = lanes.multiplier(_pack(column, w))(_pack(factors, w))
+        assert _unpack(product, w, size) == [a * b for a, b in zip(factors, column)]
+        low = _pack([p - 1] * size, w)
+        assert _unpack(lanes.reduce(product + low), w, size) == [
+            (a * b + p - 1) % p for a, b in zip(factors, column)
+        ]
+    # select reads the chosen lanes, ascending, off the columns
+    chosen = sorted(rng.sample(range(size), min(size, 5)))
+    mask = _pack([1 << (w - 1) if i in chosen else 0 for i in range(size)], w)
+    assert list(lanes.select([x, lanes.ones], mask)) == [[residues[i], 1] for i in chosen]
+
+
+def test_lane_digits_follow_product_order():
+    for p, count in ((2, 12), (3, 7), (5, 5), (67, 1), (4099, 0)):
+        assert _lane_coords(p, 99) == count and p ** count <= _COLUMN < p ** (count + 1)
+        lanes = _Lanes(p, p**count, p * p - 1)
+        digits = [_unpack(col, lanes.width, lanes.size) for col in lanes.digits]
+        assert len(digits) == count
+        if count:
+            assert list(zip(*digits)) == list(itertools.product(range(p), repeat=count))
+    assert _lane_coords(2, 5) == 5
+    with pytest.raises(ValueError, match="not a power"):
+        _Lanes(3, 10, 8)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_commutant_roots_match_the_odometer(p):
+    # random Y over full cells and over staircase slots, and Y whose large
+    # commutant walks more coordinates than one column holds
+    rng = random.Random(p)
+    cases = []
+    for n in (2, 3):
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        for _ in range(8):
+            cases.append((cells, cells, [[rng.randrange(p) for _ in range(n)] for _ in range(n)]))
+    slots = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    entries = [(i, j) for i in range(4) for j in range(i + 2, 4)]
+    for _ in range(8):
+        Y = [[rng.randrange(p) if j > i else 0 for j in range(4)] for i in range(4)]
+        cases.append((slots, entries, Y))
+    # diag(c, 1, ..., 1): its commutant has p^16, 3^9 and 7^5 elements, more
+    # than one column holds, so the odometer walks the rest
+    n, c = {2: (4, 1), 3: (3, 1), 7: (3, 2)}[p]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    cases.append((cells, cells, [[(c if i == 0 else 1) * (i == j) for j in range(n)] for i in range(n)]))
+    walked = 0
+    for x_slots, entries, Y in cases:
+        expected = sorted(map(tuple, commutant_roots_odometer(x_slots, entries, p)(Y)))
+        roots = _commutant_roots(x_slots, entries, p)
+        assert sorted(map(tuple, roots(Y))) == expected, (x_slots, Y)
+        assert roots.count(Y) == len(expected)
+        walked += len(expected)
+    assert walked > 0
