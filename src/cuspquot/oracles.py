@@ -238,7 +238,7 @@ def _pairs_over(b: Matrix, n: int, p: int) -> int:
     """Number of A in the commutant of B with A^2 = B^3."""
     cells = [(i, j) for i in range(n) for j in range(n)]
     rows = [b[i * n : (i + 1) * n] for i in range(n)]
-    return _commutant_roots(cells, cells, p).count(rows)
+    return _commutant_roots(cells, cells, p).number(rows)
 
 
 def _check_pair_count(call: str, n: int, p: int, extra: int) -> tuple[int, int]:

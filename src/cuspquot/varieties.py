@@ -152,8 +152,9 @@ class _Lanes:
     with v e < 2^k, so floor(v m / 2^k) = a.  w holds v m < 2^w, so x * m
     carries nothing from lane to lane; after the shift by k, the low w - k
     bits of each lane are a < 2^(w - k), and the mask drops the bits the
-    next lane shifted in; x - a p borrows nothing, as a p <= v.  A single
-    lane is a single residue, and there reduce is x % p.
+    next lane shifted in; x - a p borrows nothing, as a p <= v.  One lane
+    is one residue, and there reduce is x % p, one division in place of
+    the Barrett step's two products.
 
     nonzero is one add and one AND: w also holds 2p, so a residue r < p
     plus 2^(w - 1) - 1 stays below 2^w and reaches the top bit of its lane
@@ -167,7 +168,7 @@ class _Lanes:
     size = p^count: lane i holds the tuple at index i.
     """
 
-    __slots__ = ("size", "width", "ones", "top", "digits", "reduce", "multiplier", "_low", "_field", "_bits")
+    __slots__ = ("size", "width", "ones", "top", "digits", "reduce", "_low", "_field", "_bits")
 
     def __init__(self, p: int, size: int, bound: int):
         count = 0
@@ -188,9 +189,7 @@ class _Lanes:
         def reduce(x: int) -> int:
             return x - (((x * m) >> k) & quot) * p
 
-        self.reduce, self.multiplier = reduce, self._multiplier
-        if size == 1:  # one residue: % reduces it, and it is its own multiplier
-            self.reduce, self.multiplier = p.__rmod__, operator.attrgetter("__mul__")
+        self.reduce = p.__rmod__ if size == 1 else reduce
         self.digits = []
         for run in (p ** (count - 1 - i) for i in range(count)):
             period = b"".join(v.to_bytes(w // 8, "little") * run for v in range(p))
@@ -200,7 +199,7 @@ class _Lanes:
         """The top bit of each nonzero lane of a reduced column."""
         return (x + self._low) & self.top
 
-    def _multiplier(self, y: int) -> Callable[[int], int]:
+    def multiplier(self, y: int) -> Callable[[int], int]:
         ones, field = self.ones, self._field
         c = y & field
         if y == c * ones:
@@ -374,17 +373,24 @@ class VAlphaSpec:
         return [(b - 1, h - 1) for (b, h), c in sorted(self.classes.items()) if c != "1-"]
 
 
+class _Roots(NamedTuple):
+    """points(Y), Y a square list of rows, yields the values on the x slots
+    of each root X of Y, each in a new list; number(Y) is how many there
+    are, read off the lane masks with no X built."""
+
+    points: Callable[[Sequence[Sequence[int]]], Iterator[list[int]]]
+    number: Callable[[Sequence[Sequence[int]]], int]
+
+
 def _commutant_roots(
     x_slots: Sequence[tuple[int, int]], entries: Sequence[tuple[int, int]], p: int
-) -> Callable[[Sequence[Sequence[int]]], Iterator[list[int]]]:
-    """The X, zero off x_slots, with XY = YX and X^2 = Y^3 at entries.
+) -> _Roots:
+    """The X, zero off x_slots, with XY = YX and X^2 = Y^3 at entries, as
+    the _Roots of a Y.
 
-    Returns roots(Y), Y a square list of rows, which yields the values on
-    x_slots of each such X, each in a new list; roots.count(Y) is their
-    number, the int.bit_count of the lane masks, with no X read.  XY - YX
-    is linear in X, and its kernel has a basis; the last _lane_coords of its
-    coordinates run over the lanes of packed _Lanes columns, so each slot of
-    X is one column, built once per Y.  The other coordinates are walked by
+    XY - YX is linear in X, and its kernel has a basis; the last
+    _lane_coords of its coordinates run over the lanes of packed _Lanes
+    columns, so each slot of X is one column, built once per Y.  The other coordinates are walked by
     an odometer: each step adds one basis vector to the slot columns, and a
     digit that reaches p has added its vector p times, which is zero, and
     carries.  X^2 at an entry (i, j) sums the products over the slot pairs
@@ -400,7 +406,6 @@ def _commutant_roots(
     # a lane sums at most this many products of residues, plus one residue
     terms = max([len(pairs) for pairs in square] + [_lane_coords(p, len(x_slots)), 1])
     bound = terms * (p - 1) ** 2 + p - 1
-    by_dim: dict[int, tuple[int, _Lanes]] = {}  # kernel dimension -> odometer coordinates, lanes
 
     def walk(Y: Sequence[Sequence[int]]) -> Iterator[tuple[_Lanes, list[int], int]]:
         """(lanes, slot columns, mask of the lanes that solve) per odometer step
@@ -411,10 +416,8 @@ def _commutant_roots(
             for i, j in entries
         ] or [[0] * len(x_slots)]
         basis = GFMatrix(system, p).kernel_basis()
-        if len(basis) not in by_dim:
-            inner = _lane_coords(p, len(basis))
-            by_dim[len(basis)] = len(basis) - inner, _lanes(p, p**inner, bound)
-        cut, lanes = by_dim[len(basis)]
+        inner = _lane_coords(p, len(basis))
+        cut, lanes = len(basis) - inner, _lanes(p, p**inner, bound)
         reduce, nonzero, multiplier, top = lanes.reduce, lanes.nonzero, lanes.multiplier, lanes.top
         cols = [0] * len(x_slots)
         for v, digit in zip(basis[cut:], lanes.digits):
@@ -451,38 +454,41 @@ def _commutant_roots(
             else:
                 return
 
-    def roots(Y: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    def points(Y: Sequence[Sequence[int]]) -> Iterator[list[int]]:
         for lanes, cols, alive in walk(Y):
             yield from lanes.select(cols, alive)
 
-    def count(Y: Sequence[Sequence[int]]) -> int:
+    def number(Y: Sequence[Sequence[int]]) -> int:
         return sum(alive.bit_count() for _, _, alive in walk(Y))
 
-    roots.count = count  # type: ignore[attr-defined]
-    return roots
+    return _Roots(points, number)
 
 
-def _cusp_fibres(call: str, d: int, x_slots: list, y_slots: list, p: int) -> Iterator[tuple[Callable, list]]:
-    """(roots, Y) for each Y on y_slots, as a list of rows: roots(Y) walks
-    the X on x_slots of the F_p points (X, Y), roots.count(Y) counts them.
+def _cusp_fibres(call: str, d: int, x_slots: list, y_slots: list, p: int) -> tuple[_Roots, Iterator[list]]:
+    """The roots of the F_p points (X, Y), X on x_slots, and an iterator over
+    every Y on y_slots, as a list of rows.
 
     The roots are _commutant_roots at the entries j - i >= 2, the only ones
     where XY - YX and X^2 - Y^3 can be nonzero.  p and the p^(slots)
-    candidates of call are checked before the walk, d by the callers."""
+    candidates of call are checked at once, d by the callers."""
     check_prime(p)
     check_budget(call, p, len(x_slots) + len(y_slots))
-    roots = _commutant_roots(x_slots, [(i, j) for i in range(d) for j in range(i + 2, d)], p)
-    for ys in itertools.product(range(p), repeat=len(y_slots)):
-        Y = [[0] * d for _ in range(d)]
-        for (i, j), c in zip(y_slots, ys):
-            Y[i][j] = c
-        yield roots, Y
+
+    def fibres() -> Iterator[list]:
+        for ys in itertools.product(range(p), repeat=len(y_slots)):
+            Y = [[0] * d for _ in range(d)]
+            for (i, j), c in zip(y_slots, ys):
+                Y[i][j] = c
+            yield Y
+
+    return _commutant_roots(x_slots, [(i, j) for i in range(d) for j in range(i + 2, d)], p), fibres()
 
 
 def count_v_spec(spec: VAlphaSpec, p: int) -> int:
     """Exhaustive point count of the patterned variety over F_p."""
     call = f"count_v_spec(VAlphaSpec({spec.d}, {spec.classes}), {p})"
-    return sum(roots.count(Y) for roots, Y in _cusp_fibres(call, spec.d, spec.free_x(), spec.free_y(), p))
+    roots, fibres = _cusp_fibres(call, spec.d, spec.free_x(), spec.free_y(), p)
+    return sum(map(roots.number, fibres))
 
 
 def count_v_alpha(datum: LeadingTermDatum, p: int) -> int:
@@ -865,8 +871,9 @@ def _check_motive_rank(d: int) -> int:
     return d
 
 
-def _v_d_fibres(name: str, d: int, p: int) -> Iterator[tuple[Callable, list]]:
-    """_cusp_fibres of V_d, every strictly upper slot free for X and Y.
+def _v_d_fibres(name: str, d: int, p: int) -> tuple[list, _Roots, Iterator[list]]:
+    """The strictly upper slots, free for X and Y in V_d, and their
+    _cusp_fibres.
 
     d, p and the p^(d(d-1)) candidates are checked before the d(d-1)/2
     slots are listed, so a refused call costs no memory quadratic in d."""
@@ -875,21 +882,21 @@ def _v_d_fibres(name: str, d: int, p: int) -> Iterator[tuple[Callable, list]]:
     check_prime(p)
     check_budget(call, p, d * (d - 1))
     slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    return _cusp_fibres(call, d, slots, slots, p)
+    return (slots, *_cusp_fibres(call, d, slots, slots, p))
 
 
 def brute_v_d(d: int, p: int) -> int:
     """Independent count of V_d(F_p) by enumeration."""
-    return sum(roots.count(Y) for roots, Y in _v_d_fibres("brute_v_d", d, p))
+    _, roots, fibres = _v_d_fibres("brute_v_d", d, p)
+    return sum(map(roots.number, fibres))
 
 
 def enumerate_v_d_points(d: int, p: int):
     """Yield all (X, Y) GFMatrix pairs in V_d(F_p)."""
-    fibres = _v_d_fibres("enumerate_v_d_points", d, p)
-    slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    for roots, Y in fibres:
+    slots, roots, fibres = _v_d_fibres("enumerate_v_d_points", d, p)
+    for Y in fibres:
         y_matrix = GFMatrix(Y, p)
-        for xs in roots(Y):
+        for xs in roots.points(Y):
             X = [[0] * d for _ in range(d)]
             for (i, j), c in zip(slots, xs):
                 X[i][j] = c

@@ -888,7 +888,7 @@ def test_profiles_of_every_cusp_pair_match_a_set_reference(n, p, pairs):
     seen = 0
     for flat in itertools.product(range(p), repeat=n * n):
         Y = GFMatrix([flat[i * n : (i + 1) * n] for i in range(n)], p)
-        for xs in roots(Y.rows):
+        for xs in roots.points(Y.rows):
             X = GFMatrix([xs[i * n : (i + 1) * n] for i in range(n)], p)
             A, Ap = _factorization_ops(X, Y)
             T = GFMatrix.block2(zero, Y, one, zero)
@@ -1051,7 +1051,7 @@ def test_commutant_roots_match_the_odometer(p):
     for x_slots, entries, Y in cases:
         expected = sorted(map(tuple, commutant_roots_odometer(x_slots, entries, p)(Y)))
         roots = _commutant_roots(x_slots, entries, p)
-        assert sorted(map(tuple, roots(Y))) == expected, (x_slots, Y)
-        assert roots.count(Y) == len(expected)
+        assert sorted(map(tuple, roots.points(Y))) == expected, (x_slots, Y)
+        assert roots.number(Y) == len(expected)
         walked += len(expected)
     assert walked > 0
