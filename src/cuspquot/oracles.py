@@ -158,8 +158,8 @@ def _generators(n: int, p: int) -> list[Callable[[Matrix], Matrix]]:
     """Conjugations B -> g B g^-1 by three generators g of GL_n(F_p).
 
     The g are the cyclic shift e_i -> e_(i+1), the transvection I + E_01
-    and diag(w, 1, ..., 1) with w a generator of F_p^x; at n = 1 only the
-    diagonal one is left, and at n = 0 none.  Conjugating I + E_01 by
+    and diag(w, 1, ..., 1) with w the least generator of F_p^x; at n = 1
+    only the diagonal one is left, and at n = 0 none.  Conjugating I + E_01 by
     powers of the shift gives every I + E_(i,i+1) with indices mod n, and
     their commutators every I + E_ij, which generate SL_n(F_p); the
     diagonal matrix makes the determinant onto F_p^x.  The shift only
@@ -192,7 +192,17 @@ def _generators(n: int, p: int) -> list[Callable[[Matrix], Matrix]]:
         # entry (i, j) of S B S^-1 is entry (i - 1, j - 1) of B
         shift = operator.itemgetter(*((i - 1) % n * n + (j - 1) % n for i in range(n) for j in range(n)))
         moves += [shift, transvect]
-    w = next(w for w in range(1, p) if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
+    # w generates F_p^x iff w^((p - 1)/q) != 1 for every prime q dividing p - 1
+    primes, rest, q = [], p - 1, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        primes.append(rest)
+    w = next(w for w in range(1, p) if all(pow(w, (p - 1) // q, p) != 1 for q in primes))
     if w != 1:
         moves.append(functools.partial(rescale, w=w, w_inv=pow(w, p - 2, p)))
     return moves

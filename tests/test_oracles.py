@@ -25,7 +25,7 @@ from cuspquot.oracles import (
     first_corner_slots,
     stratum_slots,
 )
-from cuspquot.qalgebra import TSeries, gl_order, q_binomial, t_pochhammer
+from cuspquot.qalgebra import TSeries, gl_order, is_prime, q_binomial, t_pochhammer
 from cuspquot.series import (
     MAX_D,
     cohen_lenstra_coefficient,
@@ -331,11 +331,22 @@ def test_pair_counts_frozen():
 
 def test_empty_pair_count_searches_no_generator():
     # 0 x 0 pairs are inside the budget at every prime, so the count must not
-    # look for a generator of F_p^x: at p = 2^61 - 1 that search would build
-    # a set of p - 1 powers
+    # look for a generator of F_p^x: at p = 2^61 - 1 that search would
+    # trial-divide p - 1 up to its square root
     p = 2**61 - 1
     assert oracles_module._generators(0, p) == []
     assert count_nilpotent_pairs(0, p) == 1
+
+
+def test_generator_search_finds_the_least_primitive_root():
+    # the rescaling move uses the same w as the reference's search over the
+    # set of all p - 1 powers, at every prime below 1000 (p = 2 has none)
+    for p in filter(is_prime, range(1000)):
+        found = [m.keywords["w"] for m in oracles_module._generators(1, p)]
+        assert found == [m.keywords["w"] for m in transvection_moves(1, p)], p
+    assert oracles_module._generators(1, 2) == []
+    # the largest prime the budget admits at n = 1, p - 1 = 2^2 3^3 7 19 73
+    assert oracles_module._generators(1, 1048573)[0].keywords["w"] == 2
 
 
 def test_nilpotent_pair_ratio_matches_punctual_coefficient():
