@@ -39,13 +39,14 @@ from cuspquot.varieties import (
     ENUMERATION_BUDGET,
     GFMatrix,
     VAlphaSpec,
+    _commutant_roots,
     brute_v_d,
     count_v_alpha,
     count_v_spec,
     enumerate_v_d_points,
 )
 
-from orbit_reference import is_stable, transvection_moves
+from orbit_reference import commutant_roots_odometer, is_stable, transvection_moves
 
 
 def M(t_deg, seat):
@@ -694,6 +695,36 @@ def test_packed_stratum_count_matches_the_full_criterion(p):
         assert count_stratum_bruteforce(datum, p) == _reference_stratum_count(datum, p), (text, p)
         pins = {rng.choice(slots): rng.randrange(p)}
         assert count_stratum_bruteforce(datum, p, pins=pins) == _reference_stratum_count(datum, p, pins)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_commutant_roots_match_the_odometer(p):
+    # random Y over full cells and over staircase slots, and Y whose large
+    # commutant walks more coordinates than one column holds
+    rng = random.Random(p)
+    cases = []
+    for n in (2, 3):
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        for _ in range(8):
+            cases.append((cells, cells, [[rng.randrange(p) for _ in range(n)] for _ in range(n)]))
+    slots = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    entries = [(i, j) for i in range(4) for j in range(i + 2, 4)]
+    for _ in range(8):
+        Y = [[rng.randrange(p) if j > i else 0 for j in range(4)] for i in range(4)]
+        cases.append((slots, entries, Y))
+    # diag(c, 1, ..., 1): its commutant has p^16, 3^9 and 7^5 elements, more
+    # than one column holds, so the odometer walks the rest
+    n, c = {2: (4, 1), 3: (3, 1), 7: (3, 2)}[p]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    cases.append((cells, cells, [[(c if i == 0 else 1) * (i == j) for j in range(n)] for i in range(n)]))
+    walked = 0
+    for x_slots, entries, Y in cases:
+        expected = sorted(map(tuple, commutant_roots_odometer(x_slots, entries, p)(Y)))
+        roots = _commutant_roots(x_slots, entries, p)
+        assert sorted(map(tuple, roots.points(Y))) == expected, (x_slots, Y)
+        assert roots.number(Y) == len(expected)
+        walked += len(expected)
+    assert walked > 0
 
 
 def test_pair_counts_at_larger_primes_match_the_formula():

@@ -59,7 +59,6 @@ from cuspquot.varieties import (
 )
 from cuspquot.qalgebra import LaurentPolyQ
 
-from orbit_reference import commutant_roots_odometer
 
 FROZEN_V_COUNTS = {
     (0, 2): 1,
@@ -1025,33 +1024,3 @@ def test_lane_digits_follow_product_order():
     assert _lane_coords(2, 5) == 5
     with pytest.raises(ValueError, match="not a power"):
         _Lanes(3, 10, 8)
-
-
-@pytest.mark.parametrize("p", [2, 3, 7])
-def test_commutant_roots_match_the_odometer(p):
-    # random Y over full cells and over staircase slots, and Y whose large
-    # commutant walks more coordinates than one column holds
-    rng = random.Random(p)
-    cases = []
-    for n in (2, 3):
-        cells = [(i, j) for i in range(n) for j in range(n)]
-        for _ in range(8):
-            cases.append((cells, cells, [[rng.randrange(p) for _ in range(n)] for _ in range(n)]))
-    slots = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    entries = [(i, j) for i in range(4) for j in range(i + 2, 4)]
-    for _ in range(8):
-        Y = [[rng.randrange(p) if j > i else 0 for j in range(4)] for i in range(4)]
-        cases.append((slots, entries, Y))
-    # diag(c, 1, ..., 1): its commutant has p^16, 3^9 and 7^5 elements, more
-    # than one column holds, so the odometer walks the rest
-    n, c = {2: (4, 1), 3: (3, 1), 7: (3, 2)}[p]
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    cases.append((cells, cells, [[(c if i == 0 else 1) * (i == j) for j in range(n)] for i in range(n)]))
-    walked = 0
-    for x_slots, entries, Y in cases:
-        expected = sorted(map(tuple, commutant_roots_odometer(x_slots, entries, p)(Y)))
-        roots = _commutant_roots(x_slots, entries, p)
-        assert sorted(map(tuple, roots.points(Y))) == expected, (x_slots, Y)
-        assert roots.number(Y) == len(expected)
-        walked += len(expected)
-    assert walked > 0
