@@ -17,7 +17,9 @@ at least 2n+2 on each seat, so the count happens in the finite window
 of per-seat degrees 2..2n+1.  One walk over reduced echelon bases, the
 same for every prime, builds a basis one row at a time from the highest
 window position down and drops a row as soon as one of its shifts leaves
-the span of the rows above it.
+the span of the rows above it.  The rows are packed rows of
+varieties._row_lanes, so the image of a row under a shift is one mask
+and one shift of its int, and the span test is varieties._in_span.
 
 count_all_pairs and count_nilpotent_pairs count pairs (A, B) with
 AB = BA and A^2 = B^3 one conjugacy orbit of B at a time: A -> gAg^-1 is
@@ -47,7 +49,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .groebner import Element, PreBasis, _closed_count, _closure_lanes
 from .qalgebra import check_nonnegative, check_prime
 from .strata import LeadingTermDatum, Monomial
-from .varieties import BudgetError, _commutant_roots, _in_span, _lane_coords, check_budget
+from .varieties import BudgetError, _commutant_roots, _in_span, _lane_coords, _row_lanes, check_budget
 
 __all__ = [
     "BudgetError",
@@ -120,17 +122,17 @@ def count_quot_bruteforce(d: int, n: int, p: int) -> int:
     keep = total - n
     # the walk without pruning would meet each of the [total, n]_p subspaces once
     _check_subspaces(f"count_quot_bruteforce({d}, {n}, {p})", total, n, p)
-    # each shift as the (source, target) pairs that stay in the window
-    shifts = [[(i, i + s) for i in range(total) if i % win + s < win] for s in (2, 3)]
-    shifts = [pairs for pairs in shifts if pairs]  # none at n = 1
+    # rows are packed rows of total lanes; the image of a row under a shift
+    # keeps the lanes that stay in the window, one mask, and moves them up
+    lanes = _row_lanes(p, total)
+    w = lanes.width
+    shifts = [
+        (sum(lanes.field << i * w for i in range(total) if i % win + s < win), s * w) for s in (2, 3)
+    ]
+    shifts = [(mask, up) for mask, up in shifts if mask]  # none at n = 1
+    unit = [1 << j * w for j in range(total)]
 
-    def image(row: list[int], pairs: list[tuple[int, int]]) -> list[int]:
-        img = [0] * total
-        for src, dst in pairs:
-            img[dst] = row[src]
-        return img
-
-    def walk(pos: int, rows: list[list[int]], pivots: list[int], free: list[int]) -> int:
+    def walk(pos: int, rows: list[int], pivots: list[int], free: list[int]) -> int:
         """Invariant subspaces whose basis rows with pivots above pos are exactly rows;
         free holds the non-pivots above pos."""
         if len(rows) == keep:
@@ -138,12 +140,10 @@ def count_quot_bruteforce(d: int, n: int, p: int) -> int:
         if keep - len(rows) > pos + 1:
             return 0
         count = walk(pos - 1, rows, pivots, free + [pos])
+        units = [unit[j] for j in free]
         for vals in itertools.product(range(p), repeat=len(free)):
-            row = [0] * total
-            row[pos] = 1
-            for j, v in zip(free, vals):
-                row[j] = v
-            if all(_in_span(rows, pivots, image(row, pairs), p) for pairs in shifts):
+            row = unit[pos] + sum(map(operator.mul, vals, units))
+            if all(_in_span(rows, pivots, (row & mask) << up, lanes) for mask, up in shifts):
                 count += walk(pos - 1, rows + [row], pivots + [pos], free)
         return count
 

@@ -28,7 +28,10 @@ The module profile machinery views a point (X, Y) as the R-module
 M = F_p^m with x, y acting by X, Y (R the cusp ring), and measures the
 kernel/image filtration of the matrix factorization operator on M + M
 with the echelon primitives above: ker A, the reduced echelon basis of
-im A' and ranks of spans, with no linear solve.
+im A' and ranks of spans, with no linear solve.  Every row reduction
+here, of GFMatrix, of the module profiles and of the subspace oracle in
+oracles, runs on packed rows: a vector of n coordinates is one int of n
+lanes (_row_lanes), and _rref is the one elimination kernel.
 """
 
 from __future__ import annotations
@@ -86,43 +89,80 @@ def check_budget(call: str, p: int, digits: int, exact: Optional[Callable[[], in
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over F_p; vectors are tuples of ints, columns
-# of candidates are packed lanes
+# small exact linear algebra over F_p on packed lanes: a vector of n
+# coordinates is one int of the n lanes of _row_lanes, and a column of
+# candidates one int of the lanes of _lanes
 
 
-def _rref(vectors: Iterable[Sequence[int]], p: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Reduced row echelon basis of the span; returns (rows, pivot columns)."""
-    rows: list[list[int]] = []
+def _rref(vectors: Iterable[int], lanes: "_Lanes") -> tuple[list[int], list[int]]:
+    """Reduced row echelon basis of the span of packed rows; returns (rows,
+    pivot lanes), pivots ascending.
+
+    A row step v - c r is one multiply-add, v + (p - c) r.  Each row is 1
+    at its pivot and 0 at every other pivot, so the coefficient of every
+    row is the lane of v itself at that pivot, and the steps of v against
+    all k <= n rows add up before one reduce: a lane is at most
+    p - 1 + k (p - 1)^2, within the bound of _row_lanes.  The pivot of a
+    new row is its lowest nonzero lane, which holds the lowest set bit of
+    the reduced v."""
+    p, w, field, reduce = lanes.p, lanes.width, lanes.field, lanes.reduce
+    rows: list[int] = []
     pivots: list[int] = []
-    for vec in vectors:
-        v = [c % p for c in vec]
+    for v in vectors:
+        acc = v
         for r, piv in zip(rows, pivots):
-            c = v[piv]
+            c = (v >> piv) & field
             if c:
-                v = [(a - c * b) % p for a, b in zip(v, r)]
-        lead = next((i for i, c in enumerate(v) if c), None)
-        if lead is None:
+                acc += (p - c) * r
+        if acc != v:
+            v = reduce(acc)
+        if not v:
             continue
-        inv = pow(v[lead], p - 2, p)
-        v = [c * inv % p for c in v]
-        for r, piv in zip(rows, pivots):
-            c = r[lead]
+        lead = ((v & -v).bit_length() - 1) // w * w  # the first bit of the pivot lane
+        c = (v >> lead) & field
+        if c != 1:
+            v = reduce(v * pow(c, p - 2, p))
+        for i, (r, piv) in enumerate(zip(rows, pivots)):
+            c = (r >> lead) & field
             if c:
-                r[:] = [(a - c * b) % p for a, b in zip(r, v)]
+                rows[i] = reduce(r + (p - c) * v)
         rows.append(v)
         pivots.append(lead)
-    order = sorted(range(len(rows)), key=lambda i: pivots[i])
-    return [tuple(rows[i]) for i in order], [pivots[i] for i in order]
+    order = sorted(range(len(rows)), key=pivots.__getitem__)
+    return [rows[i] for i in order], [pivots[i] // w for i in order]
 
 
-def _in_span(rows: Sequence[Sequence[int]], pivots: Sequence[int], vec: Sequence[int], p: int) -> bool:
-    """vec lies in the span of reduced echelon rows with these pivots."""
-    v = [c % p for c in vec]
+def _in_span(rows: Sequence[int], pivots: Sequence[int], v: int, lanes: "_Lanes") -> bool:
+    """The packed row v lies in the span of packed rows, each 1 at its pivot
+    lane, where every other row is 0: the reduced echelon rows of _rref, or
+    the kernel basis of _kernel with its free lanes.  As in _rref, the
+    coefficient of each row is the lane of v at its pivot, and one reduce
+    ends the steps."""
+    p, w, field = lanes.p, lanes.width, lanes.field
+    acc = v
     for r, piv in zip(rows, pivots):
-        c = v[piv]
+        c = (v >> piv * w) & field
         if c:
-            v = [(a - c * b) % p for a, b in zip(v, r)]
-    return not any(v)
+            acc += (p - c) * r
+    return not lanes.reduce(acc)
+
+
+def _kernel(rows: Sequence[int], pivots: Sequence[int], n: int, lanes: "_Lanes") -> tuple[list[int], list[int]]:
+    """A basis of the v of n lanes with r . v = 0 for every reduced echelon
+    row r, and its free lanes: for each lane j that is no pivot,
+    e_j - sum_i r_i[j] e_(pivot i), 1 at j and 0 at every other free lane."""
+    p, w, field = lanes.p, lanes.width, lanes.field
+    taken = set(pivots)
+    free = [j for j in range(n) if j not in taken]
+    basis = []
+    for j in free:
+        v = 1 << j * w
+        for r, piv in zip(rows, pivots):
+            c = (r >> j * w) & field
+            if c:
+                v += (p - c) << piv * w
+        basis.append(v)
+    return basis, free
 
 
 _COLUMN = 1 << 12  # most lanes in a packed column; further coordinates are walked one at a time
@@ -138,13 +178,20 @@ def _lane_coords(p: int, n: int) -> int:
 
 
 class _Lanes:
-    """Columns of size values over F_p, each one int of w-bit lanes; size is a
-    power of p.
+    """Columns of size values over F_p, each one int of w-bit lanes: a
+    column of candidates, or a packed row of coordinates.
 
     Lane i of a column x is the field (x >> i*w) & (2^w - 1).  reduce takes
     a column whose lanes are at most bound and returns the column of their
     residues in range(p); the other methods read reduced columns, and a
-    reduced column is 0 exactly when every lane is 0.
+    reduced column is 0 exactly when every lane is 0.  pack and unpack
+    convert a sequence of residues, lane 0 first.
+
+    The lanes of candidate columns, _Lanes(p, size, bound), number a power
+    of p: digits holds the digit columns of
+    itertools.product(range(p), repeat=count), size = p^count, and lane i
+    holds the tuple at index i.  The lanes of packed rows, _Lanes.rows(p,
+    n, bound), number n and have no digit columns.
 
     reduce is one Barrett step on every lane at once.  With 2^k > bound *
     (p - 1) and m = ceil(2^k / p) = (2^k + e) / p, 0 <= e < p, a lane
@@ -163,12 +210,10 @@ class _Lanes:
     at one lane), else one masked, shifted add per bit plane t <
     ceil(log2 p) of y, the mask covering the lanes whose bit t is set.
     Counts of lanes are int.bit_count of a mask of top bits, and select
-    reads the set lanes off byte strings, as w is a multiple of 8.  digits
-    holds the digit columns of itertools.product(range(p), repeat=count),
-    size = p^count: lane i holds the tuple at index i.
+    reads the set lanes off byte strings, as w is a multiple of 8.
     """
 
-    __slots__ = ("size", "width", "ones", "top", "digits", "reduce", "_low", "_field", "_bits")
+    __slots__ = ("p", "size", "width", "field", "ones", "top", "digits", "reduce", "_low", "_bits")
 
     def __init__(self, p: int, size: int, bound: int):
         count = 0
@@ -176,31 +221,56 @@ class _Lanes:
             count += 1
         if p**count != size:
             raise ValueError(f"{size} lanes is not a power of {p}")
+        self._fill(p, size, bound)
+        step = self.width // 8
+        self.digits = []
+        for run in (p ** (count - 1 - i) for i in range(count)):
+            period = b"".join(v.to_bytes(step, "little") * run for v in range(p))
+            self.digits.append(int.from_bytes(period * (size // (p * run)), "little"))
+
+    @classmethod
+    def rows(cls, p: int, n: int, bound: int) -> "_Lanes":
+        """The lanes of a packed row of n coordinates, any n >= 0."""
+        out = object.__new__(cls)
+        out._fill(p, n, bound)
+        out.digits = []
+        return out
+
+    def _fill(self, p: int, size: int, bound: int) -> None:
+        """Width, Barrett step and masks of size lanes for values up to bound."""
         k = (bound * (p - 1)).bit_length()
         m = -(-(1 << k) // p)
         w = -(-max(bound * m, 2 * p).bit_length() // 8) * 8
         ones = int.from_bytes((1).to_bytes(w // 8, "little") * size, "little")
-        self.size, self.width, self.ones = size, w, ones
+        self.p, self.size, self.width, self.ones = p, size, w, ones
         self.top = ones << (w - 1)
         self._low = ones * ((1 << (w - 1)) - 1)
-        self._field, self._bits = (1 << w) - 1, (p - 1).bit_length()
+        self.field, self._bits = (1 << w) - 1, (p - 1).bit_length()
         quot = ones * ((1 << (w - k)) - 1)
 
         def reduce(x: int) -> int:
             return x - (((x * m) >> k) & quot) * p
 
         self.reduce = p.__rmod__ if size == 1 else reduce
-        self.digits = []
-        for run in (p ** (count - 1 - i) for i in range(count)):
-            period = b"".join(v.to_bytes(w // 8, "little") * run for v in range(p))
-            self.digits.append(int.from_bytes(period * (size // (p * run)), "little"))
+
+    def pack(self, values: Sequence[int]) -> int:
+        """The column whose lane i holds values[i]; each value in range(p)."""
+        x, w = 0, self.width
+        for v in reversed(values):
+            x = (x << w) | v
+        return x
+
+    def unpack(self, x: int, count: int) -> tuple[int, ...]:
+        """The first count lanes of a reduced column."""
+        w, field = self.width, self.field
+        return tuple((x >> i) & field for i in range(0, count * w, w))
 
     def nonzero(self, x: int) -> int:
         """The top bit of each nonzero lane of a reduced column."""
         return (x + self._low) & self.top
 
     def multiplier(self, y: int) -> Callable[[int], int]:
-        ones, field = self.ones, self._field
+        ones, field = self.ones, self.field
         c = y & field
         if y == c * ones:
             return c.__mul__
@@ -234,6 +304,14 @@ class _Lanes:
 def _lanes(p: int, size: int, bound: int) -> _Lanes:
     """The _Lanes of size lanes for columns up to bound, built once."""
     return _Lanes(p, size, bound)
+
+
+@functools.lru_cache(maxsize=32)
+def _row_lanes(p: int, n: int) -> _Lanes:
+    """The lanes of packed rows of n coordinates, built once: a lane may hold
+    a sum of up to n products of two residues plus a residue, so a row step
+    of _rref and a product of a matrix by a packed vector need one reduce."""
+    return _Lanes.rows(p, n, max(n, 1) * (p - 1) ** 2 + p - 1)
 
 
 class GFMatrix:
@@ -293,39 +371,46 @@ class GFMatrix:
         return GFMatrix._of(tuple(tuple(-a % p for a in r) for r in self.rows), p)
 
     def __mul__(self, other: "GFMatrix") -> "GFMatrix":
+        """Row i of the product is sum_t self[i][t] (row t of other), on
+        packed rows: one reduce per row."""
         p = self.p
         n, k = self.shape
         k2, m = other.shape
         if k != k2 or p != other.p:
             raise ValueError("product of matrices of mismatched shapes or different fields")
-        cols = list(zip(*other.rows)) if other.rows else []
+        lanes = _row_lanes(p, max(k, m))
+        rows = [lanes.pack(r) for r in other.rows]
         return GFMatrix._of(
-            tuple(tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in self.rows),
+            tuple(lanes.unpack(lanes.reduce(sum(c * r for c, r in zip(row, rows) if c)), m) for row in self.rows),
             p,
         )
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.shape[1]:
+        """The product with vec, sum_j vec[j] (column j), on packed columns;
+        the entries of vec are reduced mod p first, so none spills into the
+        next lane."""
+        n, m = self.shape
+        if len(vec) != m:
             raise ValueError("vector length does not match the matrix")
-        return tuple(sum(map(operator.mul, row, vec)) % self.p for row in self.rows)
+        p = self.p
+        lanes = _row_lanes(p, max(n, m))
+        total = sum(operator.index(c) % p * lanes.pack(col) for c, col in zip(vec, zip(*self.rows)))
+        return lanes.unpack(lanes.reduce(total), n)
+
+    def _echelon(self) -> tuple[_Lanes, list[int], list[int]]:
+        """The row lanes of this width and the reduced echelon rows and pivots
+        of the row space."""
+        lanes = _row_lanes(self.p, self.shape[1])
+        return (lanes, *_rref(map(lanes.pack, self.rows), lanes))
 
     def rank(self) -> int:
-        rows, _ = _rref(self.rows, self.p)
-        return len(rows)
+        return len(self._echelon()[1])
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of {v : self.apply(v) = 0}."""
-        n, m = self.shape
-        rows, pivots = _rref(self.rows, self.p)
-        free = [j for j in range(m) if j not in pivots]
-        out = []
-        for j in free:
-            v = [0] * m
-            v[j] = 1
-            for r, piv in zip(rows, pivots):
-                v[piv] = (-r[j]) % self.p
-            out.append(tuple(v))
-        return out
+        m = self.shape[1]
+        lanes, rows, pivots = self._echelon()
+        return [lanes.unpack(v, m) for v in _kernel(rows, pivots, m, lanes)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +665,7 @@ def _staircase_system(spec: VAlphaSpec) -> tuple[list[_Poly], int]:
 
 
 _Q = LaurentPolyQ.q_power(1)
+_ONE = _Poly({(): 1})
 
 
 def _count(eqs: list[_Poly], free: frozenset, units: frozenset) -> LaurentPolyQ:
@@ -676,7 +762,7 @@ def _count_system(system: tuple, free: frozenset, units: frozenset) -> LaurentPo
         for e, part in parts.items():
             if e:
                 part = part * (-r) ** e
-            if e != top:
+            if e != top and c != _ONE:
                 part = part * c ** (top - e)
             out = out + part
         rest.append(out)
@@ -915,46 +1001,95 @@ class AbProfile(NamedTuple):
     w2: int
 
 
+class _Module(NamedTuple):
+    """The module M + M of a point, m = dim M, on packed rows of 2m lanes
+    (u in the low m lanes, v in the high m): T on packed vectors, the basis
+    of ker A with its free lanes, and the reduced echelon rows and pivots of
+    im A'.  The sequences are tuples."""
+
+    lanes: _Lanes
+    T: Callable[[int], int]
+    ker: tuple[int, ...]
+    free: tuple[int, ...]
+    rows: tuple[int, ...]
+    pivots: tuple[int, ...]
+
+
 @functools.lru_cache(maxsize=1)
-def _module(X: GFMatrix, Y: GFMatrix) -> tuple[GFMatrix, GFMatrix, tuple, tuple, tuple]:
-    """A, T, ker A and the reduced echelon rows and pivots of im A' on M + M,
-    after checking that (X, Y) is a module; the last three are tuples.
+def _module(X: GFMatrix, Y: GFMatrix) -> _Module:
+    """The _Module of (X, Y), after checking that it is a module.
+
+    X and Y are packed once, by rows and by columns; the products of the
+    cusp relations, the rows of A = [[X, -Y^2], [-Y, X]] (whose kernel is
+    ker A) and the columns of A' = [[X, Y^2], [Y, X]] (whose row space is
+    im A') are sums of packed rows, with no matrix product or transpose.
+    T(u, v) = (Yv, u) is one sum of columns of Y and one shift.
 
     The last point is kept, so ab_profile and h0_t_exact on one point build
     its module once; the values are immutable, so no caller can change what
     a later call is served."""
     if X.p != Y.p or X.shape != Y.shape or X.shape[0] != X.shape[1]:
         raise ValueError("X, Y must be square over the same field")
-    Y2 = Y * Y
-    if X * Y != Y * X or X * X != Y2 * Y:
-        raise ValueError("(X, Y) does not satisfy the cusp relations")
     p, m = X.p, X.shape[0]
-    zero = GFMatrix.zero(m, m, p)
-    A = GFMatrix.block2(X, -Y2, -Y, X)
-    Ap = GFMatrix.block2(X, Y2, Y, X)
-    T = GFMatrix.block2(zero, Y, GFMatrix.identity(m, p), zero)
-    rows, pivots = _rref(zip(*Ap.rows), p)
-    return A, T, tuple(A.kernel_basis()), tuple(rows), tuple(pivots)
+    lanes = _row_lanes(p, 2 * m)
+    reduce, pack, w, field = lanes.reduce, lanes.pack, lanes.width, lanes.field
+
+    def combine(coefficients: Iterable[Sequence[int]], vectors: list[int]) -> list[int]:
+        """sum_k c[k] vectors[k] for each coefficient row c."""
+        return [reduce(sum(map(operator.mul, row, vectors))) for row in coefficients]
+
+    xr, yr = list(map(pack, X.rows)), list(map(pack, Y.rows))
+    y2r = combine(Y.rows, yr)  # row i of Y^2 = sum_k Y[i][k] (row k of Y)
+    if combine(X.rows, yr) != combine(Y.rows, xr) or combine(X.rows, xr) != combine(Y.rows, y2r):
+        raise ValueError("(X, Y) does not satisfy the cusp relations")
+    y_cols = list(zip(*Y.rows))
+    xc, yc = [pack(c) for c in zip(*X.rows)], list(map(pack, y_cols))
+    y2c = combine(y_cols, yc)  # column j of Y^2 = sum_k Y[k][j] (column k of Y)
+    shift, minus = m * w, p * lanes.ones  # minus - v is -v in every lane, in 1..p
+    a_rows = [x + (reduce(minus - y2) << shift) for x, y2 in zip(xr, y2r)]
+    a_rows += [reduce(minus - y) + (x << shift) for x, y in zip(xr, yr)]
+    ker, free = _kernel(*_rref(a_rows, lanes), 2 * m, lanes)
+    ap_cols = [x + (y << shift) for x, y in zip(xc, yc)] + [y2 + (x << shift) for x, y2 in zip(xc, y2c)]
+    rows, pivots = _rref(ap_cols, lanes)
+    low = (1 << shift) - 1
+
+    def T(z: int) -> int:
+        yv, v = 0, z >> shift
+        for col in yc:
+            c = v & field
+            if c:
+                yv += c * col
+            v >>= w
+        return reduce(yv) + ((z & low) << shift)
+
+    return _Module(lanes, T, tuple(ker), tuple(free), tuple(rows), tuple(pivots))
 
 
 def ab_profile(X: GFMatrix, Y: GFMatrix) -> AbProfile:
     """Kernel/image profile of the factorization operator for (X, Y)."""
-    A, T, ker, rows, _ = _module(X, Y)
-    a = len(ker)
+    mod = _module(X, Y)
+    a = len(mod.ker)
     # W1 = vectors of ker A whose T-image falls into im A'; its codimension in
     # ker A is the rank of T(ker A) modulo im A'
-    t_rank = len(_rref([*rows, *map(T.apply, ker)], X.p)[0]) - len(rows)
-    return AbProfile(a=a, b=2 * X.shape[0] - a, w0=len(rows), w1=a - t_rank, w2=a)
+    t_rank = len(_rref([*mod.rows, *map(mod.T, mod.ker)], mod.lanes)[0]) - len(mod.rows)
+    return AbProfile(a=a, b=2 * X.shape[0] - a, w0=len(mod.rows), w1=a - t_rank, w2=a)
 
 
 def classify_kernel_vector(X: GFMatrix, Y: GFMatrix, u: Sequence[int]) -> int:
-    """Smallest filtration step containing u: 0, 1 or 2; u must lie in ker A."""
-    A, T, ker, rows, pivots = _module(X, Y)
-    if any(A.apply(u)):
+    """Smallest filtration step containing u: 0, 1 or 2; u must lie in ker A.
+
+    The entries of u are reduced mod p before they are packed, so none
+    spills into the next lane."""
+    mod = _module(X, Y)
+    if len(u) != 2 * X.shape[0]:
+        raise ValueError("vector length does not match the matrix")
+    lanes, p = mod.lanes, X.p
+    v = lanes.pack([operator.index(c) % p for c in u])
+    if not _in_span(mod.ker, mod.free, v, lanes):
         raise ValueError("vector is not in the kernel")
-    if _in_span(rows, pivots, u, X.p):
+    if _in_span(mod.rows, mod.pivots, v, lanes):
         return 0
-    if _in_span(rows, pivots, T.apply(u), X.p):
+    if _in_span(mod.rows, mod.pivots, mod.T(v), lanes):
         return 1
     return 2
 
@@ -970,19 +1105,21 @@ def extend_point(X: GFMatrix, Y: GFMatrix, z: Sequence[int], w: Sequence[int]) -
     return GFMatrix(xr, p), GFMatrix(yr, p)
 
 
-def _h0_exact(rows: Sequence, pivots: Sequence[int], ker: Sequence, T: GFMatrix, p: int) -> bool:
+def _h0_exact(
+    rows: Sequence[int], pivots: Sequence[int], ker: Sequence[int], T: Callable[[int], int], lanes: _Lanes
+) -> bool:
     """On H0 = span(ker) / span(rows), the map T0 induced by T has image
     equal to kernel.
 
-    rows and pivots are the reduced echelon rows of a subspace of span(ker),
-    ker is a basis, and T maps span(ker) and span(rows) into themselves, so
-    T0 is defined; the three sequences are only read, so the tuples of
-    _module serve.  T0 is exact iff T0^2 = 0, i.e. T^2(ker) lies in
-    span(rows), and its rank is half of dim H0."""
-    images = [T.apply(v) for v in ker]
-    if not all(_in_span(rows, pivots, T.apply(tv), p) for tv in images):
+    rows and pivots are the packed reduced echelon rows of a subspace of
+    span(ker), ker is a packed basis, and T maps span(ker) and span(rows)
+    into themselves, so T0 is defined; the sequences are only read, so the
+    tuples of _module serve.  T0 is exact iff T0^2 = 0, i.e. T^2(ker) lies
+    in span(rows), and its rank is half of dim H0."""
+    images = [T(v) for v in ker]
+    if not all(_in_span(rows, pivots, T(tv), lanes) for tv in images):
         return False
-    return 2 * (len(_rref([*rows, *images], p)[0]) - len(rows)) == len(ker) - len(rows)
+    return 2 * (len(_rref([*rows, *images], lanes)[0]) - len(rows)) == len(ker) - len(rows)
 
 
 def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:
@@ -992,8 +1129,8 @@ def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:
     A'T - TA' are XY - YX in their top right block and zero elsewhere, and
     _module refuses a pair with XY != YX.  So T induces T0 on H0, and
     _h0_exact decides exactness from im A', ker A and T."""
-    _, T, ker, rows, pivots = _module(X, Y)
-    return _h0_exact(rows, pivots, ker, T, X.p)
+    mod = _module(X, Y)
+    return _h0_exact(mod.rows, mod.pivots, mod.ker, mod.T, mod.lanes)
 
 
 # ---------------------------------------------------------------------------

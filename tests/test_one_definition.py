@@ -2,7 +2,8 @@
 the prime check, the rank order, the seat of each rank after gamma_j and
 each MAX_ rank limit.
 The unchecked matrix constructor GFMatrix._of stays inside varieties.
-The lane cap _COLUMN is assigned once, like the rank limits, and the
+The lane cap _COLUMN is assigned once, like the rank limits, one rule
+sizes every packed lane (its width and Barrett constant), and the
 checks of groebner, the oracles and the packed lanes are raises, which
 python -O keeps.
 The tests read the modules' syntax trees, so a restated copy fails here."""
@@ -124,6 +125,50 @@ def test_each_rank_limit_is_assigned_in_one_module():
     assert assigned["MAX_MOTIVE_D"] == assigned["_COLUMN"] == ["varieties"]
     assert {name: stems for name, stems in assigned.items() if len(stems) > 1} == {}
 
+
+def _rounds_to_bytes(node: ast.AST) -> bool:
+    """node is `... // 8 * 8` or `-(-... // 8) * 8`: a bit count rounded to whole bytes."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.right, ast.Constant) and node.right.value == 8):
+        return False
+    left = node.left.operand if isinstance(node.left, ast.UnaryOp) else node.left
+    return (isinstance(left, ast.BinOp) and isinstance(left.op, ast.FloorDiv)
+            and isinstance(left.right, ast.Constant) and left.right.value == 8)
+
+
+def _barrett_constant(node: ast.AST) -> bool:
+    """node is `-(-(1 << k) // p)`, the ceiling of a power of two over p."""
+    inner = node.operand if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) else None
+    if not (isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.FloorDiv)
+            and isinstance(inner.left, ast.UnaryOp)):
+        return False
+    power = inner.left.operand
+    return (isinstance(power, ast.BinOp) and isinstance(power.op, ast.LShift)
+            and isinstance(power.left, ast.Constant) and power.left.value == 1)
+
+
+def test_one_rule_sizes_every_packed_lane():
+    # columns of candidates and packed rows take their lane width and Barrett
+    # constant from _Lanes._fill, and only the two caches _lanes and
+    # _row_lanes build lanes; the signed digits of the motive rows are a
+    # second packing with their own width, _digit_width
+    sites, builders = [], []
+    for path in SOURCES:
+        tree = _tree(path)
+        owner = _enclosing(tree)
+        for node in ast.walk(tree):
+            if _rounds_to_bytes(node):
+                sites.append((path.stem, owner.get(id(node)), "width"))
+            if _barrett_constant(node):
+                sites.append((path.stem, owner.get(id(node)), "barrett"))
+            if isinstance(node, ast.Call) and "_Lanes" in {
+                getattr(node.func, "id", None), getattr(getattr(node.func, "value", None), "id", None)
+            }:
+                builders.append((path.stem, owner.get(id(node))))
+    assert sorted(sites) == [
+        ("varieties", "_digit_width", "width"), ("varieties", "_fill", "barrett"), ("varieties", "_fill", "width")
+    ]
+    assert sorted(builders) == [("varieties", "_lanes"), ("varieties", "_row_lanes")]
 
 
 def test_contract_checks_survive_python_O():

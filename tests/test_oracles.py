@@ -126,9 +126,10 @@ SCALING_CASES = [
 
 
 def test_oracles_import_no_formula():
-    # the oracles may share the span test, the commutant walk, the packed
-    # lanes and the budget with varieties, but nothing they audit
-    allowed = {"BudgetError", "_commutant_roots", "_in_span", "_lane_coords", "check_budget"}
+    # the oracles may share the span test and the packed rows it reads, the
+    # commutant walk, the packed lanes and the budget with varieties, but
+    # nothing they audit
+    allowed = {"BudgetError", "_commutant_roots", "_in_span", "_lane_coords", "_row_lanes", "check_budget"}
     with open(oracles_module.__file__, encoding="utf-8") as f:
         tree = ast.parse(f.read())
     for node in ast.walk(tree):

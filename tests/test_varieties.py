@@ -48,16 +48,20 @@ from cuspquot.varieties import (
     _digit_width,
     _factor,
     _h0_exact,
+    _in_span,
     _lane_coords,
     _Lanes,
     _module,
     _motive,
     _Poly,
+    _row_lanes,
     _rref,
     _staircase_block,
     _symbolic_count,
 )
 from cuspquot.qalgebra import LaurentPolyQ
+
+import row_reference
 
 
 FROZEN_V_COUNTS = {
@@ -70,6 +74,8 @@ FROZEN_V_COUNTS = {
     (1, 3): 1,
     (2, 3): 9,
     (3, 3): 189,
+    (1, 5): 1,
+    (2, 5): 25,
 }
 
 
@@ -169,11 +175,75 @@ def test_gfmatrix_rank_kernel_image():
         assert m.apply(v) == (0, 0)
 
 
+def _reference_cases():
+    """(p, rows, width) of seeded random matrices: empty, one row, one
+    column, all zero, rank deficient and random, at primes whose row lanes
+    run from 8 bits to more than 64."""
+    for p in (2, 3, 5, 7, 67, 4099, 1048573):
+        rng = random.Random(f"rows:{p}")
+        yield p, [], 0
+        for _ in range(12):
+            n, m = rng.randint(1, 7), rng.randint(1, 9)
+            shape = rng.choice(("random", "row", "column", "zero", "deficient"))
+            if shape == "row":
+                n = 1
+            elif shape == "column":
+                m = 1
+            if shape == "zero":
+                rows = [[0] * m for _ in range(n)]
+            elif shape == "deficient":
+                basis = [[rng.randrange(p) for _ in range(m)] for _ in range(rng.randint(1, max(1, min(n, m) - 1)))]
+                rows = []
+                for _ in range(n):
+                    coeffs = [rng.randrange(p) for _ in basis]
+                    rows.append([sum(c * b[j] for c, b in zip(coeffs, basis)) % p for j in range(m)])
+            else:
+                rows = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+            yield p, rows, m
+
+
+@pytest.mark.parametrize("p, rows, width", list(_reference_cases()))
+def test_packed_rows_match_the_per_entry_reference(p, rows, width):
+    rng = random.Random(f"{p}:{rows}")
+    matrix = GFMatrix(rows, p)
+    lanes = _row_lanes(p, width)
+    ref_rows, ref_pivots = row_reference.rref(rows, p)
+    packed, pivots = _rref(map(lanes.pack, matrix.rows), lanes)
+    assert [lanes.unpack(r, width) for r in packed] == ref_rows and pivots == ref_pivots
+    assert matrix.rank() == row_reference.rank(rows, p) == len(ref_rows)
+    kernel = matrix.kernel_basis()
+    assert kernel == row_reference.kernel_basis(rows, width, p)
+    assert all(type(v) is tuple for v in kernel) and len(kernel) == width - len(ref_rows)
+    for _ in range(6):
+        # entries from -2p to 2p: apply reduces them before they reach a lane
+        vec = [rng.randint(-2 * p, 2 * p) for _ in range(width)]
+        assert matrix.apply(vec) == row_reference.apply(matrix.rows, [c % p for c in vec], p)
+        inside = [0] * width
+        for r in ref_rows:
+            c = rng.randrange(p)
+            inside = [(a + c * b) % p for a, b in zip(inside, r)]
+        for v in (inside, [c % p for c in vec]):
+            assert _in_span(packed, pivots, lanes.pack(v), lanes) == row_reference.in_span(ref_rows, ref_pivots, v, p)
+        assert _in_span(packed, pivots, lanes.pack(inside), lanes)
+    k = rng.randint(1, 4)
+    other = [[rng.randrange(p) for _ in range(k)] for _ in range(width)]
+    assert (matrix * GFMatrix(other, p)).rows == row_reference.product(matrix.rows, other, p)
+    square = GFMatrix([[rng.randrange(p) for _ in range(len(rows))] for _ in rows], p)
+    assert (square * matrix).rows == row_reference.product(square.rows, matrix.rows, p)
+
+
 def test_gfmatrix_rejects_non_integer_entries():
     # 2.5 was stored and squared to 0.25; 1/2 was stored as a Fraction
     for rows in ([[2.5, 0], [0, 1]], [[Fraction(1, 2)]]):
         with pytest.raises(TypeError, match="integer"):
             GFMatrix(rows, 3)
+    # a vector entry is reduced mod p before it is packed, so it must be an
+    # integer too: apply returned (2.5, 1.0) and classify "not in the kernel"
+    with pytest.raises(TypeError, match="integer"):
+        GFMatrix([[1, 0], [0, 1]], 3).apply([2.5, 1])
+    zero = GFMatrix([[0]], 3)
+    with pytest.raises(TypeError, match="integer"):
+        classify_kernel_vector(zero, zero, (0.5, 0))
 
 
 def test_gfmatrix_rejects_a_composite_modulus():
@@ -786,7 +856,8 @@ def test_profile_rejects_non_module_pairs():
 
 
 def test_profile_invariants_all_small_points():
-    for d, p in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]:
+    # p = 2, 3 and 5 read one-byte, two-byte and three-byte lanes
+    for d, p in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3), (1, 5), (2, 5)]:
         seen = 0
         for X, Y in enumerate_v_d_points(d, p):
             prof = ab_profile(X, Y)
@@ -832,13 +903,16 @@ def test_profile_invariants_rank_four_full_sweep():
 ])
 def test_h0_exactness_is_decided_from_the_linear_data(ker, spanned, t_rows, exact):
     # every cusp module checked so far is exact, so the False branch is only
-    # reachable through hand-built linear data
-    p = 3
-    rows, pivots = _rref(spanned, p)
-    assert _h0_exact(rows, pivots, ker, GFMatrix(t_rows, p), p) is exact
+    # reachable through hand-built linear data, packed as _module packs it
+    p, n = 3, len(t_rows)
+    lanes = _row_lanes(p, n)
+    T = GFMatrix(t_rows, p)
+    rows, pivots = _rref(map(lanes.pack, spanned), lanes)
+    packed_ker = [lanes.pack(v) for v in ker]
+    assert _h0_exact(rows, pivots, packed_ker, lambda z: lanes.pack(T.apply(lanes.unpack(z, n))), lanes) is exact
 
 
-def test_module_memo_never_serves_a_stale_point(monkeypatch):
+def test_module_memo_never_serves_a_stale_point():
     # _module keeps only the last point: alternating any two points, some
     # with one matrix in common, must give what each computes from an empty
     # memo, and the ab_profile, h0_t_exact pair of the module-profile check
@@ -856,16 +930,14 @@ def test_module_memo_never_serves_a_stale_point(monkeypatch):
         assert h0_t_exact(U, V) == fresh[U, V][1]
         assert ab_profile(U, V) == fresh[U, V][0]
         assert h0_t_exact(X, Y) == fresh[X, Y][1]
-        assert all(type(part) is tuple for part in _module(X, Y)[2:])
+        mod = _module(X, Y)
+        assert all(type(part) is tuple for part in (mod.ker, mod.free, mod.rows, mod.pivots))
 
-    calls = []
-    kernel_basis = GFMatrix.kernel_basis
-    monkeypatch.setattr(GFMatrix, "kernel_basis", lambda self: calls.append(1) or kernel_basis(self))
     _module.cache_clear()
     for X, Y in points:
         prof = ab_profile(X, Y)
         assert h0_t_exact(X, Y) and prof == fresh[X, Y][0]
-    assert len(calls) == len(points) == 32
+    assert _module.cache_info().misses == len(points) == 32
 
 
 def test_h0_t_exact_refuses_non_module_pairs():
@@ -949,6 +1021,21 @@ def test_classify_rejects_non_kernel_vector():
     # a short vector was classified as its truncation
     with pytest.raises(ValueError, match="vector length"):
         classify_kernel_vector(x, z, (1,))
+
+
+def test_classify_reduces_entries_before_packing():
+    # an entry of -1 or p would borrow from, or carry into, the next lane of
+    # the packed vector; shifted by +-p, every vector classifies the same
+    for d, p in [(2, 2), (2, 3), (3, 3), (2, 5)]:
+        rng = random.Random(f"shift:{d}:{p}")
+        for X, Y in enumerate_v_d_points(d, p):
+            A, _ = _factorization_ops(X, Y)
+            for u in _all_kernel_vectors(A, p):
+                shifted = [c + p * rng.choice((-2, -1, 1, 2)) for c in u]
+                assert classify_kernel_vector(X, Y, shifted) == classify_kernel_vector(X, Y, u)
+            for wrong in ((0,) * (2 * d - 1), (0,) * (2 * d + 1)):
+                with pytest.raises(ValueError, match="^vector length does not match the matrix$"):
+                    classify_kernel_vector(X, Y, wrong)
 
 
 def test_extend_point_validates_lengths():
