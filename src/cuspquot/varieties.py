@@ -94,7 +94,7 @@ def check_budget(call: str, p: int, digits: int, exact: Optional[Callable[[], in
 # candidates one int of the lanes of _lanes
 
 
-def _rref(vectors: Iterable[int], lanes: "_Lanes") -> tuple[list[int], list[int]]:
+def _rref(vectors: Iterable[int], lanes: _Lanes) -> tuple[list[int], list[int]]:
     """Reduced row echelon basis of the span of packed rows; returns (rows,
     pivot lanes), pivots ascending.
 
@@ -132,7 +132,7 @@ def _rref(vectors: Iterable[int], lanes: "_Lanes") -> tuple[list[int], list[int]
     return [rows[i] for i in order], [pivots[i] // w for i in order]
 
 
-def _in_span(rows: Sequence[int], pivots: Sequence[int], v: int, lanes: "_Lanes") -> bool:
+def _in_span(rows: Sequence[int], pivots: Sequence[int], v: int, lanes: _Lanes) -> bool:
     """The packed row v lies in the span of packed rows, each 1 at its pivot
     lane, where every other row is 0: the reduced echelon rows of _rref, or
     the kernel basis of _kernel with its free lanes.  As in _rref, the
@@ -147,7 +147,7 @@ def _in_span(rows: Sequence[int], pivots: Sequence[int], v: int, lanes: "_Lanes"
     return not lanes.reduce(acc)
 
 
-def _kernel(rows: Sequence[int], pivots: Sequence[int], n: int, lanes: "_Lanes") -> tuple[list[int], list[int]]:
+def _kernel(rows: Sequence[int], pivots: Sequence[int], n: int, lanes: _Lanes) -> tuple[list[int], list[int]]:
     """A basis of the v of n lanes with r . v = 0 for every reduced echelon
     row r, and its free lanes: for each lane j that is no pivot,
     e_j - sum_i r_i[j] e_(pivot i), 1 at j and 0 at every other free lane."""
@@ -380,10 +380,8 @@ class GFMatrix:
             raise ValueError("product of matrices of mismatched shapes or different fields")
         lanes = _row_lanes(p, max(k, m))
         rows = [lanes.pack(r) for r in other.rows]
-        return GFMatrix._of(
-            tuple(lanes.unpack(lanes.reduce(sum(c * r for c, r in zip(row, rows) if c)), m) for row in self.rows),
-            p,
-        )
+        products = (lanes.reduce(sum(c * r for c, r in zip(row, rows) if c)) for row in self.rows)
+        return GFMatrix._of(tuple(lanes.unpack(x, m) for x in products), p)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """The product with vec, sum_j vec[j] (column j), on packed columns;

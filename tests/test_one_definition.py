@@ -166,7 +166,9 @@ def test_one_rule_sizes_every_packed_lane():
             }:
                 builders.append((path.stem, owner.get(id(node))))
     assert sorted(sites) == [
-        ("varieties", "_digit_width", "width"), ("varieties", "_fill", "barrett"), ("varieties", "_fill", "width")
+        ("varieties", "_digit_width", "width"),
+        ("varieties", "_fill", "barrett"),
+        ("varieties", "_fill", "width"),
     ]
     assert sorted(builders) == [("varieties", "_lanes"), ("varieties", "_row_lanes")]
 

@@ -192,7 +192,8 @@ def _reference_cases():
             if shape == "zero":
                 rows = [[0] * m for _ in range(n)]
             elif shape == "deficient":
-                basis = [[rng.randrange(p) for _ in range(m)] for _ in range(rng.randint(1, max(1, min(n, m) - 1)))]
+                rank = rng.randint(1, max(1, min(n, m) - 1))
+                basis = [[rng.randrange(p) for _ in range(m)] for _ in range(rank)]
                 rows = []
                 for _ in range(n):
                     coeffs = [rng.randrange(p) for _ in basis]
@@ -223,7 +224,8 @@ def test_packed_rows_match_the_per_entry_reference(p, rows, width):
             c = rng.randrange(p)
             inside = [(a + c * b) % p for a, b in zip(inside, r)]
         for v in (inside, [c % p for c in vec]):
-            assert _in_span(packed, pivots, lanes.pack(v), lanes) == row_reference.in_span(ref_rows, ref_pivots, v, p)
+            expected = row_reference.in_span(ref_rows, ref_pivots, v, p)
+            assert _in_span(packed, pivots, lanes.pack(v), lanes) == expected
         assert _in_span(packed, pivots, lanes.pack(inside), lanes)
     k = rng.randint(1, 4)
     other = [[rng.randrange(p) for _ in range(k)] for _ in range(width)]
@@ -909,7 +911,11 @@ def test_h0_exactness_is_decided_from_the_linear_data(ker, spanned, t_rows, exac
     T = GFMatrix(t_rows, p)
     rows, pivots = _rref(map(lanes.pack, spanned), lanes)
     packed_ker = [lanes.pack(v) for v in ker]
-    assert _h0_exact(rows, pivots, packed_ker, lambda z: lanes.pack(T.apply(lanes.unpack(z, n))), lanes) is exact
+
+    def apply(z):
+        return lanes.pack(T.apply(lanes.unpack(z, n)))
+
+    assert _h0_exact(rows, pivots, packed_ker, apply, lanes) is exact
 
 
 def test_module_memo_never_serves_a_stale_point():
