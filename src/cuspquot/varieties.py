@@ -147,6 +147,15 @@ def _in_span(rows: Sequence[int], pivots: Sequence[int], v: int, lanes: _Lanes) 
     return not lanes.reduce(acc)
 
 
+def _combine(coefficients: Iterable[Sequence[int]], vectors: Sequence[int], lanes: _Lanes) -> list[int]:
+    """sum_k c[k] vectors[k], reduced, for each coefficient row c: a product
+    of a matrix by packed rows or columns, one reduce per row.  Its lanes sum
+    len(vectors) products of residues, within the bound of lanes when
+    len(vectors) is at most their lane count."""
+    reduce = lanes.reduce
+    return [reduce(sum(map(operator.mul, row, vectors))) for row in coefficients]
+
+
 def _kernel(rows: Sequence[int], pivots: Sequence[int], n: int, lanes: _Lanes) -> tuple[list[int], list[int]]:
     """A basis of the v of n lanes with r . v = 0 for every reduced echelon
     row r, and its free lanes: for each lane j that is no pivot,
@@ -379,8 +388,7 @@ class GFMatrix:
         if k != k2 or p != other.p:
             raise ValueError("product of matrices of mismatched shapes or different fields")
         lanes = _row_lanes(p, max(k, m))
-        rows = [lanes.pack(r) for r in other.rows]
-        products = (lanes.reduce(sum(c * r for c, r in zip(row, rows) if c)) for row in self.rows)
+        products = _combine(self.rows, [lanes.pack(r) for r in other.rows], lanes)
         return GFMatrix._of(tuple(lanes.unpack(x, m) for x in products), p)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
@@ -392,8 +400,9 @@ class GFMatrix:
             raise ValueError("vector length does not match the matrix")
         p = self.p
         lanes = _row_lanes(p, max(n, m))
-        total = sum(operator.index(c) % p * lanes.pack(col) for c, col in zip(vec, zip(*self.rows)))
-        return lanes.unpack(lanes.reduce(total), n)
+        entries = [operator.index(c) % p for c in vec]
+        (total,) = _combine([entries], [lanes.pack(c) for c in zip(*self.rows)], lanes)
+        return lanes.unpack(total, n)
 
     def _echelon(self) -> tuple[_Lanes, list[int], list[int]]:
         """The row lanes of this width and the reduced echelon rows and pivots
@@ -1031,11 +1040,7 @@ def _module(X: GFMatrix, Y: GFMatrix) -> _Module:
     p, m = X.p, X.shape[0]
     lanes = _row_lanes(p, 2 * m)
     reduce, pack, w, field = lanes.reduce, lanes.pack, lanes.width, lanes.field
-
-    def combine(coefficients: Iterable[Sequence[int]], vectors: list[int]) -> list[int]:
-        """sum_k c[k] vectors[k] for each coefficient row c."""
-        return [reduce(sum(map(operator.mul, row, vectors))) for row in coefficients]
-
+    combine = functools.partial(_combine, lanes=lanes)
     xr, yr = list(map(pack, X.rows)), list(map(pack, Y.rows))
     y2r = combine(Y.rows, yr)  # row i of Y^2 = sum_k Y[i][k] (row k of Y)
     if combine(X.rows, yr) != combine(Y.rows, xr) or combine(X.rows, xr) != combine(Y.rows, y2r):
