@@ -28,10 +28,15 @@ representative, weighted by its orbit size, stands for the whole orbit.
 The orbits come from a flood fill under a cyclic shift, one transvection
 and one diagonal matrix, which generate GL_n(F_p), and their sizes are
 what the fill reaches; no class-size or centralizer formula enters, so
-the counts stay independent of the formulas they audit.  For each
-representative B, varieties._commutant_roots walks the commutant of B,
-every cell of A free, and keeps the A with A^2 = B^3: the walk the
-staircase-variety counts run over each of their Y.
+the counts stay independent of the formulas they audit.  The fill runs on
+indices, each matrix the base-p integer of its row-major entries, with a
+bytearray of one byte per matrix for what it has seen, which the budget
+bounds at 1 MiB.  Each conjugation is a chain of one to four split steps
+x -> H[x // p^k] + L[x % p^k], two lookups in tables built, on the first
+call for an (n, p), from the maps on entry tuples that define the moves.
+For each representative B, varieties._commutant_roots walks the
+commutant of B, every cell of A free, and keeps the A with A^2 = B^3: the
+walk the staircase-variety counts run over each of their Y.
 
 count_stratum_bruteforce runs groebner's standard-basis test on up to
 _COLUMN = 2^12 candidate bases at once, each coefficient a packed column
@@ -154,8 +159,9 @@ def count_quot_bruteforce(d: int, n: int, p: int) -> int:
 # matrix pair counts
 
 
-def _generators(n: int, p: int) -> list[Callable[[Matrix], Matrix]]:
-    """Conjugations B -> g B g^-1 by three generators g of GL_n(F_p).
+def _generators(n: int, p: int) -> list[tuple[Callable[[Matrix], Matrix], ...]]:
+    """Conjugations B -> g B g^-1 by three generators g of GL_n(F_p), each
+    as the maps of flat matrices that apply it in turn.
 
     The g are the cyclic shift e_i -> e_(i+1), the transvection I + E_01
     and diag(w, 1, ..., 1) with w the least generator of F_p^x; at n = 1
@@ -163,17 +169,20 @@ def _generators(n: int, p: int) -> list[Callable[[Matrix], Matrix]]:
     powers of the shift gives every I + E_(i,i+1) with indices mod n, and
     their commutators every I + E_ij, which generate SL_n(F_p); the
     diagonal matrix makes the determinant onto F_p^x.  The shift only
-    permutes entries, and each other conjugation is one row operation and
-    one column operation on the flat matrix.
+    permutes entries and the diagonal move only rescales row 0 and column
+    0, one map each; the transvection is a row operation and then a column
+    operation, two maps, which _steps applies apart at n = 2.
     """
 
-    def transvect(b: Matrix) -> Matrix:
-        # row 0 += row 1, then column 1 -= column 0
+    def add_row(b: Matrix) -> Matrix:
+        # row 0 += row 1
+        return tuple([(x + y) % p for x, y in zip(b, b[n : 2 * n])]) + b[n:]
+
+    def sub_column(b: Matrix) -> Matrix:
+        # column 1 -= column 0
         m = list(b)
-        for k in range(n):
-            m[k] = (m[k] + m[n + k]) % p
-        for k in range(n):
-            m[k * n + 1] = (m[k * n + 1] - m[k * n]) % p
+        for k in range(0, n * n, n):
+            m[k + 1] = (m[k + 1] - m[k]) % p
         return tuple(m)
 
     def rescale(b: Matrix, w: int, w_inv: int) -> Matrix:
@@ -187,11 +196,11 @@ def _generators(n: int, p: int) -> list[Callable[[Matrix], Matrix]]:
 
     if not n:
         return []
-    moves: list[Callable[[Matrix], Matrix]] = []
+    moves: list[tuple[Callable[[Matrix], Matrix], ...]] = []
     if n >= 2:
         # entry (i, j) of S B S^-1 is entry (i - 1, j - 1) of B
         shift = operator.itemgetter(*((i - 1) % n * n + (j - 1) % n for i in range(n) for j in range(n)))
-        moves += [shift, transvect]
+        moves += [(shift,), (add_row, sub_column)]
     # w generates F_p^x iff w^((p - 1)/q) != 1 for every prime q dividing p - 1
     primes, rest, q = [], p - 1, 2
     while q * q <= rest:
@@ -204,44 +213,154 @@ def _generators(n: int, p: int) -> list[Callable[[Matrix], Matrix]]:
         primes.append(rest)
     w = next(w for w in range(1, p) if all(pow(w, (p - 1) // q, p) != 1 for q in primes))
     if w != 1:
-        moves.append(functools.partial(rescale, w=w, w_inv=pow(w, p - 2, p)))
+        moves.append((functools.partial(rescale, w=w, w_inv=pow(w, p - 2, p)),))
     return moves
 
 
-def _orbits(seeds: Iterable[Matrix], n: int, p: int) -> list[tuple[Matrix, int]]:
-    """(representative, size) of each conjugacy orbit that meets seeds.
+def _index(b: Matrix, p: int) -> int:
+    """The index of a matrix: its row-major entries as the base-p digits of
+    an integer, the first entry highest, so range(p^(n^2)) lists the
+    matrices in itertools.product order."""
+    x = 0
+    for c in b:
+        x = x * p + c
+    return x
 
-    A flood fill under the three conjugations of _generators: the size of
-    an orbit is the number of matrices the fill reaches, and no class-size
-    formula enters.  A generating set that fell short of GL_n(F_p) would
-    only split orbits.
+
+def _matrix(x: int, n: int, p: int) -> Matrix:
+    """The matrix of index x."""
+    digits = []
+    for _ in range(n * n):
+        x, c = divmod(x, p)
+        digits.append(c)
+    return tuple(reversed(digits))
+
+
+Step = tuple[int, list[int], list[int]]  # (p^k, H, L): the step x -> H[x // p^k] + L[x % p^k]
+
+
+def _split(move: Callable[[Matrix], Matrix], k: int, units: list[Matrix], p: int) -> Optional[Step]:
+    """The step at k digits that applies the linear map move to indices, or
+    None when the images of the top and the low k digits share a digit.
+
+    move(B) is the sum of the images of the parts of B on any two sets of
+    digits that cover it, and each image lies in the span of the images of
+    its part's unit matrices.  When those spans touch disjoint digits the
+    sum has no carry, so it is the sum of the two indices.  That gives the
+    step, and it builds each table from the tables of its block's leading
+    digits and the rest, as an outer sum, wherever they split so; only a
+    block that splits nowhere is enumerated through move."""
+    size = len(units)
+    touched = [{i for i, c in enumerate(move(e)) if c} for e in units]
+
+    def splits(first: int, cut: int, last: int) -> bool:
+        return not set().union(*touched[first:cut]) & set().union(*touched[cut:last])
+
+    def table(first: int, last: int) -> list[int]:
+        # the index of move(B) for each B that is 0 off the digits first..last - 1,
+        # in the order of the index of B
+        for cut in range(first + 1, last):
+            if splits(first, cut, last):
+                rest = table(cut, last)
+                return [h + r for h in table(first, cut) for r in rest]
+        head, tail = (0,) * first, (0,) * (size - last)
+        return [_index(move(head + t + tail), p) for t in itertools.product(range(p), repeat=last - first)]
+
+    top = size - k
+    if not splits(0, top, size):
+        return None
+    return p**k, table(0, top), table(top, size)
+
+
+@functools.lru_cache(maxsize=16)
+def _steps(n: int, p: int) -> tuple[tuple[Step, ...], ...]:
+    """For each move of _generators, the split steps that apply it to indices.
+
+    Every step splits below the first ceil(n/2) rows, so no table has more
+    than p^(n ceil(n/2)) entries.  A move that splits there is one step:
+    the shift and the diagonal move, which permute entries and act within
+    rows, and at n >= 3 the transvection, whose rows 0 and 1 lie above the
+    split.  Otherwise each of its maps is a step, and a map that mixes the
+    two halves within columns splits at the same digits of the transposed
+    index, so it runs between two transposes: at n = 2 the transvection is
+    four steps.  A move that fixes every unit matrix is the identity, being
+    linear, and has no step, so n = 1, with p up to 2^20, builds no table.
+
+    Built on the first call for an (n, p), which count_nilpotent_pairs and
+    count_all_pairs then share; sixteen entries hold every (n, p) with
+    n >= 2 that the budget admits."""
+    size, k = n * n, n * (n // 2)
+    units = [(0,) * j + (1,) + (0,) * (size - 1 - j) for j in range(size)]
+    chains = []
+    for maps in _generators(n, p):
+
+        def move(b: Matrix, maps=maps) -> Matrix:
+            for f in maps:
+                b = f(b)
+            return b
+
+        if all(move(e) == e for e in units):
+            chains.append(())
+            continue
+        step = _split(move, k, units, p)
+        if step is not None:
+            chains.append((step,))
+            continue
+        chain: list[Step] = []
+        for f in maps:
+            step = _split(f, k, units, p)
+            if step is None:
+                transpose = operator.itemgetter(*(j * n + i for i in range(n) for j in range(n)))
+                flip = _split(transpose, k, units, p)
+                step = _split(lambda b: transpose(f(transpose(b))), k, units, p)
+                if flip is None or step is None:
+                    raise ArithmeticError(f"a move of {n} x {n} matrices splits in neither index")
+                chain += [flip, step, flip]
+            else:
+                chain.append(step)
+        chains.append(tuple(chain))
+    return tuple(chains)
+
+
+def _orbits(seeds: Iterable[int], n: int, p: int) -> list[tuple[Matrix, int]]:
+    """(representative, size) of each conjugacy orbit that meets seeds, an
+    iterable of indices.
+
+    A flood fill under the three conjugations of _generators, each applied
+    to indices by its chain of _steps, with one byte of seen per matrix:
+    the size of an orbit is the number of matrices the fill reaches, and no
+    class-size formula enters.  A generating set that fell short of
+    GL_n(F_p) would only split orbits.
     """
-    moves = _generators(n, p)
-    seen: set[Matrix] = set()
+    chains = _steps(n, p)
+    seen = bytearray(p ** (n * n))
     out = []
     for rep in seeds:
-        if rep in seen:
+        if seen[rep]:
             continue
-        seen.add(rep)
+        seen[rep] = 1
         stack = [rep]
         size = 0
         while stack:
-            b = stack.pop()
+            x = stack.pop()
             size += 1
-            for move in moves:
-                c = move(b)
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        out.append((rep, size))
+            for chain in chains:
+                y = x
+                for scale, high, low in chain:
+                    y = high[y // scale] + low[y % scale]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+        out.append((_matrix(rep, n, p), size))
     return out
 
 
-def _strictly_upper(n: int, p: int) -> Iterator[Matrix]:
-    """Every strictly upper triangular matrix."""
-    for vals in itertools.product(range(p), repeat=n * (n - 1) // 2):
-        above = iter(vals)
-        yield tuple(next(above) if j > i else 0 for i in range(n) for j in range(n))
+def _strictly_upper(n: int, p: int) -> Iterator[int]:
+    """The index of every strictly upper triangular matrix, in
+    itertools.product order of the entries above the diagonal."""
+    weights = [p ** (n * n - 1 - i * n - j) for i in range(n) for j in range(i + 1, n)]
+    for vals in itertools.product(range(p), repeat=len(weights)):
+        yield sum(map(operator.mul, vals, weights))
 
 
 def _pairs_over(b: Matrix, n: int, p: int) -> int:
@@ -275,8 +394,7 @@ def count_nilpotent_pairs(n: int, p: int) -> int:
 def count_all_pairs(n: int, p: int) -> int:
     """Pairs (A, B) of arbitrary n x n matrices with AB = BA and A^2 = B^3."""
     n, p = _check_pair_count("count_all_pairs", n, p, 1)
-    seeds = itertools.product(range(p), repeat=n * n)
-    return sum(size * _pairs_over(b, n, p) for b, size in _orbits(seeds, n, p))
+    return sum(size * _pairs_over(b, n, p) for b, size in _orbits(range(p ** (n * n)), n, p))
 
 
 # ---------------------------------------------------------------------------

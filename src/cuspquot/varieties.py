@@ -767,10 +767,10 @@ def _count_system(system: tuple, free: frozenset, units: frozenset) -> LaurentPo
         top = max(parts)
         out = _Poly()
         for e, part in parts.items():
-            if e:
-                part = part * (-r) ** e
-            if e != top and c != _ONE:
-                part = part * c ** (top - e)
+            # part * (-r)^e * c^(top - e), with no product by a power that is 1
+            for base, exp in ((-r, e), (c, top - e)):
+                if exp and base != _ONE and (power := base**exp) != _ONE:
+                    part = part * power
             out = out + part
         rest.append(out)
     return factor * _count(rest, free - {v}, units)
@@ -1011,8 +1011,9 @@ class AbProfile(NamedTuple):
 class _Module(NamedTuple):
     """The module M + M of a point, m = dim M, on packed rows of 2m lanes
     (u in the low m lanes, v in the high m): T on packed vectors, the basis
-    of ker A with its free lanes, and the reduced echelon rows and pivots of
-    im A'.  The sequences are tuples."""
+    of ker A with its free lanes, the reduced echelon rows and pivots of
+    im A', the images T(ker A) and their rank modulo im A'.  The sequences
+    are tuples."""
 
     lanes: _Lanes
     T: Callable[[int], int]
@@ -1020,6 +1021,19 @@ class _Module(NamedTuple):
     free: tuple[int, ...]
     rows: tuple[int, ...]
     pivots: tuple[int, ...]
+    images: tuple[int, ...]
+    t_rank: int
+
+    @classmethod
+    def of(
+        cls, lanes: _Lanes, T: Callable[[int], int], ker: Sequence[int], free: Sequence[int],
+        rows: Sequence[int], pivots: Sequence[int],
+    ) -> "_Module":
+        """The _Module of the linear data, T(ker A) and its rank modulo
+        im A' computed once for ab_profile and h0_t_exact both."""
+        images = tuple(map(T, ker))
+        t_rank = len(_rref([*rows, *images], lanes)[0]) - len(rows)
+        return cls(lanes, T, tuple(ker), tuple(free), tuple(rows), tuple(pivots), images, t_rank)
 
 
 @functools.lru_cache(maxsize=1)
@@ -1065,7 +1079,7 @@ def _module(X: GFMatrix, Y: GFMatrix) -> _Module:
             v >>= w
         return reduce(yv) + ((z & low) << shift)
 
-    return _Module(lanes, T, tuple(ker), tuple(free), tuple(rows), tuple(pivots))
+    return _Module.of(lanes, T, ker, free, rows, pivots)
 
 
 def ab_profile(X: GFMatrix, Y: GFMatrix) -> AbProfile:
@@ -1074,8 +1088,7 @@ def ab_profile(X: GFMatrix, Y: GFMatrix) -> AbProfile:
     a = len(mod.ker)
     # W1 = vectors of ker A whose T-image falls into im A'; its codimension in
     # ker A is the rank of T(ker A) modulo im A'
-    t_rank = len(_rref([*mod.rows, *map(mod.T, mod.ker)], mod.lanes)[0]) - len(mod.rows)
-    return AbProfile(a=a, b=2 * X.shape[0] - a, w0=len(mod.rows), w1=a - t_rank, w2=a)
+    return AbProfile(a=a, b=2 * X.shape[0] - a, w0=len(mod.rows), w1=a - mod.t_rank, w2=a)
 
 
 def classify_kernel_vector(X: GFMatrix, Y: GFMatrix, u: Sequence[int]) -> int:
@@ -1108,21 +1121,18 @@ def extend_point(X: GFMatrix, Y: GFMatrix, z: Sequence[int], w: Sequence[int]) -
     return GFMatrix(xr, p), GFMatrix(yr, p)
 
 
-def _h0_exact(
-    rows: Sequence[int], pivots: Sequence[int], ker: Sequence[int], T: Callable[[int], int], lanes: _Lanes
-) -> bool:
+def _h0_exact(mod: _Module) -> bool:
     """On H0 = span(ker) / span(rows), the map T0 induced by T has image
     equal to kernel.
 
-    rows and pivots are the packed reduced echelon rows of a subspace of
-    span(ker), ker is a packed basis, and T maps span(ker) and span(rows)
-    into themselves, so T0 is defined; the sequences are only read, so the
-    tuples of _module serve.  T0 is exact iff T0^2 = 0, i.e. T^2(ker) lies
-    in span(rows), and its rank is half of dim H0."""
-    images = [T(v) for v in ker]
-    if not all(_in_span(rows, pivots, T(tv), lanes) for tv in images):
+    mod.rows and mod.pivots are the packed reduced echelon rows of a
+    subspace of span(ker), mod.ker is a packed basis, and T maps span(ker)
+    and span(rows) into themselves, so T0 is defined.  T0 is exact iff
+    T0^2 = 0, i.e. T^2(ker) lies in span(rows), and its rank, t_rank, is
+    half of dim H0."""
+    if not all(_in_span(mod.rows, mod.pivots, mod.T(tv), mod.lanes) for tv in mod.images):
         return False
-    return 2 * (len(_rref([*rows, *images], lanes)[0]) - len(rows)) == len(ker) - len(rows)
+    return 2 * mod.t_rank == len(mod.ker) - len(mod.rows)
 
 
 def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:
@@ -1132,8 +1142,7 @@ def h0_t_exact(X: GFMatrix, Y: GFMatrix) -> bool:
     A'T - TA' are XY - YX in their top right block and zero elsewhere, and
     _module refuses a pair with XY != YX.  So T induces T0 on H0, and
     _h0_exact decides exactness from im A', ker A and T."""
-    mod = _module(X, Y)
-    return _h0_exact(mod.rows, mod.pivots, mod.ker, mod.T, mod.lanes)
+    return _h0_exact(_module(X, Y))
 
 
 # ---------------------------------------------------------------------------

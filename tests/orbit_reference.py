@@ -7,9 +7,10 @@ address a with gamma_1^a1 ... gamma_d^ad (zero datum) = datum, and they
 decide stability pair by pair.  Tests check the walk, the orbit partition
 and the raising laws against them.
 
-Conjugacy orbits of matrices: transvection_moves is a second generating
-set of GL_n(F_p), every I + E_ij and one diagonal matrix, that the pair
-oracle's flood fill is checked against.
+Conjugacy orbits of matrices: flood_orbits is a flood fill over a set of
+flat matrix tuples, the reference for the pair oracle's fill on integer
+indices, and transvection_moves is a second generating set of GL_n(F_p),
+every I + E_ij and one diagonal matrix, to run it under.
 
 Commutant roots: commutant_roots_odometer walks the kernel of XY = YX one
 coefficient vector at a time, the walk that varieties._commutant_roots
@@ -75,6 +76,44 @@ def apply_address(x: LeadingTermDatum, addr) -> LeadingTermDatum:
         for _ in range(a):
             x = x.gamma(j)
     return x
+
+
+def flood_orbits(seeds, moves):
+    """(representative, size) of each orbit that meets seeds, flat matrix
+    tuples, under the group that the tuple maps moves generate; the size
+    is the number of matrices the fill reaches, in seed order."""
+    seen = set()
+    out = []
+    for rep in seeds:
+        if rep in seen:
+            continue
+        seen.add(rep)
+        stack = [rep]
+        size = 0
+        while stack:
+            b = stack.pop()
+            size += 1
+            for move in moves:
+                c = move(b)
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        out.append((rep, size))
+    return out
+
+
+def composed(moves):
+    """One tuple map per move of oracles._generators, applying its maps in turn."""
+
+    def compose(maps):
+        def move(b):
+            for f in maps:
+                b = f(b)
+            return b
+
+        return move
+
+    return [compose(maps) for maps in moves]
 
 
 def transvection_moves(n: int, p: int):

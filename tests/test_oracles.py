@@ -14,8 +14,11 @@ import cuspquot.oracles as oracles_module
 from cuspquot.groebner import Element, Monomial, PreBasis, is_groebner_general
 from cuspquot.oracles import (
     BudgetError,
+    _index,
+    _matrix,
     _orbits,
     _pairs_over,
+    _steps,
     _strictly_upper,
     count_all_pairs,
     count_nilpotent_pairs,
@@ -46,7 +49,7 @@ from cuspquot.varieties import (
     enumerate_v_d_points,
 )
 
-from orbit_reference import commutant_roots_odometer, is_stable, transvection_moves
+from orbit_reference import commutant_roots_odometer, composed, flood_orbits, is_stable, transvection_moves
 
 
 def M(t_deg, seat):
@@ -344,11 +347,11 @@ def test_generator_search_finds_the_least_primitive_root():
     # the rescaling move uses the same w as the reference's search over the
     # set of all p - 1 powers, at every prime below 1000 (p = 2 has none)
     for p in filter(is_prime, range(1000)):
-        found = [m.keywords["w"] for m in oracles_module._generators(1, p)]
+        found = [m.keywords["w"] for (m,) in oracles_module._generators(1, p)]
         assert found == [m.keywords["w"] for m in transvection_moves(1, p)], p
     assert oracles_module._generators(1, 2) == []
     # the largest prime the budget admits at n = 1, p - 1 = 2^2 3^3 7 19 73
-    assert oracles_module._generators(1, 1048573)[0].keywords["w"] == 2
+    assert oracles_module._generators(1, 1048573)[0][0].keywords["w"] == 2
 
 
 def test_nilpotent_pair_ratio_matches_punctual_coefficient():
@@ -427,7 +430,7 @@ ORBIT_COUNTS = {(1, 2): 2, (2, 2): 6, (3, 2): 14, (1, 3): 3, (2, 3): 12, (3, 3):
 @pytest.mark.parametrize("n, p", sorted(ORBIT_COUNTS))
 def test_orbit_sizes_cover_the_matrices(n, p):
     everything = list(itertools.product(range(p), repeat=n * n))
-    orbits = _orbits(everything, n, p)
+    orbits = _orbits(range(p ** (n * n)), n, p)
     assert len(orbits) == ORBIT_COUNTS[n, p]
     assert sum(size for _, size in orbits) == p ** (n * n)
     # seeded with the strictly upper triangular matrices, the walk reaches
@@ -438,22 +441,59 @@ def test_orbit_sizes_cover_the_matrices(n, p):
     assert len(nil_orbits) == sum(_is_nilpotent(_rows(b, n), n, p) for b, _ in orbits)
 
 
+def _seeds(n, p, nilpotent):
+    """Indices of the strictly upper triangular matrices, or of every matrix."""
+    return list(_strictly_upper(n, p)) if nilpotent else range(p ** (n * n))
+
+
+@pytest.mark.parametrize("n, p, nilpotent", [
+    *((n, p, nilpotent) for n, p in sorted(ORBIT_COUNTS) for nilpotent in (False, True)),
+    (4, 2, True), (2, 5, False), (2, 13, False),
+])
+def test_index_fill_matches_the_tuple_fill(n, p, nilpotent):
+    # the same moves on a set of tuples: the same representatives and sizes
+    # in the same order
+    seeds = _seeds(n, p, nilpotent)
+    reference = flood_orbits([_matrix(x, n, p) for x in seeds], composed(oracles_module._generators(n, p)))
+    assert _orbits(seeds, n, p) == reference
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+def test_split_steps_apply_each_move_to_every_index(n, p):
+    # indices list the matrices in itertools.product order, and each move's
+    # chain of steps sends every index to the index of the move's image
+    size = n * n
+    matrices = list(itertools.product(range(p), repeat=size))
+    assert [_matrix(x, n, p) for x in range(p**size)] == matrices
+    assert [_index(b, p) for b in matrices] == list(range(p**size))
+    moves = oracles_module._generators(n, p)
+    chains = _steps(n, p)
+    assert len(chains) == len(moves)
+    for move, chain in zip(composed(moves), chains):
+        for x, b in enumerate(matrices):
+            y = x
+            for scale, high, low in chain:
+                y = high[y // scale] + low[y % scale]
+            assert y == _index(move(b), p), (n, p, b)
+    # at n = 1 the one move is the identity and has no step; at n = 2 the
+    # transvection's row operation runs between two transposes; at n = 3
+    # every move is one step
+    assert [len(chain) for chain in chains] == {1: [0], 2: [1, 4, 1], 3: [1, 1, 1]}[n][: len(moves)]
+    bound = p ** (n * -(-n // 2))
+    assert all(len(high) <= bound and len(low) <= bound for chain in chains for _, high, low in chain)
+
+
 @pytest.mark.parametrize("n, p, nilpotent", [
     (2, 2, False), (2, 3, False), (2, 5, False), (3, 2, False), (3, 3, False), (4, 2, True),
 ])
-def test_three_generators_find_the_orbits_of_every_transvection(monkeypatch, n, p, nilpotent):
+def test_three_generators_find_the_orbits_of_every_transvection(n, p, nilpotent):
     # the shift, I + E_01 and the diagonal move against the n(n-1) + 1 moves
     # of every I + E_ij and the diagonal one: the same orbits in the same
-    # order, so the same representatives and the same multiset of sizes
-    def seeds():
-        return _strictly_upper(n, p) if nilpotent else itertools.product(range(p), repeat=n * n)
-
+    # order, so the same representatives and the same sizes
     assert [len(oracles_module._generators(k, p)) for k in range(3)] == ([0, 1, 3] if p > 2 else [0, 0, 2])
-    orbits = _orbits(seeds(), n, p)
-    monkeypatch.setattr(oracles_module, "_generators", transvection_moves)
-    reference = _orbits(seeds(), n, p)
-    assert sorted(size for _, size in orbits) == sorted(size for _, size in reference)
-    assert orbits == reference
+    seeds = _seeds(n, p, nilpotent)
+    reference = flood_orbits([_matrix(x, n, p) for x in seeds], transvection_moves(n, p))
+    assert _orbits(seeds, n, p) == reference
 
 
 def test_conjugate_has_the_same_pair_count():
@@ -488,7 +528,17 @@ def test_pair_count_budget():
 
 
 def test_all_pairs_of_size_four_over_f2():
-    assert count_all_pairs(4, 2) == 122_656 == matrix_count_formula(4).evaluate(2)
+    # one byte of seen per matrix, 64 KiB for the 2^16 matrices, and the
+    # split tables, built inside the traced call
+    _steps.cache_clear()
+    tracemalloc.start()
+    try:
+        assert count_all_pairs(4, 2) == 122_656
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    assert count_all_pairs(4, 2) == matrix_count_formula(4).evaluate(2)
 
 
 def test_pair_counts_reject_non_integer_sizes():

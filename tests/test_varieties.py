@@ -51,6 +51,7 @@ from cuspquot.varieties import (
     _in_span,
     _lane_coords,
     _Lanes,
+    _Module,
     _module,
     _motive,
     _Poly,
@@ -910,12 +911,12 @@ def test_h0_exactness_is_decided_from_the_linear_data(ker, spanned, t_rows, exac
     lanes = _row_lanes(p, n)
     T = GFMatrix(t_rows, p)
     rows, pivots = _rref(map(lanes.pack, spanned), lanes)
-    packed_ker = [lanes.pack(v) for v in ker]
+    packed_ker, free = _rref(map(lanes.pack, ker), lanes)
 
     def apply(z):
         return lanes.pack(T.apply(lanes.unpack(z, n)))
 
-    assert _h0_exact(rows, pivots, packed_ker, apply, lanes) is exact
+    assert _h0_exact(_Module.of(lanes, apply, packed_ker, free, rows, pivots)) is exact
 
 
 def test_module_memo_never_serves_a_stale_point():
@@ -937,7 +938,7 @@ def test_module_memo_never_serves_a_stale_point():
         assert ab_profile(U, V) == fresh[U, V][0]
         assert h0_t_exact(X, Y) == fresh[X, Y][1]
         mod = _module(X, Y)
-        assert all(type(part) is tuple for part in (mod.ker, mod.free, mod.rows, mod.pivots))
+        assert all(type(part) is tuple for part in (mod.ker, mod.free, mod.rows, mod.pivots, mod.images))
 
     _module.cache_clear()
     for X, Y in points:
