@@ -236,7 +236,7 @@ def _matrix(x: int, n: int, p: int) -> Matrix:
     return tuple(reversed(digits))
 
 
-Step = tuple[int, list[int], list[int]]  # (p^k, H, L): the step x -> H[x // p^k] + L[x % p^k]
+Step = tuple[int, tuple[int, ...], tuple[int, ...]]  # (p^k, H, L): the step x -> H[x // p^k] + L[x % p^k]
 
 
 def _split(move: Callable[[Matrix], Matrix], k: int, units: list[Matrix], p: int) -> Optional[Step]:
@@ -269,7 +269,7 @@ def _split(move: Callable[[Matrix], Matrix], k: int, units: list[Matrix], p: int
     top = size - k
     if not splits(0, top, size):
         return None
-    return p**k, table(0, top), table(top, size)
+    return p**k, tuple(table(0, top)), tuple(table(top, size))
 
 
 @functools.lru_cache(maxsize=16)
@@ -288,7 +288,8 @@ def _steps(n: int, p: int) -> tuple[tuple[Step, ...], ...]:
 
     Built on the first call for an (n, p), which count_nilpotent_pairs and
     count_all_pairs then share; sixteen entries hold every (n, p) with
-    n >= 2 that the budget admits."""
+    n >= 2 that the budget admits.  Steps and tables are tuples, so no
+    caller can change what a later call is served."""
     size, k = n * n, n * (n // 2)
     units = [(0,) * j + (1,) + (0,) * (size - 1 - j) for j in range(size)]
     chains = []
