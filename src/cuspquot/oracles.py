@@ -243,9 +243,9 @@ def _split(move: Callable[[Matrix], Matrix], k: int, units: list[Matrix], p: int
     """The step at k digits that applies the linear map move to indices, or
     None when the images of the top and the low k digits share a digit.
 
-    move(B) is the sum of the images of the parts of B on any two sets of
-    digits that cover it, and each image lies in the span of the images of
-    its part's unit matrices.  When those spans touch disjoint digits the
+    move(B) is the sum of the images of the parts of B on any two disjoint
+    sets of digits that cover it, and each image lies in the span of the
+    images of its part's unit matrices.  When those spans touch disjoint digits the
     sum has no carry, so it is the sum of the two indices.  That gives the
     step, and it builds each table from the tables of its block's leading
     digits and the rest, as an outer sum, wherever they split so; only a
