@@ -53,7 +53,14 @@ from .qalgebra import (
     t_pochhammer,
 )
 from .strata import Orbit, base_level_walk, rank_seats
-from .varieties import VAlphaSpec, _digit_width, _digits, distance_class, symbolic_v_alpha
+from .varieties import (
+    VAlphaSpec,
+    _digit_width,
+    _digits,
+    _from_digits,
+    distance_class,
+    symbolic_v_alpha,
+)
 
 __all__ = [
     "hilb_series",
@@ -242,9 +249,9 @@ def _color_rows(d: int) -> dict[tuple[str, ...], TPoly]:
 
 
 def _unpack_row(n: int, w: int, s: int) -> TPoly:
-    """The TPoly packed as n at q = 2^w, t = 2^(w s)."""
+    """The TPoly packed as n at q = 2^w, t = 2^(w s): digit s n + e is [t^n q^e]."""
     digits = _digits(n, w)
-    return TPoly(LaurentPolyQ(dict(enumerate(digits[i : i + s]))) for i in range(0, len(digits), s))
+    return TPoly(_from_digits(digits[i : i + s]) for i in range(0, len(digits), s))
 
 
 def _hilb_q(d: int) -> TPoly:
@@ -541,10 +548,14 @@ def affine_cohen_lenstra_coefficient(n: int) -> RationalQ:
     whose module-count series is the geometric series 1/(1 - t), so the
     curve coefficient is the partial sum of the one-point coefficients;
     the numerator of coefficient j, over (q^-1;q^-1)_j, is weighted by
-    (q^-1;q^-1)_n / (q^-1;q^-1)_j.  Multiplied by |GL_n| it equals
-    matrix_count_formula(n), the count of *all* matrix pairs (A, B) with
-    A^2 = B^3 and AB = BA.
+    (q^-1;q^-1)_n / (q^-1;q^-1)_j, the product of 1 - q^-i over
+    i = j+1..n, multiplied up one factor per j from j = n down with no
+    division.  Multiplied by |GL_n| it equals matrix_count_formula(n), the
+    count of *all* matrix pairs (A, B) with A^2 = B^3 and AB = BA.
     """
     n = check_nonnegative(n, "order")
-    point = (cohen_lenstra_coefficient(j) for j in range(n + 1))
-    return _over_pochhammer(n, ((c.num, c.den) for c in point))
+    weights = [ONE]  # weights[n - j] = (q^-1;q^-1)_n / (q^-1;q^-1)_j
+    for i in range(n, 0, -1):
+        weights.append(weights[-1] * (ONE - LaurentPolyQ.q_power(-i)))
+    num = sum((cohen_lenstra_coefficient(j).num * weights[n - j] for j in range(n + 1)), ZERO)
+    return RationalQ(num, weights[n])

@@ -631,6 +631,18 @@ def test_affine_guess_times_group_order_is_matrix_count():
         )
 
 
+def test_affine_weights_match_the_division_route(monkeypatch):
+    # the weight of coefficient j is multiplied up as prod_(i=j+1..n) (1 - q^-i);
+    # the division route divides (q^-1;q^-1)_n by (q^-1;q^-1)_j
+    point = [cohen_lenstra_coefficient(j) for j in range(31)]
+    monkeypatch.setattr(series_module, "cohen_lenstra_coefficient", point.__getitem__)
+    for n in range(31):
+        division = series_module._over_pochhammer(n, ((c.num, c.den) for c in point[: n + 1]))
+        value = affine_cohen_lenstra_coefficient(n)
+        assert value.den == division.den == q_pochhammer(n, exp_sign=-1), n
+        assert value.num == division.num, n
+
+
 def _point_guess_at(n, q):
     """[t^n] of the point guess at a rational q, summed directly in Fraction:
     the sum over n = m + 2k of q^(-m-k^2) / ((q^-1;q^-1)_m (q^-1;q^-1)_k)."""

@@ -42,10 +42,12 @@ from cuspquot.varieties import (
 from cuspquot.varieties import (
     _COLUMN,
     _antidiagonal,
+    _carried,
     _commutant_roots,
     _count,
     _count_system,
     _digit_width,
+    _digits,
     _factor,
     _h0_exact,
     _in_span,
@@ -55,6 +57,7 @@ from cuspquot.varieties import (
     _module,
     _motive,
     _Poly,
+    _repack,
     _row_lanes,
     _rref,
     _staircase_block,
@@ -819,6 +822,88 @@ def test_rank_64_is_pinned():
         assert hashlib.sha256(str(value).encode()).hexdigest() == digest
     assert MotiveTable().get(128, 0) == 1
     assert staircase_motive(64).evaluate(1) == 1
+
+
+def test_staircase_table_to_rank_64_is_pinned():
+    digest = hashlib.sha256(staircase_table_csv(64).encode()).hexdigest()
+    assert digest == "47efc6d02914b1f896c6323a3708f718786ab6084776fcc1d7e24bd49df44726"
+
+
+@functools.cache
+def _staircase_from_row_0():
+    """Every rank to 64 from one walk of _motive_rows from row 0, decoded
+    through the checking constructor."""
+    w = _digit_width(5**64)
+    return [poly(dict(enumerate(_digits(sum(row), w)))) for row in varieties._motive_rows(64)]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_resumed_blocks_match_a_walk_from_row_0(order):
+    ranks = [15, 16, 17, 31, 32, 33, 47, 48, 49, 64]
+    if order == "descending":
+        ranks.reverse()
+    elif order == "shuffled":
+        random.Random(32).shuffle(ranks)
+    reference = _staircase_from_row_0()
+    _staircase_block.cache_clear()
+    _carried.cache_clear()
+    for cleared in (False, True):
+        if cleared:
+            # the slot keeps the last row it holds, the blocks are gone
+            _staircase_block.cache_clear()
+        for d in ranks:
+            assert staircase_motive(d) == reference[d], (order, cleared, d)
+            assert _carried.cache_info().currsize == 1  # one carried row, never more
+    _carried.cache_clear()
+
+
+def test_a_cold_pass_walks_each_row_once(monkeypatch):
+    reference = _staircase_from_row_0()
+    walks = []
+    walk = varieties._motive_rows
+
+    def spy(top, width=None, k0=0, row=(1,)):
+        walks.append((k0, top))
+        return walk(top, width, k0, row)
+
+    monkeypatch.setattr(varieties, "_motive_rows", spy)
+    _staircase_block.cache_clear()
+    _carried.cache_clear()
+    for d in range(MAX_MOTIVE_D + 1):
+        assert staircase_motive(d) == reference[d], d
+    assert walks == [(0, 0), (0, 16), (16, 32), (32, 48), (48, 64)]
+    assert sorted(k for k0, top in walks for k in range(k0 + 1, top + 1)) == list(range(1, 65))
+    # the top block emptied the slot of row 48 and left no row of its own
+    hits = _carried.cache_info().hits
+    assert _carried(48) == [None] and _carried.cache_info().hits == hits + 1
+    # a row left in the slot still serves the block above after a cache_clear
+    for d in (40, 60):
+        _staircase_block.cache_clear()
+        assert staircase_motive(d) == reference[d], d
+    assert walks[5:] == [(0, 48), (48, 64)]
+    _carried.cache_clear()
+
+
+@pytest.mark.parametrize("w, wide", [(40, 80), (80, 120), (120, 152)])
+def test_repack_keeps_every_signed_digit(w, wide):
+    rng = random.Random(wide)
+    limit = (1 << (w - 2)) - 1
+    cases = [
+        [],
+        [0, 0, 0],
+        [rng.randint(-limit, limit) for _ in range(60)],
+        [-rng.randint(1, limit) for _ in range(30)],
+        [rng.randint(-limit, limit) for _ in range(20)] + [-rng.randint(1, limit)],
+        [limit, -limit, 0, -limit, limit, -limit],
+    ]
+    for digits in cases:
+        n = sum(c << w * i for i, c in enumerate(digits))
+        back = _digits(_repack(n, w, wide), wide)
+        while back and not back[-1]:
+            back.pop()
+        while digits and not digits[-1]:
+            digits.pop()
+        assert back == digits
 
 
 def test_csv_exports():
