@@ -870,7 +870,7 @@ def _motive_rows(
         for b in range(1, k + 1 if width is None else min(k + 1, width)):
             x, y, z = s[b + 2], s[b + 1], s[b]
             row.append(
-                (x << w * b) + (y - z << mid) - (y << w * (b - 1)) + (z << w * (2 * k - b))
+                (x << w * b) + ((y - z) << mid) - (y << w * (b - 1)) + (z << w * (2 * k - b))
             )
         yield row
 
