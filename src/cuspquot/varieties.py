@@ -8,9 +8,8 @@ the truncated distance classes 1-, 2, 3+ matter.  symbolic_v_alpha
 counts these varieties as polynomials in q by case splitting, exactly
 over every F_q.  When every distance is 3+ the variety is the full
 staircase variety V_d, whose motive obeys a two-parameter recursion
-computed here exactly on big integers that pack each polynomial at
-q = 2^w, a block of 16 ranks at a time, each block resuming from the last
-row of the block below it.
+computed here exactly, a block of ranks at a time, on big integers that
+pack each polynomial at q = 2^w.
 
 One enumerator, _cusp_fibres, walks the F_p points of all of them: for
 each Y on its slots, _commutant_roots walks the kernel of the linear
@@ -835,19 +834,15 @@ def symbolic_v_alpha(spec_or_datum: "VAlphaSpec | LeadingTermDatum") -> LaurentP
 MAX_MOTIVE_D = 64  # staircase_motive ranks; motive table entries reach a = 2 * MAX_MOTIVE_D
 
 
-def _motive_rows(
-    top: int, width: Optional[int] = None, k0: int = 0, row: Sequence[int] = (1,)
-) -> Iterator[Sequence[int]]:
-    """Rows k = k0..top of the motive recursion, packed at q = 2^w.
+def _motive_rows(top: int, width: Optional[int] = None) -> Iterator[list[int]]:
+    """Rows k = 0..top of the motive recursion, packed at q = 2^w.
 
     Entry b of row k is M(2k - b, b) evaluated at q = 2^w,
     w = _digit_width(5^top), so its coefficients are the signed base-2^w
     digits; width, when given, keeps only columns 0..width - 1,
-    which read nothing to their right.  The walk starts from row, row k0
-    packed at this w: by default the seed, row 0 = [1].  The step reads
-    only row k - 1, so a walk may start at any row.  It splits off the last
-    column pair by the kernel filtration position it lands in: with
-    a = 2k - b and rows r = row k, s = row k - 1,
+    which read nothing to their right.  The seed is row 0 = [1], and the
+    step splits off the last column pair by the kernel filtration position
+    it lands in: with a = 2k - b and rows r = row k, s = row k - 1,
 
         r[b] = q^b s[b] + q^(k-1) (s[b-1] - s[b-2]) - q^(b-1) s[b-1] + q^a s[b-2],
 
@@ -862,8 +857,9 @@ def _motive_rows(
     _digits reads them back exactly.
     """
     w = _digit_width(5**top)
+    row = [1]
     yield row
-    for k in range(k0 + 1, top + 1):
+    for k in range(1, top + 1):
         s = [0, 0, *row, 0]  # s[b + 2] is entry b of row k - 1
         mid = w * (k - 1)
         row = [1]  # M(2k, 0) = M(2k - 2, 0)
@@ -881,42 +877,17 @@ def _digit_width(bound: int) -> int:
     return (bound.bit_length() + 9) // 8 * 8
 
 
-def _offset_bytes(n: int, w: int) -> bytes:
-    """n with 2^(w - 1) added to each of its signed base-2^w digits, which
-    have absolute value below 2^(w - 2): one repunit addition puts every
-    digit in 0..2^w - 1, and one to_bytes call writes it as w / 8
-    little-endian bytes, least significant digit first."""
-    size = w // 8
-    count = abs(n).bit_length() // w + 1
-    offset = int.from_bytes((1 << (w - 1)).to_bytes(size, "little") * count, "little")
-    return (n + offset).to_bytes(size * count, "little")
-
-
 def _digits(n: int, w: int) -> list[int]:
     """The signed base-2^w digits of n, least significant first, each of
-    absolute value below 2^(w - 2), read in linear time: a from_bytes per
-    slice of _offset_bytes."""
+    absolute value below 2^(w - 2): one repunit addition shifts every digit
+    by 2^(w - 1) into 0..2^w - 1, then one to_bytes call and a from_bytes
+    per slice read them in linear time."""
     size, half = w // 8, 1 << (w - 1)
-    raw = _offset_bytes(n, w)
+    count = abs(n).bit_length() // w + 1
+    raw = (n + int.from_bytes(half.to_bytes(size, "little") * count, "little")).to_bytes(
+        size * count, "little"
+    )
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
-
-
-def _repack(n: int, w: int, wide: int) -> int:
-    """n, packed at q = 2^w with digits of absolute value below 2^(w - 2),
-    packed again at q = 2^wide, wide >= w.
-
-    Linear time: each digit's w / 8 bytes of _offset_bytes are spread to
-    wide / 8 bytes, zero padded, by w / 8 strided copies, one from_bytes
-    call reads them all, and the offset is taken off at the new width.  A
-    sum of c << wide * i is quadratic."""
-    size, wide_size = w // 8, wide // 8
-    raw = _offset_bytes(n, w)
-    count = len(raw) // size
-    out = bytearray(wide_size * count)
-    for i in range(size):  # byte i of every digit in one strided copy
-        out[i::wide_size] = raw[i::size]
-    offset = (1 << (w - 1)).to_bytes(wide_size, "little") * count
-    return int.from_bytes(out, "little") - int.from_bytes(offset, "little")
 
 
 def _from_digits(digits: Iterable[int], low: int = 0) -> LaurentPolyQ:
@@ -937,7 +908,7 @@ def _unpack(n: int, w: int) -> LaurentPolyQ:
 
 
 @functools.lru_cache(maxsize=1)
-def _antidiagonal(top: int) -> list[Sequence[int]]:
+def _antidiagonal(top: int) -> list[list[int]]:
     """One slot for the widest packed prefix of row top of _motive_rows
     walked so far.
 
@@ -980,50 +951,34 @@ class MotiveTable:
         return _motive(operator.index(a), operator.index(b))
 
 
-@functools.lru_cache(maxsize=1)
-def _carried(k: int) -> list[Optional[Sequence[int]]]:
-    """One slot for row k of _motive_rows, packed at _digit_width(5^k): the
-    last row of the staircase block ending at k, which the block above
-    resumes from.
-
-    One entry, keyed by k.  The block above empties the slot as it takes the
-    row, the next block's row evicts it, and the MAX_MOTIVE_D block, with
-    no block above, leaves nothing in it."""
-    return [None]
+_BLOCKS: dict[int, tuple[LaurentPolyQ, ...]] = {}  # _staircase_block by top
 
 
-@functools.cache
 def _staircase_block(top: int) -> tuple[LaurentPolyQ, ...]:
     """staircase_motive(d) for the ranks d of the block ending at top, a
     multiple of 16: d = top - 15..top, or d = 0 for top = 0.  Each is the
-    row sum of row d of _motive_rows at the block's width.
+    row sum of row d of _motive_rows(top).
 
-    The walk resumes from row top - 16, the last row of the block below,
-    when the slot (_carried) holds it: the recursion reads only row k - 1.
-    That row is packed again at this block's wider width w (_repack), which
-    is exact, as its coefficients are below 5^(top - 16), within the bound
-    of the width it was packed at, and every row k <= top obeys
-    5^k < 2^(w - 2).  So a pass over the ranks in ascending order walks
-    each row once.  When the slot holds another row or none (this block
-    asked for before the one below it, or after a cache_clear), the walk
-    starts from row 0 as a cold one does, and still decodes only the
-    block's own rows.  The block leaves its last row in the slot, unless it
-    ends at MAX_MOTIVE_D.
+    Blocks are kept (_BLOCKS).  A block not yet kept is computed with every
+    block below it that is not kept either, in one walk of _motive_rows(top)
+    from row 0, which decodes the row sums of those blocks only.  So the
+    kept blocks are always those up to some rank, each rank is decoded
+    once, and no row outlives the call.  The rows of the blocks already
+    kept are walked again; packing each block at a width of its own and
+    carrying the last row up a block saved no time on that walk.
     """
-    w, base = _digit_width(5**top), top - 16
-    slot = _carried(base)
-    row, slot[0] = slot[0], None
-    if row is None:
-        base, rows = 0, _motive_rows(top)
-    else:
-        rows = _motive_rows(top, None, base, [_repack(x, _digit_width(5**base), w) for x in row])
-    sums = []
-    for k, row in enumerate(rows, base):
-        if k > top - 16:
-            sums.append(_unpack(sum(row), w))
-    if top < MAX_MOTIVE_D:
-        _carried(top)[0] = row
-    return tuple(sums)
+    if top not in _BLOCKS:
+        w, sums = _digit_width(5**top), []
+        for k, row in enumerate(_motive_rows(top)):
+            end = -(-k // 16) * 16  # the block of rank k
+            if end not in _BLOCKS:
+                sums.append(_unpack(sum(row), w))
+                if k == end:
+                    _BLOCKS[end], sums = tuple(sums), []
+    return _BLOCKS[top]
+
+
+_staircase_block.cache_clear = _BLOCKS.clear  # empties the kept blocks, as on a functools.cache
 
 
 def staircase_motive(d: int) -> LaurentPolyQ:
@@ -1031,8 +986,7 @@ def staircase_motive(d: int) -> LaurentPolyQ:
 
     It is the sum of M(2d - b, b) over b, the row sum of row d of the
     motive recursion.  Ranks are computed a block at a time, up to the next
-    multiple of 16, and kept (_staircase_block); each block resumes from
-    the last row of the block below it when that block was computed last.
+    multiple of 16, and kept with every block below (_staircase_block).
     """
     d = _check_motive_rank(d)
     top = -(-d // 16) * 16

@@ -42,7 +42,6 @@ from cuspquot.varieties import (
 from cuspquot.varieties import (
     _COLUMN,
     _antidiagonal,
-    _carried,
     _commutant_roots,
     _count,
     _count_system,
@@ -57,7 +56,6 @@ from cuspquot.varieties import (
     _module,
     _motive,
     _Poly,
-    _repack,
     _row_lanes,
     _rref,
     _staircase_block,
@@ -838,72 +836,65 @@ def _staircase_from_row_0():
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_resumed_blocks_match_a_walk_from_row_0(order):
+def test_staircase_blocks_match_a_walk_from_row_0(order):
     ranks = [15, 16, 17, 31, 32, 33, 47, 48, 49, 64]
     if order == "descending":
         ranks.reverse()
     elif order == "shuffled":
         random.Random(32).shuffle(ranks)
     reference = _staircase_from_row_0()
+    for d in ranks:
+        _staircase_block.cache_clear()
+        assert staircase_motive(d) == reference[d], (order, "cold", d)
     _staircase_block.cache_clear()
-    _carried.cache_clear()
-    for cleared in (False, True):
-        if cleared:
-            # the slot keeps the last row it holds, the blocks are gone
-            _staircase_block.cache_clear()
-        for d in ranks:
-            assert staircase_motive(d) == reference[d], (order, cleared, d)
-            assert _carried.cache_info().currsize == 1  # one carried row, never more
-    _carried.cache_clear()
+    for d in ranks:
+        assert staircase_motive(d) == reference[d], (order, "warm", d)
 
 
-def test_a_cold_pass_walks_each_row_once(monkeypatch):
+def _spy_on_walks(monkeypatch):
+    """The top of every _motive_rows walk, and the width of every decode."""
+    walks, decoded = [], []
+    walk, unpack = varieties._motive_rows, varieties._unpack
+
+    def spy_walk(top, width=None):
+        walks.append(top)
+        return walk(top, width)
+
+    def spy_unpack(n, w):
+        decoded.append(w)
+        return unpack(n, w)
+
+    monkeypatch.setattr(varieties, "_motive_rows", spy_walk)
+    monkeypatch.setattr(varieties, "_unpack", spy_unpack)
+    return walks, decoded
+
+
+def test_a_cold_block_fills_every_block_below_it(monkeypatch):
     reference = _staircase_from_row_0()
-    walks = []
-    walk = varieties._motive_rows
-
-    def spy(top, width=None, k0=0, row=(1,)):
-        walks.append((k0, top))
-        return walk(top, width, k0, row)
-
-    monkeypatch.setattr(varieties, "_motive_rows", spy)
+    walks, decoded = _spy_on_walks(monkeypatch)
     _staircase_block.cache_clear()
-    _carried.cache_clear()
+    assert staircase_motive(64) == reference[64]
+    assert walks == [64] and decoded == [_digit_width(5**64)] * 65  # rows 1..64 once
     for d in range(MAX_MOTIVE_D + 1):
         assert staircase_motive(d) == reference[d], d
-    assert walks == [(0, 0), (0, 16), (16, 32), (32, 48), (48, 64)]
-    assert sorted(k for k0, top in walks for k in range(k0 + 1, top + 1)) == list(range(1, 65))
-    # the top block emptied the slot of row 48 and left no row of its own
-    hits = _carried.cache_info().hits
-    assert _carried(48) == [None] and _carried.cache_info().hits == hits + 1
-    # a row left in the slot still serves the block above after a cache_clear
-    for d in (40, 60):
-        _staircase_block.cache_clear()
+    assert walks == [64] and len(decoded) == 65  # the lower blocks came with it
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_any_pass_decodes_each_rank_once(monkeypatch, seed):
+    ranks = list(range(MAX_MOTIVE_D + 1))
+    if seed is not None:
+        random.Random(seed).shuffle(ranks)
+    reference = _staircase_from_row_0()
+    walks, decoded = _spy_on_walks(monkeypatch)
+    _staircase_block.cache_clear()
+    for d in ranks:
         assert staircase_motive(d) == reference[d], d
-    assert walks[5:] == [(0, 48), (48, 64)]
-    _carried.cache_clear()
-
-
-@pytest.mark.parametrize("w, wide", [(40, 80), (80, 120), (120, 152)])
-def test_repack_keeps_every_signed_digit(w, wide):
-    rng = random.Random(wide)
-    limit = (1 << (w - 2)) - 1
-    cases = [
-        [],
-        [0, 0, 0],
-        [rng.randint(-limit, limit) for _ in range(60)],
-        [-rng.randint(1, limit) for _ in range(30)],
-        [rng.randint(-limit, limit) for _ in range(20)] + [-rng.randint(1, limit)],
-        [limit, -limit, 0, -limit, limit, -limit],
-    ]
-    for digits in cases:
-        n = sum(c << w * i for i, c in enumerate(digits))
-        back = _digits(_repack(n, w, wide), wide)
-        while back and not back[-1]:
-            back.pop()
-        while digits and not digits[-1]:
-            digits.pop()
-        assert back == digits
+    assert len(decoded) == 65
+    # a walk reaches past every block kept before it, so the walks climb
+    assert walks == sorted(set(walks)) and walks[-1] == 64
+    if seed is None:  # an ascending pass walks the kept blocks again, undecoded
+        assert walks == [0, 16, 32, 48, 64]
 
 
 def test_csv_exports():
