@@ -8,8 +8,10 @@ in q (varieties.symbolic_v_alpha), so every series is built once in q,
 through rank MAX_D, and a series at a prime is that form at q = prime.
 The assembly is one pass per rank: base level vectors that read every
 color vector alike are grouped, and the sums over orbits run on integers
-that pack the polynomials in q and t (Kronecker substitution), decoded
-once per color row.
+that pack the polynomials in q and t (Kronecker substitution).  The tails
+are applied by shift and subtract, and the numerator is decoded once per
+rank, from the sum of the packed color rows; a color row is decoded only
+when color_numerators asks for it.
 quot_series and hilb_from_quot are the two directions of the
 framed/unframed transform.  The forward direction sums the binomial-
 weighted shifts of every lower rank on one packed integer, decoded once
@@ -35,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from math import comb, prod
+from math import comb
 from typing import Iterable, Optional
 
 from .qalgebra import (
@@ -172,8 +174,9 @@ def _pattern_keys(d: int, classes: tuple[str, ...]) -> list[tuple]:
 
 
 @functools.cache
-def _color_rows(d: int) -> dict[tuple[str, ...], TPoly]:
-    """Numerator over (t;q)_d in q by color vector, in one grouped, packed pass.
+def _color_rows(d: int) -> tuple[dict[tuple[str, ...], int], int, int, TPoly]:
+    """(rows, w, s, total): the numerator over (t;q)_d in q by color vector,
+    packed, and the whole numerator, decoded; one grouped, packed pass.
 
     An orbit contributes count * q^(bexp+delta) t^n prod_(j not a generator)
     (1 - q^(j-1) t).  Base level vectors with one class matrix, j_extra and
@@ -181,23 +184,30 @@ def _color_rows(d: int) -> dict[tuple[str, ...], TPoly]:
     are grouped first (280 level vectors make 140 groups at rank 4) and each
     group carries sum t^n0 q^delta0 over its members; pattern keys are read
     once per class matrix.  A color vector turns a group into the part
-    t^|J| q^(b + sum j_extra) times that sum; parts with one color vector,
-    pattern and generator set share the count and the tails, so they are
-    summed, multiplied once by the tails and once by the count, and added
-    into the color row.
+    t^|J| q^(b + sum j_extra) times that sum.  The steps, in order: parts
+    with one color vector, pattern and generator set share the count, so
+    they are summed and multiplied once by the count, packed once per
+    pattern; those products are summed per color vector and generator set,
+    and each missing tail 1 - q^(j-1) t is applied to the sum as one shift
+    and subtract; the results are summed into the color rows, and the sum of
+    the rows is decoded once into total.  A row is decoded only when
+    color_numerators asks for it (_unpack_row(rows[colors], w, s)).
 
     All of it runs on integers packed at q = 2^w, t = 2^(w s) (Kronecker
     substitution): packing is a ring map Z[q, t] -> Z, so a row's final
-    integer is the image of the row.  Every exponent is >= 0 (a count with a
-    negative one raises ArithmeticError), and the image is decoded exactly by
+    integer is the image of the row, and the sum of the rows that of the
+    numerator.  Every exponent is >= 0 (a count with a negative one raises
+    ArithmeticError), and the image of a polynomial is decoded exactly by
     the signed base-2^w digits of _digits, digit s*n + e being [t^n q^e],
-    when two bounds hold.  The row's q-degree is below s = 1 + the largest
-    part q-degree, so digits of different t-powers never meet.  And every
+    when two bounds hold.  Its q-degree is below s = 1 + the largest part
+    q-degree, so digits of different t-powers never meet.  And every
     coefficient is below 2^(w - 2): the coefficient L1 norm is subadditive
     and submultiplicative, a part's sum of monomials has L1 norm at most its
-    number of monomials and the tails at most 2^#tails, so every row
-    coefficient is at most B = sum over parts of #monomials * 2^#tails *
-    L1(count), and w = _digit_width(B).
+    number of monomials and the tails at most 2^#tails, so a coefficient of
+    any sum of parts is at most B = sum over the parts of every color vector
+    of #monomials * 2^#tails * L1(count), and w = _digit_width(B).  Both
+    bounds are taken over the parts of all color vectors, so they hold for
+    each row and for their sum, the numerator.
     """
     d = check_nonnegative(d, "rank")
     if d > MAX_D:
@@ -235,17 +245,21 @@ def _color_rows(d: int) -> dict[tuple[str, ...], TPoly]:
         group: sum(m << w * (s * n0 + delta0) for (n0, delta0), m in sums.items())
         for group, sums in groups.items()
     }
-    tails_packed: dict[tuple, int] = {}
-    rows = dict.fromkeys((colors for colors, *_ in _colorings(d)), 0)
+    packed_counts = {
+        key: sum(c << w * e for e, c in terms.items()) for key, (terms, _, _) in counts.items()
+    }
+    untailed: dict[tuple, int] = {}  # (colors, generators) -> sum of weight * count
     for (colors, key, generators), members in parts.items():
-        if generators not in tails_packed:
-            tails_packed[generators] = prod(
-                1 - (1 << w * (s + j - 1)) for j in range(1, d + 1) if j not in generators
-            )
         weight = sum(packed[group] << w * (s * n + e) for group, n, e in members)
-        count = sum(c << w * e for e, c in counts[key][0].items())
-        rows[colors] += weight * tails_packed[generators] * count
-    return {colors: _unpack_row(row, w, s) for colors, row in rows.items()}
+        product = weight * packed_counts[key]
+        untailed[colors, generators] = untailed.get((colors, generators), 0) + product
+    rows = dict.fromkeys((colors for colors, *_ in _colorings(d)), 0)
+    for (colors, generators), x in untailed.items():
+        for j in range(1, d + 1):
+            if j not in generators:
+                x -= x << w * (s + j - 1)
+        rows[colors] += x
+    return rows, w, s, _unpack_row(sum(rows.values()), w, s)
 
 
 def _unpack_row(n: int, w: int, s: int) -> TPoly:
@@ -255,7 +269,7 @@ def _unpack_row(n: int, w: int, s: int) -> TPoly:
 
 
 def _hilb_q(d: int) -> TPoly:
-    return sum(_color_rows(d).values(), TPoly.zero())
+    return _color_rows(d)[3]
 
 
 def hilb_numerator(d: int, prime: Optional[int] = None) -> TPoly:
@@ -271,7 +285,8 @@ def hilb_series(d: int, prime: Optional[int] = None) -> TSeries:
 def color_numerators(d: int, prime: Optional[int] = None) -> dict[tuple[str, ...], TPoly]:
     """Numerator over (t;q)_d split by the rank color vector of the orbit base."""
     _check_prime(prime)
-    return {colors: _at(row, prime) for colors, row in _color_rows(d).items()}
+    rows, w, s, _ = _color_rows(d)
+    return {colors: _at(_unpack_row(row, w, s), prime) for colors, row in rows.items()}
 
 
 def _unframe_sum(d: int, lower: list[TPoly]) -> TPoly:
@@ -523,6 +538,7 @@ def matrix_count_formula(n: int) -> LaurentPolyQ:
     return total
 
 
+@functools.cache
 def cohen_lenstra_coefficient(n: int) -> RationalQ:
     """[t^n] of the product-form guess for the one-point module-count series.
 

@@ -214,6 +214,36 @@ def test_color_split_at_primes_sums_to_numerator():
             assert total == hilb_numerator(d, p)
 
 
+@pytest.mark.parametrize("prime", [None, 2, 3])
+def test_decoded_numerator_is_the_sum_of_the_decoded_rows(prime):
+    for d in range(5):
+        total = TPoly.zero()
+        for row in color_numerators(d, prime).values():
+            total = total + row
+        assert total == hilb_numerator(d, prime), d
+
+
+def test_numerator_is_decoded_once_per_rank(monkeypatch):
+    # a cold framed numerator decodes the sum of its packed rows, one integer;
+    # the color rows are decoded only when color_numerators asks for them
+    decoded = []
+    unpack = series_module._unpack_row
+
+    def counting(n, w, s):
+        decoded.append(n)
+        return unpack(n, w, s)
+
+    monkeypatch.setattr(series_module, "_unpack_row", counting)
+    for d in range(5):
+        series_module._color_rows.cache_clear()
+        hilb_numerator(d, 2)
+        assert len(decoded) == 1, d
+        color_numerators(d)
+        assert len(decoded) == 1 + 2**d, d
+        decoded.clear()
+    series_module._color_rows.cache_clear()
+
+
 def test_orbits_are_walked_once_per_rank(monkeypatch):
     walked = []
 
@@ -623,6 +653,24 @@ def test_matrix_count_formula_frozen():
         matrix_count_formula(-1)
 
 
+def test_point_coefficients_are_built_once_per_order(monkeypatch):
+    # every affine coefficient n reads the point coefficients j <= n; the
+    # memo builds each of them once
+    built = []
+    over_pochhammer = series_module._over_pochhammer
+
+    def counting(n, parts):
+        built.append(n)
+        return over_pochhammer(n, parts)
+
+    cohen_lenstra_coefficient.cache_clear()
+    monkeypatch.setattr(series_module, "_over_pochhammer", counting)
+    for n in range(11):
+        affine_cohen_lenstra_coefficient(n)
+    assert built == list(range(11))
+    cohen_lenstra_coefficient.cache_clear()
+
+
 def test_affine_guess_times_group_order_is_matrix_count():
     for n in range(11):
         assert (
@@ -726,7 +774,9 @@ def test_non_integer_rank_or_order_raises_type_error(name):
         ARGUMENT_CALLS[name](2.0)
 
 
-@pytest.mark.parametrize("fn", [hilb_numerator, color_numerators, quot_numerator, solve_nh])
+@pytest.mark.parametrize(
+    "fn", [hilb_numerator, color_numerators, quot_numerator, solve_nh, cohen_lenstra_coefficient]
+)
 def test_memoized_entries_refuse_a_float_after_the_int(fn):
     # 2.0 == 2 and hashes alike: the check, not the memo, must refuse it
     fn(2)
