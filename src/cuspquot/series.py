@@ -83,7 +83,7 @@ __all__ = [
     "affine_cohen_lenstra_coefficient",
 ]
 
-MAX_D = 4  # symbolic_v_alpha's case splitting is stuck on 6 rank-5 stratum patterns
+MAX_D = 4  # every rank-5 stratum count resolves; rank 5 waits for verify quick to keep rank 4
 
 
 def _check_prime(prime: Optional[int]) -> None:

@@ -6,7 +6,8 @@ zero pattern dictated by the datum's pairwise distances: X_bh is forced
 to 0 unless distance(b,h) >= 3, Y_bh unless distance(b,h) >= 2.  Only
 the truncated distance classes 1-, 2, 3+ matter.  symbolic_v_alpha
 counts these varieties as polynomials in q by case splitting, exactly
-over every F_q.  When every distance is 3+ the variety is the full
+over every F_q, once per pair of a pattern and its anti-transpose (_flip),
+which count one variety.  When every distance is 3+ the variety is the full
 staircase variety V_d, whose motive obeys a two-parameter recursion
 computed here exactly, a block of ranks at a time, on big integers that
 pack each polynomial at q = 2^w.
@@ -803,28 +804,56 @@ def _realizable(spec: VAlphaSpec) -> bool:
     return d == 0 or extend([0])
 
 
+def _flip(key: tuple) -> tuple:
+    """The pattern key under the anti-transpose (i, j) -> (d-1-j, d-1-i).
+
+    Transposing along the anti-diagonal, M -> J M^T J, keeps X^2 = Y^3 and
+    XY = YX, as (XY)^tau = Y^tau X^tau, so both keys count one variety.
+    """
+    d, pairs = key
+    return d, tuple(sorted(((d + 1 - h, d + 1 - b), c) for (b, h), c in pairs))
+
+
 @functools.cache
-def _symbolic_count(key: tuple) -> LaurentPolyQ:
+def _symbolic_count(key: tuple) -> Optional[LaurentPolyQ]:
+    """Count of the pattern key, or None when no pure-K datum realizes it.
+
+    The case splitting reads the equation order, so it can be stuck on one
+    orientation of a variety and not on the other: then the flip is counted,
+    and the first error is raised only when both are stuck.
+    """
     spec = VAlphaSpec(key[0], dict(key[1]))
-    if not _realizable(spec):
-        raise ValueError(f"distance classes {key[1]} are realized by no pure-K datum")
-    eqs, nvars = _staircase_system(spec)
-    return _count(eqs, frozenset(range(nvars)), frozenset())
+    if not _realizable(spec):  # reversing a datum flips its pattern, so the flip agrees
+        return None
+    first = None
+    for k in dict.fromkeys((key, _flip(key))):
+        eqs, nvars = _staircase_system(VAlphaSpec(k[0], dict(k[1])))
+        try:
+            return _count(eqs, frozenset(range(nvars)), frozenset())
+        except ArithmeticError as error:
+            first = first or error
+    raise first
 
 
 def symbolic_v_alpha(spec_or_datum: "VAlphaSpec | LeadingTermDatum") -> LaurentPolyQ:
     """Point count in q of the patterned variety, exact over every F_q.
 
-    Raises ValueError for a pattern no pure-K datum realizes, and
-    ArithmeticError where the case splitting cannot resolve the system
-    (six rank-5 patterns are the first such).
+    A pattern and its anti-transpose count one variety, so both are
+    memoised on the smaller of the two keys.  Raises ValueError for a
+    pattern no pure-K datum realizes, and ArithmeticError where the case
+    splitting cannot resolve either orientation (every rank-5 pattern
+    resolves; the full rank-6 pattern does not).
     """
     spec = (
         spec_or_datum
         if isinstance(spec_or_datum, VAlphaSpec)
         else VAlphaSpec.from_datum(spec_or_datum)
     )
-    return _symbolic_count(spec.key())
+    key = spec.key()
+    count = _symbolic_count(min(key, _flip(key)))
+    if count is None:
+        raise ValueError(f"distance classes {key[1]} are realized by no pure-K datum")
+    return count
 
 
 # ---------------------------------------------------------------------------
