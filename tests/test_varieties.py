@@ -527,7 +527,7 @@ def test_count_memo_keeps_every_rule_choice():
         _symbolic_count.cache_clear()  # the second pass recounts through a warm _count memo
 
 
-@pytest.mark.parametrize("classes", list(FORMERLY_STUCK), ids=" ".join)
+@pytest.mark.parametrize("classes", list(FORMERLY_STUCK), ids=",".join)
 def test_formerly_stuck_rank_five_counts(classes):
     spec = VAlphaSpec(5, dict(_rank5_key(*classes)[1]))
     symbolic = symbolic_v_alpha(spec)
