@@ -9,8 +9,8 @@ counts these varieties as polynomials in q by case splitting, exactly
 over every F_q, once per pair of a pattern and its anti-transpose (_flip),
 which count one variety.  When every distance is 3+ the variety is the full
 staircase variety V_d, whose motive obeys a two-parameter recursion
-computed here exactly, a block of ranks at a time, on big integers that
-pack each polynomial at q = 2^w.
+computed here exactly, in one walk advanced as far as the ranks asked
+for, on big integers that pack each polynomial at q = 2^w.
 
 One enumerator, _cusp_fibres, walks the F_p points of all of them: for
 each Y on its slots, _commutant_roots walks the kernel of the linear
@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .qalgebra import LaurentPolyQ, _from_clean, check_nonnegative, check_prime
 from .strata import LeadingTermDatum
@@ -815,12 +815,13 @@ def _flip(key: tuple) -> tuple:
 
 
 @functools.cache
-def _symbolic_count(key: tuple) -> Optional[LaurentPolyQ]:
+def _symbolic_count(key: tuple) -> LaurentPolyQ | str | None:
     """Count of the pattern key, or None when no pure-K datum realizes it.
 
     The case splitting reads the equation order, so it can be stuck on one
-    orientation of a variety and not on the other: then the flip is counted,
-    and the first error is raised only when both are stuck.
+    orientation of a variety and not on the other: then the flip is counted.
+    When both are stuck, the first error's message is returned and kept, so
+    a repeat call counts neither again.
     """
     spec = VAlphaSpec(key[0], dict(key[1]))
     if not _realizable(spec):  # reversing a datum flips its pattern, so the flip agrees
@@ -831,8 +832,8 @@ def _symbolic_count(key: tuple) -> Optional[LaurentPolyQ]:
         try:
             return _count(eqs, frozenset(range(nvars)), frozenset())
         except ArithmeticError as error:
-            first = first or error
-    raise first
+            first = str(error) if first is None else first
+    return first
 
 
 def symbolic_v_alpha(spec_or_datum: "VAlphaSpec | LeadingTermDatum") -> LaurentPolyQ:
@@ -853,6 +854,8 @@ def symbolic_v_alpha(spec_or_datum: "VAlphaSpec | LeadingTermDatum") -> LaurentP
     count = _symbolic_count(min(key, _flip(key)))
     if count is None:
         raise ValueError(f"distance classes {key[1]} are realized by no pure-K datum")
+    if isinstance(count, str):
+        raise ArithmeticError(count)
     return count
 
 
@@ -980,46 +983,35 @@ class MotiveTable:
         return _motive(operator.index(a), operator.index(b))
 
 
-_BLOCKS: dict[int, tuple[LaurentPolyQ, ...]] = {}  # _staircase_block by top
-
-
-def _staircase_block(top: int) -> tuple[LaurentPolyQ, ...]:
-    """staircase_motive(d) for the ranks d of the block ending at top, a
-    multiple of 16: d = top - 15..top, or d = 0 for top = 0.  Each is the
-    row sum of row d of _motive_rows(top).
-
-    Blocks are kept (_BLOCKS).  A block not yet kept is computed with every
-    block below it that is not kept either, in one walk of _motive_rows(top)
-    from row 0, which decodes the row sums of those blocks only.  So the
-    kept blocks are always those up to some rank, each rank is decoded
-    once, and no row outlives the call.  The rows of the blocks already
-    kept are walked again; packing each block at a width of its own and
-    carrying the last row up a block saved no time on that walk.
-    """
-    if top not in _BLOCKS:
-        w, sums = _digit_width(5**top), []
-        for k, row in enumerate(_motive_rows(top)):
-            end = -(-k // 16) * 16  # the block of rank k
-            if end not in _BLOCKS:
-                sums.append(_unpack(sum(row), w))
-                if k == end:
-                    _BLOCKS[end], sums = tuple(sums), []
-    return _BLOCKS[top]
-
-
-_staircase_block.cache_clear = _BLOCKS.clear  # empties the kept blocks, as on a functools.cache
+@functools.cache
+def _staircase_walk() -> tuple[list[LaurentPolyQ], Generator[list[int], None, None]]:
+    """The row sums of _motive_rows(MAX_MOTIVE_D) decoded so far, rank d at
+    index d, and the rest of that walk, which staircase_motive advances."""
+    return [], _motive_rows(MAX_MOTIVE_D)
 
 
 def staircase_motive(d: int) -> LaurentPolyQ:
     """Motive of the rank-d staircase variety as a polynomial in q.
 
     It is the sum of M(2d - b, b) over b, the row sum of row d of the
-    motive recursion.  Ranks are computed a block at a time, up to the next
-    multiple of 16, and kept with every block below (_staircase_block).
+    motive recursion.  One walk to MAX_MOTIVE_D (_staircase_walk) is
+    advanced only as far as d, so each row is walked and decoded once in any
+    order of ranks, and it is closed at its last row.  A step that raises
+    drops the walk, so the next call starts over from row 0 rather than read
+    a sum out of step with its row.
     """
     d = _check_motive_rank(d)
-    top = -(-d // 16) * 16
-    return _staircase_block(top)[d - top - 1]  # the block ends at rank top
+    sums, rows = _staircase_walk()
+    w = _digit_width(5**MAX_MOTIVE_D)
+    try:
+        while len(sums) <= d:
+            sums.append(_unpack(sum(next(rows)), w))
+    except BaseException:
+        _staircase_walk.cache_clear()
+        raise
+    if len(sums) > MAX_MOTIVE_D:
+        rows.close()  # frees the packed last row
+    return sums[d]
 
 
 def _check_motive_rank(d: int) -> int:

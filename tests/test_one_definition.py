@@ -5,7 +5,8 @@ The unchecked matrix constructor GFMatrix._of stays inside varieties.
 The lane cap _COLUMN is assigned once, like the rank limits, one rule
 sizes every packed lane (its width and Barrett constant), and the
 checks of groebner, the oracles and the packed lanes are raises, which
-python -O keeps.
+python -O keeps.  Every memo is a functools cache: no module binds an
+empty container at module level, and no cache_clear is assigned by hand.
 The tests read the modules' syntax trees, so a restated copy fails here."""
 
 import ast
@@ -183,3 +184,27 @@ def test_contract_checks_survive_python_O():
     assert len(lanes) == 3
     assert [node for tree in trees + lanes for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
     assert any(isinstance(node, ast.Raise) for tree in trees for node in ast.walk(tree))
+
+
+def _empty_container(node: ast.AST) -> bool:
+    """node is {}, [] or a call of dict, list or set with no arguments."""
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) in {"dict", "list", "set"}
+            and not node.args and not node.keywords)
+
+
+def test_every_memo_is_a_functools_cache():
+    # a module-level empty container filled by a function is a hand-rolled
+    # memo, and a cache_clear set on a function dresses one up as a cache
+    found = []
+    for path in SOURCES:
+        tree = _tree(path)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value and _empty_container(node.value):
+                found.append((path.stem, ast.unparse(node)))
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            if any(isinstance(t, ast.Attribute) and t.attr == "cache_clear" for t in targets):
+                found.append((path.stem, ast.unparse(node)))
+    assert found == []

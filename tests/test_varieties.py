@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -58,7 +59,7 @@ from cuspquot.varieties import (
     _Poly,
     _row_lanes,
     _rref,
-    _staircase_block,
+    _staircase_walk,
     _symbolic_count,
 )
 from cuspquot.qalgebra import LaurentPolyQ
@@ -409,6 +410,25 @@ def test_unresolved_systems_raise():
     x = _Poly.var(0)
     with pytest.raises(ArithmeticError, match="vanishes"):
         _count([x + x], frozenset({0}), frozenset())
+
+
+def test_a_stuck_count_is_kept_in_the_memo():
+    # both orientations of this rank-6 key get stuck; a repeat call raises
+    # the same message afresh and counts neither orientation again
+    classes = {pair: "3+" for pair in itertools.combinations(range(1, 7), 2)}
+    for pair in [(1, 2), (2, 3), (3, 4), (5, 6)]:
+        classes[pair] = "2"
+    spec = VAlphaSpec(6, classes)
+    _symbolic_count.cache_clear()
+    errors = []
+    for _ in range(3):
+        misses = _count_system.cache_info().misses
+        with pytest.raises(ArithmeticError) as info:
+            symbolic_v_alpha(spec)
+        errors.append(info.value)
+    assert [str(e) for e in errors] == ["symbolic count stuck on 1 equations in unit variables"] * 3
+    assert errors[1] is not errors[2]
+    assert _count_system.cache_info().misses == misses
 
 
 def _random_system(rng, n_vars):
@@ -775,8 +795,8 @@ def test_motive_entries_reject_non_integers_cold_and_warm():
 
 
 def test_ranks_reject_non_integers_cold_and_warm():
-    # the block cache is keyed by the rounded rank, and 2.0 == 2 as a cache key
-    _staircase_block.cache_clear()
+    # the walk's sums are read by the checked rank, and 2.0 == 2 as an index
+    _staircase_walk.cache_clear()
     for warm in (False, True):
         if warm:
             assert staircase_motive(2) == poly({2: 1})
@@ -820,9 +840,9 @@ def test_packed_motives_match_the_reference_recursion():
     def reference(d):
         return sum((poly(_reference_motive(2 * d - b, b)) for b in range(d + 1)), poly({}))
 
-    # descending from 40 first fills the top block, then crosses each block edge
+    # descending from 40 walks to 40 at once, then reads the sums below it
     for ranks in (range(40, -1, -1), (15, 16, 17, 31, 32, 33)):
-        _staircase_block.cache_clear()
+        _staircase_walk.cache_clear()
         for d in ranks:
             assert staircase_motive(d) == reference(d), d
 
@@ -867,7 +887,7 @@ def test_motive_ranks_past_the_limit_raise_before_any_walk(monkeypatch):
         raise AssertionError(f"walked to top {top}")
 
     monkeypatch.setattr(varieties, "_motive_rows", no_walk)
-    monkeypatch.setattr(varieties, "_staircase_block", no_walk)
+    monkeypatch.setattr(varieties, "_staircase_walk", no_walk)
     _motive.cache_clear()
     limit = 2 * MAX_MOTIVE_D
     for call, message in (
@@ -925,9 +945,9 @@ def test_staircase_blocks_match_a_walk_from_row_0(order):
         random.Random(32).shuffle(ranks)
     reference = _staircase_from_row_0()
     for d in ranks:
-        _staircase_block.cache_clear()
+        _staircase_walk.cache_clear()
         assert staircase_motive(d) == reference[d], (order, "cold", d)
-    _staircase_block.cache_clear()
+    _staircase_walk.cache_clear()
     for d in ranks:
         assert staircase_motive(d) == reference[d], (order, "warm", d)
 
@@ -953,12 +973,12 @@ def _spy_on_walks(monkeypatch):
 def test_a_cold_block_fills_every_block_below_it(monkeypatch):
     reference = _staircase_from_row_0()
     walks, decoded = _spy_on_walks(monkeypatch)
-    _staircase_block.cache_clear()
+    _staircase_walk.cache_clear()
     assert staircase_motive(64) == reference[64]
     assert walks == [64] and decoded == [_digit_width(5**64)] * 65  # rows 1..64 once
     for d in range(MAX_MOTIVE_D + 1):
         assert staircase_motive(d) == reference[d], d
-    assert walks == [64] and len(decoded) == 65  # the lower blocks came with it
+    assert walks == [64] and len(decoded) == 65  # the lower ranks came with it
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
@@ -968,14 +988,54 @@ def test_any_pass_decodes_each_rank_once(monkeypatch, seed):
         random.Random(seed).shuffle(ranks)
     reference = _staircase_from_row_0()
     walks, decoded = _spy_on_walks(monkeypatch)
-    _staircase_block.cache_clear()
+    _staircase_walk.cache_clear()
     for d in ranks:
         assert staircase_motive(d) == reference[d], d
-    assert len(decoded) == 65
-    # a walk reaches past every block kept before it, so the walks climb
-    assert walks == sorted(set(walks)) and walks[-1] == 64
-    if seed is None:  # an ascending pass walks the kept blocks again, undecoded
-        assert walks == [0, 16, 32, 48, 64]
+    # one walk serves every order, each row walked and decoded once
+    assert walks == [64] and len(decoded) == 65
+
+
+@pytest.mark.parametrize("where", ["decode", "walk"])
+def test_a_raise_mid_walk_never_serves_another_ranks_sum(monkeypatch, where):
+    # an interrupt between taking a row and keeping its sum, or inside the
+    # walk, must not leave the kept sums out of step with the rows
+    reference = _staircase_from_row_0()
+    calls = []
+    unpack, walk = varieties._unpack, varieties._motive_rows
+
+    def interrupt_once():
+        calls.append(None)
+        if len(calls) == 6:
+            raise KeyboardInterrupt
+
+    def flaky_unpack(n, w):
+        interrupt_once()
+        return unpack(n, w)
+
+    def flaky_walk(top, width=None):
+        for row in walk(top, width):
+            interrupt_once()
+            yield row
+
+    if where == "decode":
+        monkeypatch.setattr(varieties, "_unpack", flaky_unpack)
+    else:
+        monkeypatch.setattr(varieties, "_motive_rows", flaky_walk)
+    _staircase_walk.cache_clear()
+    with pytest.raises(KeyboardInterrupt):
+        staircase_motive(10)
+    for d in [5, 4, 5, 6, 12, 0, 64, 10]:
+        assert staircase_motive(d) == reference[d], (where, d)
+
+
+def test_the_walk_holds_no_packed_row_once_rank_64_is_read():
+    for ranks in ([64], [3, 64, 10], range(MAX_MOTIVE_D + 1)):
+        _staircase_walk.cache_clear()
+        for d in ranks:
+            staircase_motive(d)
+        sums, rows = _staircase_walk()
+        assert len(sums) == 65
+        assert inspect.getgeneratorstate(rows) == inspect.GEN_CLOSED and rows.gi_frame is None
 
 
 def test_csv_exports():
