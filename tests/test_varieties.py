@@ -883,8 +883,8 @@ def test_motive_entries_walk_only_as_wide_as_asked(monkeypatch):
 
 
 def test_motive_ranks_past_the_limit_raise_before_any_walk(monkeypatch):
-    def no_walk(top, width=None):
-        raise AssertionError(f"walked to top {top}")
+    def no_walk(*args):  # stands in for _motive_rows(top, width) and _staircase_walk()
+        raise AssertionError(f"walked {args}")
 
     monkeypatch.setattr(varieties, "_motive_rows", no_walk)
     monkeypatch.setattr(varieties, "_staircase_walk", no_walk)
