@@ -587,13 +587,22 @@ def q_pochhammer(n: int, exp_sign: int = 1) -> LaurentPolyQ:
     return out
 
 
+@functools.cache
+def _t_pochhammers() -> list[TPoly]:
+    """(t;q)_d built so far, d at index d, which t_pochhammer extends."""
+    return [TPoly.one()]
+
+
 def t_pochhammer(d: int) -> TPoly:
-    """(t;q)_d = prod_{i=0}^{d-1} (1 - q^i t) as a TPoly."""
+    """(t;q)_d = prod_{i=0}^{d-1} (1 - q^i t) as a TPoly.
+
+    Each rank is one factor times the rank below, kept in _t_pochhammers and
+    filled upward in a loop, so a deep rank needs no recursion."""
     d = check_nonnegative(d, "pochhammer length")
-    out = TPoly.one()
-    for i in range(d):
-        out = out * TPoly([ONE, -LaurentPolyQ.q_power(i)])
-    return out
+    out = _t_pochhammers()
+    while len(out) <= d:
+        out.append(out[-1] * TPoly([ONE, -LaurentPolyQ.q_power(len(out) - 1)]))
+    return out[d]
 
 
 def q_binomial(d: int, r: int) -> LaurentPolyQ:

@@ -13,16 +13,18 @@ are applied by shift and subtract, and the numerator is decoded once per
 rank, from the sum of the packed color rows; a color row is decoded only
 when color_numerators asks for it.
 quot_series and hilb_from_quot are the two directions of the
-framed/unframed transform.  The forward direction sums the binomial-
-weighted shifts of every lower rank on one packed integer, decoded once
-per rank (_unframe_sum); quot_numerator and solve_nh both run on it.
+framed/unframed transform.  The forward direction, the binomial-weighted
+shifts of every lower rank, is read off one walk over antidiagonals
+(_unframe_steps): packed integers whose stride drops by one per rank, so
+t -> qt is free, stepped one rank at a time by the q-Pascal rule and
+decoded once per rank; quot_numerator and solve_nh both read it.
 
 The rest of the module holds independent routes to the same numerator
 polynomials and the identities used to stress them:
 
   * solve_nh pins the numerator down from its self-similarity under
     t -> t^2, coefficient by coefficient, its right side being the
-    packed transform of the lower-rank solutions;
+    transform of the lower-rank solutions, read off one kept walk;
   * nh_guess is the closed product form (shifted binomial coefficients
     of (-t;q)_d);
   * functional equation, root-of-unity collapse and cyclotomic
@@ -38,7 +40,7 @@ import functools
 import itertools
 import operator
 from math import comb
-from typing import Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from .qalgebra import (
     ONE,
@@ -58,8 +60,7 @@ from .strata import Orbit, base_level_walk, rank_seats
 from .varieties import (
     VAlphaSpec,
     _digit_width,
-    _digits,
-    _from_digits,
+    _unpack,
     distance_class,
     symbolic_v_alpha,
 )
@@ -84,12 +85,20 @@ __all__ = [
 ]
 
 MAX_D = 4  # every rank-5 stratum count resolves; rank 5 waits for verify quick to keep rank 4
+MAX_SOLVE_D = 50  # cold, solve_nh(50) took 7.4 s at 364 MiB on a 2-vCPU VM and rank 52 11.6 s
 
 
 def _check_prime(prime: Optional[int]) -> None:
     """Every public function that takes a prime checks it here, before any work."""
     if prime is not None:
         check_prime(prime)
+
+
+def _check_series_rank(d: int) -> int:
+    """The rank d, refused before any work past MAX_D."""
+    if d > MAX_D:
+        raise ValueError(f"series stop at rank {MAX_D}")
+    return d
 
 
 def _at(tp: TPoly, prime: Optional[int]) -> TPoly:
@@ -209,9 +218,7 @@ def _color_rows(d: int) -> tuple[dict[tuple[str, ...], int], int, int, TPoly]:
     bounds are taken over the parts of all color vectors, so they hold for
     each row and for their sum, the numerator.
     """
-    d = check_nonnegative(d, "rank")
-    if d > MAX_D:
-        raise ValueError(f"series stop at rank {MAX_D}")
+    d = _check_series_rank(check_nonnegative(d, "rank"))
     # rank 0 has one orbit, the empty datum
     walk = base_level_walk(d) if d else [((), ())]
     groups: dict[tuple, dict[tuple[int, int], int]] = {}  # -> {(n0, delta0): members}
@@ -263,9 +270,25 @@ def _color_rows(d: int) -> tuple[dict[tuple[str, ...], int], int, int, TPoly]:
 
 
 def _unpack_row(n: int, w: int, s: int) -> TPoly:
-    """The TPoly packed as n at q = 2^w, t = 2^(w s): digit s n + e is [t^n q^e]."""
-    digits = _digits(n, w)
-    return TPoly(_from_digits(digits[i : i + s]) for i in range(0, len(digits), s))
+    """The TPoly packed as n at q = 2^w, t = 2^(w s): digit s n + e is [t^n q^e].
+
+    One repunit addition shifts every signed digit by 2^(w - 1) into
+    0..2^w - 1 and one to_bytes call reads them; each slot of s digits,
+    less its share of the repunit, is the coefficient [t^n] packed at
+    q = 2^w, decoded from its lowest nonzero digit up (_unpack), so the
+    zero digits below and above its terms cost one slice, not a digit each.
+    """
+    size = w // 8
+    count = -(-(abs(n).bit_length() // w + 1) // s)  # slots
+    bias = int.from_bytes((1 << (w - 1)).to_bytes(size, "little") * s, "little")
+    raw = (n + int.from_bytes(bias.to_bytes(size * s, "little") * count, "little")).to_bytes(
+        size * s * count, "little"
+    )
+    step = size * s
+    return TPoly(
+        _unpack(int.from_bytes(raw[i : i + step], "little") - bias, w)
+        for i in range(0, len(raw), step)
+    )
 
 
 def _hilb_q(d: int) -> TPoly:
@@ -283,61 +306,145 @@ def hilb_series(d: int, prime: Optional[int] = None) -> TSeries:
 
 
 def color_numerators(d: int, prime: Optional[int] = None) -> dict[tuple[str, ...], TPoly]:
-    """Numerator over (t;q)_d split by the rank color vector of the orbit base."""
+    """Numerator over (t;q)_d split by the rank color vector of the orbit base.
+
+    The packed rows are kept (_color_rows), not their polynomials: each
+    call decodes its 2^d rows again, about 1 ms at rank 4."""
     _check_prime(prime)
     rows, w, s, _ = _color_rows(d)
     return {colors: _at(_unpack_row(row, w, s), prime) for colors, row in rows.items()}
 
 
-def _unframe_sum(d: int, lower: list[TPoly]) -> TPoly:
-    """sum over r < d of t^r [d r]_q g_r(q^(d-r) t) (t;q)_(d-r), g_r = lower[r],
-    in one packed pass decoded once.
+def _packed_sizes(reach: int) -> tuple[int, int]:
+    """(w, s0): the digit width and rank-0 stride of an antidiagonal walk
+    through rank reach fed with the solved numerators.  Those g_r have L1
+    norm 2^r, so every coefficient of the rank-D transform is at most
+    sum over r of 2^r 2^(D-r) C(D, r) = 4^D, and its q-degree is below D^2
+    (by induction from the solve), so the stride s0 - D of every rank
+    D <= reach stays above it."""
+    return _digit_width(4**reach), reach * reach + reach + 1
 
-    The framed-to-unframed transform over (t;q)_d, all ranks below d.  Every
-    term runs on an integer packed at q = 2^w, t = 2^(w s) (Kronecker
-    substitution), a ring map Z[q, t] -> Z, so the final sum is the image of
-    the polynomial sum.  With k = d - r, g_r(q^k t) is packed with the
-    substitution folded into the exponent, [t^m q^e] of g_r at digit
-    (s + k) m + e; each factor 1 - q^i t of (t;q)_k is one shift and
-    subtract; [d r]_q at q = 2^w is the exact integer quotient of
-    prod_(i<r) (2^(w(d-i)) - 1) by prod_(i<r) (2^(w(i+1)) - 1), built up one
-    factor pair per rank; t^r is a shift by w s r.
 
-    The sum is decoded exactly by the signed base-2^w digits of _digits,
-    digit s n + e being [t^n q^e], when three bounds hold.  Every exponent
-    is >= 0: a g_r with a negative q-exponent raises ArithmeticError before
-    anything is packed.  The q-degree of every coefficient is below s: term
-    r has q-degree at most max_m (deg g_r[m] + k m) + k(k-1)/2 + r k, the
-    last two being the degrees of (t;q)_k and of [d r]_q, and s is one more
-    than the largest of these.  And every coefficient is below 2^(w - 2):
-    the coefficient L1 norm is subadditive and submultiplicative and kept by
-    t -> q^k t and by t^r, L1((t;q)_k) = 2^k, and [d r]_q has nonnegative
-    coefficients, so L1([d r]_q) = C(d, r); every coefficient of the sum is
-    at most B = sum over r of L1(g_r) 2^k C(d, r), and w = _digit_width(B).
+def _pack_shifted(g: TPoly, d: int, w: int, s: int) -> int:
+    """t^d g packed at q = 2^w, t = 2^(w s)."""
+    x = 0
+    for c in reversed(g.coeffs):
+        x = (x << w * s) + sum(v << w * e for e, v in c.terms.items())
+    return x << w * s * d
+
+
+def _pascal_parts(us: list[int], w: int, s: int) -> None:
+    """In place, U_j of the rank before, packed at stride s + 1 and so read
+    at stride s as U_j(qt), becomes P_j = q^-j (1 - t) U_j(qt); the shift by
+    q^-j is exact, as every term of U_j(qt) carries q^j."""
+    for j, u in enumerate(us):
+        us[j] = (u - (u << w * s)) >> w * j
+
+
+def _pascal_sums(parts: list[int], top: int) -> None:
+    """In place, parts[j] becomes U_j = top + sum over i >= j of P_i, for
+    j = 0..len(parts), U_len(parts) = top appended."""
+    parts.append(top)
+    for j in range(len(parts) - 2, -1, -1):
+        parts[j] += parts[j + 1]
+
+
+def _unframe_steps(numerator: Callable[[int], TPoly]) -> Generator[TPoly, int, None]:
+    """The transform K_D = sum over r < D of t^r [D r]_q g_r(q^(D-r) t) (t;q)_(D-r),
+    g_r = numerator(r), for D = 0, 1, ...: primed, each send of the rank
+    asked for returns K_D for the next D, and g_D is read only when K_(D+1)
+    is asked for, so numerator(D) may itself read K_D.
+
+    The framed-to-unframed transform over (t;q)_D, all ranks below D, read
+    off one walk over antidiagonals.  The walk holds, for the last rank D,
+    U_j = sum over j <= r <= D of t^r [D-j r-j]_q g_r(q^(D-r) t) (t;q)_(D-r)
+    for j = 0..D, so U_0 = K_D + t^D g_D, and the q-Pascal rule
+    [n r] = [n-1 r-1] + q^r [n-1 r] steps it one rank: U_j of rank D is
+    U_(j+1) of rank D plus P_j = q^-j (1 - t) U_j(qt) of rank D - 1
+    (_pascal_parts), with U_D = t^D g_D.  So K_D is the sum of the P_j,
+    and a rank costs a few big-integer operations per j, with no q-binomial
+    product and no re-packing of the lower ranks.
+
+    All of it runs on integers packed at q = 2^w, t = 2^(w s) (Kronecker
+    substitution), a ring map Z[q, t] -> Z, with the stride s one lower at
+    each rank: an integer packed at stride s + 1 is, read at stride s, the
+    same polynomial at qt, so the substitution t -> qt costs nothing.  K_D
+    is decoded exactly by _unpack_row, digit s n + e being [t^n q^e], when
+    three bounds hold, and the walk checks them before it decodes a rank.  Every exponent is >= 0: a g_r with a
+    negative q-exponent raises ArithmeticError before it is packed.  The
+    q-degree of every coefficient is below s: term r has q-degree at most
+    max_m (deg g_r[m] + k m) + k(k-1)/2 + r k, k = D - r, the last two being
+    the degrees of (t;q)_k and of [D r]_q.  And every coefficient is below
+    2^(w - 2): the coefficient L1 norm is subadditive and submultiplicative
+    and kept by t -> q^k t and by t^r, L1((t;q)_k) = 2^k, and [D r]_q has
+    nonnegative coefficients, so L1([D r]_q) = C(D, r); every coefficient
+    of K_D is at most B = sum over r of L1(g_r) 2^k C(D, r).  The walk is
+    sized by _packed_sizes from the largest rank asked so far.  A rank past
+    that reach, or a rank whose bounds the walk does not meet, rebuilds the
+    walk from the numerators read so far, never narrower than the bounds of
+    that rank.  Past the reach it is regrown to 4/3 of it, or to the rank
+    asked if larger: a step costs about D^2 R^3 at reach R, so an ascending
+    pass rebuilds a few times, and a pass that asks for its top rank late
+    is not left walking at twice that rank.
     """
-    bound = top = 0
-    for r, g in enumerate(lower):
-        k = d - r
-        for m, c in enumerate(g.coeffs):
-            terms = c.terms
-            if not terms:
-                continue
-            if min(terms) < 0:
-                raise ArithmeticError(f"rank-{r} numerator has a negative q-exponent")
-            top = max(top, max(terms) + k * m + k * (k - 1) // 2 + r * k)
-            bound += sum(map(abs, terms.values())) * comb(d, r) << k
-    w, s = _digit_width(bound), top + 1
-    total, binomial = 0, 1  # binomial = [d r]_q at q = 2^w
-    for r, g in enumerate(lower):
-        k = d - r
-        x = 0
-        for c in reversed(g.coeffs):
-            x = (x << w * (s + k)) + sum(v << w * e for e, v in c.terms.items())
-        for i in range(k):
-            x -= x << w * (s + i)
-        total += x * binomial << w * s * r
-        binomial = binomial * ((1 << w * k) - 1) // ((1 << w * (r + 1)) - 1)
-    return _unpack_row(total, w, s)
+    gs: list[TPoly] = []  # g_r, rank r at index r
+    sizes: list[tuple[int, list[tuple[int, int]]]] = []  # L1(g_r), [(m, deg g_r[m])]
+    us: list[int] = []  # U_j of rank d - 1 at stride s0 - d + 1, then P_j of rank d
+    reach, w, s0 = -1, 0, 0
+    asked = yield TPoly.zero()  # primed by _unframe_walk
+    for d in itertools.count():
+        if d:
+            g = numerator(d - 1)
+            if any(min(c.terms, default=0) < 0 for c in g.coeffs):
+                raise ArithmeticError(f"rank-{d - 1} numerator has a negative q-exponent")
+            gs.append(g)
+            sizes.append((
+                sum(sum(map(abs, c.terms.values())) for c in g.coeffs),
+                [(m, max(c.terms)) for m, c in enumerate(g.coeffs) if c.terms],
+            ))
+            _pascal_sums(us, _pack_shifted(g, d - 1, w, s0 - d + 1))
+        bound = top = 0
+        for r, (norm, degrees) in enumerate(sizes):
+            k = d - r
+            bound += norm * comb(d, r) << k
+            high = max((e + k * m for m, e in degrees), default=0)
+            top = max(top, high + k * (k - 1) // 2 + r * k)
+        if d > reach or _digit_width(bound) > w or top >= s0 - d:
+            if d > reach:
+                reach = max(asked, reach + reach // 3)
+            w, s0 = _packed_sizes(reach)
+            w, s0 = max(w, _digit_width(bound)), max(s0, d + top + 1)
+            us = []
+            for r, g in enumerate(gs):
+                _pascal_parts(us, w, s0 - r)
+                _pascal_sums(us, _pack_shifted(g, r, w, s0 - r))
+        _pascal_parts(us, w, s0 - d)
+        asked = yield _unpack_row(sum(us), w, s0 - d)
+
+
+def _unframe_walk(
+    numerator: Callable[[int], TPoly],
+) -> tuple[list[TPoly], Generator[TPoly, int, None]]:
+    """The transforms of numerator's ranks decoded so far, rank D at index
+    D, none yet, and the rest of their walk (_unframe_steps), primed."""
+    steps = _unframe_steps(numerator)
+    next(steps)
+    return [], steps
+
+
+def _unframe_lower(walk: tuple[list[TPoly], Generator[TPoly, int, None]], d: int) -> TPoly:
+    """sum over r < d of t^r [d r]_q g_r(q^(d-r) t) (t;q)_(d-r), read off the
+    walk of g_r = numerator(r) (_unframe_walk), advanced only as far as d."""
+    sums, steps = walk
+    while len(sums) <= d:
+        sums.append(steps.send(d))
+    return sums[d]
+
+
+@functools.cache
+def _solved_walk() -> tuple[list[TPoly], Generator[TPoly, int, None]]:
+    """The walk fed with the solved numerators, which solve_nh advances."""
+    return _unframe_walk(solve_nh)
 
 
 def quot_numerator(d: int, prime: Optional[int] = None) -> TPoly:
@@ -346,10 +453,12 @@ def quot_numerator(d: int, prime: Optional[int] = None) -> TPoly:
     Unframed counts are binomial-weighted shifts of the framed ones:
     the rank-r framed series enters at t -> q^(d-r) t with weight
     [d r]_q t^r.  The r = d term goes first: it checks d.  The ranks
-    below d are summed in one packed pass, _unframe_sum.
+    below d are read off a fresh antidiagonal walk fed with the engine's
+    numerators (_unframe_steps), the transform that solve_nh reads too; a
+    kept walk would outlive a cleared _color_rows and serve its old ranks.
     """
     _check_prime(prime)
-    total = _hilb_q(d).shift_t(d) + _unframe_sum(d, [_hilb_q(r) for r in range(d)])
+    total = _hilb_q(d).shift_t(d) + _unframe_lower(_unframe_walk(_hilb_q), d)
     return _at(total, prime)
 
 
@@ -392,9 +501,9 @@ def zhat_coefficient(n: int) -> RationalQ:
     Sums the framed coefficients with the frame-removal weight
     q^(-d^2 - d(n-d)) / (q^-1;q^-1)_d, term d weighted by
     (q^-1;q^-1)_n / (q^-1;q^-1)_d; needs the framed series of every
-    rank up to n, so n is capped by MAX_D.
+    rank up to n, so n is capped by MAX_D, checked before any work.
     """
-    n = check_nonnegative(n, "order")
+    n = _check_series_rank(check_nonnegative(n, "order"))
     return _over_pochhammer(n, (
         (LaurentPolyQ.q_power(-d * d - d * (n - d)) * hilb_series(d).expand(n - d)[n - d],
          q_pochhammer(d, exp_sign=-1))
@@ -411,15 +520,25 @@ def solve_nh(d: int) -> TPoly:
     """Framed numerator solved from its self-similarity under t -> t^2.
 
     f(t^2) - t^d f(t) is the framed-to-unframed transform of the
-    lower-rank numerators, summed in one packed pass (_unframe_sum); with
-    f normalized by [t^0] = 1 and [t^d] = q^(d^2) the relation determines
+    lower-rank numerators, read off the antidiagonal walk fed with the
+    solved numerators (_solved_walk), so rank d adds one q-Pascal step to
+    the walk of rank d - 1.  The walk is advanced only as far as d, so each
+    rank is walked and decoded once in any order of ranks, and a step that
+    raises drops it, so the next call starts over from rank 0.  With f
+    normalized by [t^0] = 1 and [t^d] = q^(d^2) the relation determines
     every middle coefficient, and the full relation is re-checked at the
-    end.
+    end.  Ranks past MAX_SOLVE_D are refused before any work.
     """
     d = check_nonnegative(d, "rank")
+    if d > MAX_SOLVE_D:
+        raise ValueError(f"the triangular solve stops at rank {MAX_SOLVE_D}")
     if d == 0:
         return TPoly.one()
-    rhs = _unframe_sum(d, [solve_nh(r) for r in range(d)])
+    try:
+        rhs = _unframe_lower(_solved_walk(), d)
+    except BaseException:
+        _solved_walk.cache_clear()  # the next call walks from rank 0, never out of step
+        raise
     a: list[Optional[LaurentPolyQ]] = [None] * (d + 1)
     a[0] = rhs.coeff(0)
     a[d] = LaurentPolyQ.q_power(d * d)

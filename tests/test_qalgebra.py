@@ -581,6 +581,13 @@ def test_t_pochhammer_frozen():
         t_pochhammer(-1)
 
 
+def test_t_pochhammer_is_kept_and_still_checks_its_length():
+    # one kept product per rank; a warm rank still refuses a non-integer
+    assert t_pochhammer(6) is t_pochhammer(6)
+    with pytest.raises(TypeError):
+        t_pochhammer(6.0)
+
+
 def test_tpoly_shift():
     p = TPoly([ONE, Q])
     assert p.shift_t(2) == TPoly([ZERO, ZERO, ONE, Q])

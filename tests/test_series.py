@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspquot import cli
 from cuspquot import series as series_module
 from cuspquot.qalgebra import (
     ONE,
@@ -437,13 +438,43 @@ def test_packed_transform_matches_the_term_by_term_sum():
         d = rng.randint(0, 8)
         size = 1 if trial % 3 == 0 else 10**30  # the narrowest widths and wide ones
         lower = [_random_tpoly(rng, r + 2, size) for r in range(d)]
-        assert series_module._unframe_sum(d, lower) == _unframe_reference(d, lower), (trial, d)
+        ranks = list(range(d + 1))
+        rng.shuffle(ranks)  # one walk read in any order, so it is regrown and rebuilt
+        walk = series_module._unframe_walk(lower.__getitem__)
+        for r in ranks:
+            expected = _unframe_reference(r, lower[:r])
+            assert series_module._unframe_lower(walk, r) == expected, (trial, r)
 
 
 def test_packed_transform_refuses_a_negative_q_exponent():
     lower = [TPoly.one(), TPoly([ONE, poly({-1: 1, 2: 3})])]
+    walk = series_module._unframe_walk(lower.__getitem__)
+    assert series_module._unframe_lower(walk, 1) == _unframe_reference(1, lower[:1])
     with pytest.raises(ArithmeticError, match="negative q-exponent"):
-        series_module._unframe_sum(2, lower)
+        series_module._unframe_lower(walk, 2)
+
+
+def test_a_walk_sized_too_narrow_rebuilds_before_it_decodes(monkeypatch):
+    # sized for no rank at all, the walk must widen itself at every rank
+    # before it decodes, never read digits that overlap
+    decoded = []
+    unpack = series_module._unpack_row
+
+    def recording(n, w, s):
+        decoded.append((w, s))
+        return unpack(n, w, s)
+
+    monkeypatch.setattr(series_module, "_packed_sizes", lambda reach: (8, 1))
+    monkeypatch.setattr(series_module, "_unpack_row", recording)
+    lower = [nh_guess(r) for r in range(9)]
+    walk = series_module._unframe_walk(lower.__getitem__)
+    for d in [3, 0, 8, 5]:
+        assert series_module._unframe_lower(walk, d) == _unframe_reference(d, lower[:d]), d
+    # rank d is decoded d-th, each coefficient below 2^(w - 2), each q-degree below s
+    assert len(decoded) == 9
+    for d, (w, s) in enumerate(decoded):
+        terms = [t for c in _unframe_reference(d, lower[:d]).coeffs for t in c.terms.items()]
+        assert all(abs(v) < 2 ** (w - 2) and e < s for e, v in terms), (d, w, s)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +496,17 @@ def test_coefficients_live_over_the_q_inverse_pochhammer():
             coefficients.append(zhat_coefficient)
         for coefficient in coefficients:
             assert coefficient(n).den == den, (coefficient.__name__, n)
+
+
+def test_zhat_refuses_past_max_d_before_any_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(series_module, "q_pochhammer", fail)
+    monkeypatch.setattr(series_module, "hilb_series", fail)
+    for n in (series_module.MAX_D + 1, 300):
+        with pytest.raises(ValueError, match=f"series stop at rank {series_module.MAX_D}$"):
+            zhat_coefficient(n)
 
 
 def test_zhat_matches_product_form_guess():
@@ -506,6 +548,57 @@ def test_solved_numerators_are_pinned():
     # sha256 prefix of the solved numerators through rank 16, as the term-by-term
     # transform gave them
     assert _digest(repr([str(solve_nh(d)) for d in range(17)])) == "f456edebd7c9a05f"
+
+
+def _cold_solve():
+    solve_nh.cache_clear()
+    series_module._solved_walk.cache_clear()
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_any_order_of_ranks_solves_the_same_numerators(order):
+    ranks = list(range(21))
+    if order == "descending":
+        ranks.reverse()
+    elif order == "shuffled":
+        random.Random(36).shuffle(ranks)
+    _cold_solve()
+    for d in ranks:
+        assert solve_nh(d) == nh_guess(d), (order, d)
+
+
+@pytest.mark.parametrize("where", ["decode", "step", "feed"])
+def test_a_raise_mid_walk_never_serves_another_ranks_numerator(monkeypatch, where):
+    # an interrupt inside a walk step must not leave the kept transforms out
+    # of step with the ranks they are read for
+    calls = []
+    name = {"decode": "_unpack_row", "step": "_pascal_parts", "feed": "_pascal_sums"}[where]
+    original = getattr(series_module, name)
+
+    def interrupt_once(*args):
+        calls.append(None)
+        if len(calls) == 6:
+            raise KeyboardInterrupt
+        return original(*args)
+
+    monkeypatch.setattr(series_module, name, interrupt_once)
+    _cold_solve()
+    with pytest.raises(KeyboardInterrupt):
+        solve_nh(10)
+    for d in [5, 4, 5, 6, 12, 0, 20, 10]:
+        assert solve_nh(d) == nh_guess(d), (where, d)
+
+
+def test_solve_refuses_past_its_rank_before_any_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(series_module, "_solved_walk", fail)
+    monkeypatch.setattr(series_module, "_pack_shifted", fail)
+    for d in (series_module.MAX_SOLVE_D + 1, 10**6):
+        with pytest.raises(ValueError, match=f"stops at rank {series_module.MAX_SOLVE_D}$"):
+            solve_nh(d)
+    assert cli.MAX_CONJECTURE_D <= series_module.MAX_SOLVE_D
 
 
 def test_guess_top_and_bottom_coefficients():
