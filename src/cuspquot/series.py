@@ -40,7 +40,7 @@ import functools
 import itertools
 import operator
 from math import comb
-from typing import Callable, Generator, Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional, Union
 
 from .qalgebra import (
     ONE,
@@ -349,11 +349,16 @@ def _pascal_sums(parts: list[int], top: int) -> None:
         parts[j] += parts[j + 1]
 
 
-def _unframe_steps(numerator: Callable[[int], TPoly]) -> Generator[TPoly, int, None]:
+_Packed = tuple[int, int, int]  # (n, w, s): a TPoly packed at q = 2^w, t = 2^(w s)
+_Walk = tuple[list[Union[TPoly, _Packed]], Generator[_Packed, int, None]]
+
+
+def _unframe_steps(numerator: Callable[[int], TPoly]) -> Generator[_Packed, int, None]:
     """The transform K_D = sum over r < D of t^r [D r]_q g_r(q^(D-r) t) (t;q)_(D-r),
     g_r = numerator(r), for D = 0, 1, ...: primed, each send of the rank
-    asked for returns K_D for the next D, and g_D is read only when K_(D+1)
-    is asked for, so numerator(D) may itself read K_D.
+    asked for returns K_D for the next D, packed, as (n, w, s) for
+    _unpack_row, and g_D is read only when K_(D+1) is asked for, so
+    numerator(D) may itself read K_D.
 
     The framed-to-unframed transform over (t;q)_D, all ranks below D, read
     off one walk over antidiagonals.  The walk holds, for the last rank D,
@@ -370,8 +375,9 @@ def _unframe_steps(numerator: Callable[[int], TPoly]) -> Generator[TPoly, int, N
     each rank: an integer packed at stride s + 1 is, read at stride s, the
     same polynomial at qt, so the substitution t -> qt costs nothing.  K_D
     is decoded exactly by _unpack_row, digit s n + e being [t^n q^e], when
-    three bounds hold, and the walk checks them before it decodes a rank.  Every exponent is >= 0: a g_r with a
-    negative q-exponent raises ArithmeticError before it is packed.  The
+    three bounds hold, and the walk meets them at each rank before it
+    yields it.  Every exponent is >= 0: a g_r with a negative q-exponent
+    raises ArithmeticError before it is packed.  The
     q-degree of every coefficient is below s: term r has q-degree at most
     max_m (deg g_r[m] + k m) + k(k-1)/2 + r k, k = D - r, the last two being
     the degrees of (t;q)_k and of [D r]_q.  And every coefficient is below
@@ -391,7 +397,7 @@ def _unframe_steps(numerator: Callable[[int], TPoly]) -> Generator[TPoly, int, N
     sizes: list[tuple[int, list[tuple[int, int]]]] = []  # L1(g_r), [(m, deg g_r[m])]
     us: list[int] = []  # U_j of rank d - 1 at stride s0 - d + 1, then P_j of rank d
     reach, w, s0 = -1, 0, 0
-    asked = yield TPoly.zero()  # primed by _unframe_walk
+    asked = yield 0, 8, 1  # primed by _unframe_walk
     for d in itertools.count():
         if d:
             g = numerator(d - 1)
@@ -419,30 +425,33 @@ def _unframe_steps(numerator: Callable[[int], TPoly]) -> Generator[TPoly, int, N
                 _pascal_parts(us, w, s0 - r)
                 _pascal_sums(us, _pack_shifted(g, r, w, s0 - r))
         _pascal_parts(us, w, s0 - d)
-        asked = yield _unpack_row(sum(us), w, s0 - d)
+        asked = yield sum(us), w, s0 - d
 
 
-def _unframe_walk(
-    numerator: Callable[[int], TPoly],
-) -> tuple[list[TPoly], Generator[TPoly, int, None]]:
-    """The transforms of numerator's ranks decoded so far, rank D at index
-    D, none yet, and the rest of their walk (_unframe_steps), primed."""
+def _unframe_walk(numerator: Callable[[int], TPoly]) -> _Walk:
+    """The transforms of numerator's ranks walked so far, rank D at index D,
+    none yet, and the rest of their walk (_unframe_steps), primed."""
     steps = _unframe_steps(numerator)
     next(steps)
     return [], steps
 
 
-def _unframe_lower(walk: tuple[list[TPoly], Generator[TPoly, int, None]], d: int) -> TPoly:
+def _unframe_lower(walk: _Walk, d: int) -> TPoly:
     """sum over r < d of t^r [d r]_q g_r(q^(d-r) t) (t;q)_(d-r), read off the
-    walk of g_r = numerator(r) (_unframe_walk), advanced only as far as d."""
+    walk of g_r = numerator(r) (_unframe_walk), advanced only as far as d.
+    A rank is decoded when it is read, so a walk read at one rank decodes
+    only that one."""
     sums, steps = walk
     while len(sums) <= d:
         sums.append(steps.send(d))
-    return sums[d]
+    k = sums[d]
+    if not isinstance(k, TPoly):
+        k = sums[d] = _unpack_row(*k)
+    return k
 
 
 @functools.cache
-def _solved_walk() -> tuple[list[TPoly], Generator[TPoly, int, None]]:
+def _solved_walk() -> _Walk:
     """The walk fed with the solved numerators, which solve_nh advances."""
     return _unframe_walk(solve_nh)
 
@@ -453,13 +462,21 @@ def quot_numerator(d: int, prime: Optional[int] = None) -> TPoly:
     Unframed counts are binomial-weighted shifts of the framed ones:
     the rank-r framed series enters at t -> q^(d-r) t with weight
     [d r]_q t^r.  The r = d term goes first: it checks d.  The ranks
-    below d are read off a fresh antidiagonal walk fed with the engine's
-    numerators (_unframe_steps), the transform that solve_nh reads too; a
-    kept walk would outlive a cleared _color_rows and serve its old ranks.
+    below d are read off the antidiagonal walk fed with the engine's
+    numerators (_unframed_below), the transform that solve_nh reads too.
     """
     _check_prime(prime)
-    total = _hilb_q(d).shift_t(d) + _unframe_lower(_unframe_walk(_hilb_q), d)
+    total = _hilb_q(d).shift_t(d) + _unframed_below(tuple(_hilb_q(r) for r in range(d)))
     return _at(total, prime)
+
+
+@functools.cache
+def _unframed_below(lower: tuple[TPoly, ...]) -> TPoly:
+    """The transform of the numerators lower, ranks 0..len(lower) - 1, at
+    rank len(lower), read off their own walk.  Kept per numerators, not per
+    rank: a rank asked for at two primes is walked once, and numerators
+    rebuilt after _color_rows is cleared are walked afresh."""
+    return _unframe_lower(_unframe_walk(lower.__getitem__), len(lower))
 
 
 def quot_series(d: int, prime: Optional[int] = None) -> TSeries:
