@@ -16,8 +16,8 @@ quot_series and hilb_from_quot are the two directions of the
 framed/unframed transform.  The forward direction, the binomial-weighted
 shifts of every lower rank, is read off one walk over antidiagonals
 (_unframe_steps): packed integers whose stride drops by one per rank, so
-t -> qt is free, stepped one rank at a time by the q-Pascal rule and
-decoded once per rank; quot_numerator and solve_nh both read it.
+t -> qt is free, stepped one rank at a time by the q-Pascal rule, each
+rank decoded once when it is read; quot_numerator and solve_nh both read it.
 
 The rest of the module holds independent routes to the same numerator
 polynomials and the identities used to stress them:
@@ -85,7 +85,7 @@ __all__ = [
 ]
 
 MAX_D = 4  # every rank-5 stratum count resolves; rank 5 waits for verify quick to keep rank 4
-MAX_SOLVE_D = 50  # cold, solve_nh(50) took 7.4 s at 364 MiB on a 2-vCPU VM and rank 52 11.6 s
+MAX_SOLVE_D = 51  # cold, solve_nh(51) took 7.6-8.9 s at 427 MiB on a 2-vCPU VM, rank 52 8.1-11.6 s
 
 
 def _check_prime(prime: Optional[int]) -> None:
@@ -356,42 +356,35 @@ _Walk = tuple[list[Union[TPoly, _Packed]], Generator[_Packed, int, None]]
 def _unframe_steps(numerator: Callable[[int], TPoly]) -> Generator[_Packed, int, None]:
     """The transform K_D = sum over r < D of t^r [D r]_q g_r(q^(D-r) t) (t;q)_(D-r),
     g_r = numerator(r), for D = 0, 1, ...: primed, each send of the rank
-    asked for returns K_D for the next D, packed, as (n, w, s) for
-    _unpack_row, and g_D is read only when K_(D+1) is asked for, so
-    numerator(D) may itself read K_D.
+    asked for returns the next K_D packed, (n, w, s) for _unpack_row, and
+    g_D is read only when K_(D+1) is asked for, so numerator(D) may read K_D.
 
-    The framed-to-unframed transform over (t;q)_D, all ranks below D, read
-    off one walk over antidiagonals.  The walk holds, for the last rank D,
-    U_j = sum over j <= r <= D of t^r [D-j r-j]_q g_r(q^(D-r) t) (t;q)_(D-r)
-    for j = 0..D, so U_0 = K_D + t^D g_D, and the q-Pascal rule
-    [n r] = [n-1 r-1] + q^r [n-1 r] steps it one rank: U_j of rank D is
-    U_(j+1) of rank D plus P_j = q^-j (1 - t) U_j(qt) of rank D - 1
-    (_pascal_parts), with U_D = t^D g_D.  So K_D is the sum of the P_j,
-    and a rank costs a few big-integer operations per j, with no q-binomial
-    product and no re-packing of the lower ranks.
+    The walk holds, for the last rank D and j = 0..D,
+    U_j = sum over j <= r <= D of t^r [D-j r-j]_q g_r(q^(D-r) t) (t;q)_(D-r),
+    so U_0 = K_D + t^D g_D.  By the q-Pascal rule
+    [n r] = [n-1 r-1] + q^r [n-1 r], U_j of rank D is U_(j+1) of rank D plus
+    P_j = q^-j (1 - t) U_j(qt) of rank D - 1, with U_D = t^D g_D; so K_D is
+    the sum of the P_j, a few shifts and adds per j.  The integers are
+    packed at q = 2^w, t = 2^(w s) (Kronecker substitution, a ring map
+    Z[q, t] -> Z), the stride s one lower at each rank: an integer packed at
+    stride s + 1 is, read at stride s, the same polynomial at qt.
 
-    All of it runs on integers packed at q = 2^w, t = 2^(w s) (Kronecker
-    substitution), a ring map Z[q, t] -> Z, with the stride s one lower at
-    each rank: an integer packed at stride s + 1 is, read at stride s, the
-    same polynomial at qt, so the substitution t -> qt costs nothing.  K_D
-    is decoded exactly by _unpack_row, digit s n + e being [t^n q^e], when
-    three bounds hold, and the walk meets them at each rank before it
-    yields it.  Every exponent is >= 0: a g_r with a negative q-exponent
-    raises ArithmeticError before it is packed.  The
-    q-degree of every coefficient is below s: term r has q-degree at most
-    max_m (deg g_r[m] + k m) + k(k-1)/2 + r k, k = D - r, the last two being
-    the degrees of (t;q)_k and of [D r]_q.  And every coefficient is below
-    2^(w - 2): the coefficient L1 norm is subadditive and submultiplicative
-    and kept by t -> q^k t and by t^r, L1((t;q)_k) = 2^k, and [D r]_q has
-    nonnegative coefficients, so L1([D r]_q) = C(D, r); every coefficient
-    of K_D is at most B = sum over r of L1(g_r) 2^k C(D, r).  The walk is
-    sized by _packed_sizes from the largest rank asked so far.  A rank past
-    that reach, or a rank whose bounds the walk does not meet, rebuilds the
-    walk from the numerators read so far, never narrower than the bounds of
-    that rank.  Past the reach it is regrown to 4/3 of it, or to the rank
-    asked if larger: a step costs about D^2 R^3 at reach R, so an ascending
-    pass rebuilds a few times, and a pass that asks for its top rank late
-    is not left walking at twice that rank.
+    K_D is decoded exactly, digit s n + e being [t^n q^e], when three bounds
+    hold, and the walk meets them at each rank before it yields it.  Every
+    exponent is >= 0: a g_r with a negative q-exponent raises
+    ArithmeticError before it is packed.  Every q-degree is below s: term r
+    has q-degree at most max_m (deg g_r[m] + k m) + k(k-1)/2 + r k, k = D - r,
+    the last two being the degrees of (t;q)_k and [D r]_q.  Every
+    coefficient is below 2^(w - 2): the coefficient L1 norm is subadditive,
+    submultiplicative and kept by t -> q^k t and t^r, L1((t;q)_k) = 2^k and
+    L1([D r]_q) = C(D, r), so a coefficient of K_D is at most
+    B = sum over r of L1(g_r) 2^k C(D, r).  The walk is sized by
+    _packed_sizes from the largest rank asked so far; a rank past that
+    reach, or one whose bounds it does not meet, rebuilds it from the
+    numerators read so far, never narrower than that rank's bounds.  Past
+    the reach it grows to 4/3 of it or to the rank asked: a step costs about
+    D^2 R^3 at reach R, so an ascending pass rebuilds a few times and a pass
+    that asks for its top rank late is not walked at twice that rank.
     """
     gs: list[TPoly] = []  # g_r, rank r at index r
     sizes: list[tuple[int, list[tuple[int, int]]]] = []  # L1(g_r), [(m, deg g_r[m])]
