@@ -533,8 +533,9 @@ def solve_nh(d: int) -> TPoly:
     lower-rank numerators, read off the antidiagonal walk fed with the
     solved numerators (_solved_walk), so rank d adds one q-Pascal step to
     the walk of rank d - 1.  The walk is advanced only as far as d, so each
-    rank is walked and decoded once in any order of ranks, and a step that
-    raises drops it, so the next call starts over from rank 0.  With f
+    rank is walked and decoded once in any order of ranks, the walk is
+    closed once rank MAX_SOLVE_D is read, and a step that raises drops it,
+    so the next call starts over from rank 0.  With f
     normalized by [t^0] = 1 and [t^d] = q^(d^2) the relation determines
     every middle coefficient, and the full relation is re-checked at the
     end.  Ranks past MAX_SOLVE_D are refused before any work.
@@ -544,11 +545,14 @@ def solve_nh(d: int) -> TPoly:
         raise ValueError(f"the triangular solve stops at rank {MAX_SOLVE_D}")
     if d == 0:
         return TPoly.one()
+    walk = _solved_walk()
     try:
-        rhs = _unframe_lower(_solved_walk(), d)
+        rhs = _unframe_lower(walk, d)
     except BaseException:
         _solved_walk.cache_clear()  # the next call walks from rank 0, never out of step
         raise
+    if len(walk[0]) > MAX_SOLVE_D:
+        walk[1].close()  # no rank is left to walk: frees the packed state
     a: list[Optional[LaurentPolyQ]] = [None] * (d + 1)
     a[0] = rhs.coeff(0)
     a[d] = LaurentPolyQ.q_power(d * d)

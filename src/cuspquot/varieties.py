@@ -9,8 +9,10 @@ counts these varieties as polynomials in q by case splitting, exactly
 over every F_q, once per pair of a pattern and its anti-transpose (_flip),
 which count one variety.  When every distance is 3+ the variety is the full
 staircase variety V_d, whose motive obeys a two-parameter recursion
-computed here exactly, in one walk advanced as far as the ranks asked
-for, on big integers that pack each polynomial at q = 2^w.
+computed here exactly on big integers that pack each polynomial at
+q = 2^w: a table entry on a walk of the recursion's rows, a motive on one
+walk of the row polynomial at q^-i, advanced as far as the ranks asked
+for.
 
 One enumerator, _cusp_fibres, walks the F_p points of all of them: for
 each Y on its slots, _commutant_roots walks the kernel of the linear
@@ -860,21 +862,27 @@ def symbolic_v_alpha(spec_or_datum: "VAlphaSpec | LeadingTermDatum") -> LaurentP
 
 
 # ---------------------------------------------------------------------------
-# motive of the full staircase variety
+# motive of the full staircase variety: a table entry M(a, b) is entry b of
+# row (a + b) / 2 of the recursion (_motive_rows), and the rank-d motive is
+# the row sum R_d(1) of the row polynomial R_k(x) = sum of M(2k - b, b) x^b
+# over b, walked as E_k(i) = R_k(q^-i) by levels k + i (_staircase_levels).
+# Both pack at q = 2^w, w = _digit_width(5^top): a row, or an item of rank
+# k, has coefficient L1 norm at most 5^k.  The level walk keeps each item
+# with its zero low digits shifted out, so it holds 40% of the row walk's bits.
 
 
 MAX_MOTIVE_D = 64  # staircase_motive ranks; motive table entries reach a = 2 * MAX_MOTIVE_D
 
 
-def _motive_rows(top: int, width: Optional[int] = None) -> Iterator[list[int]]:
-    """Rows k = 0..top of the motive recursion, packed at q = 2^w.
+def _motive_rows(top: int, width: int) -> Iterator[list[int]]:
+    """Rows k = 0..top of the motive recursion, packed at q = 2^w, each
+    cut to its columns 0..width - 1, which read nothing to their right.
 
     Entry b of row k is M(2k - b, b) evaluated at q = 2^w,
     w = _digit_width(5^top), so its coefficients are the signed base-2^w
-    digits; width, when given, keeps only columns 0..width - 1,
-    which read nothing to their right.  The seed is row 0 = [1], and the
-    step splits off the last column pair by the kernel filtration position
-    it lands in: with a = 2k - b and rows r = row k, s = row k - 1,
+    digits.  The seed is row 0 = [1], and the step splits off the last
+    column pair by the kernel filtration position it lands in: with
+    a = 2k - b and rows r = row k, s = row k - 1,
 
         r[b] = q^b s[b] + q^(k-1) (s[b-1] - s[b-2]) - q^(b-1) s[b-1] + q^a s[b-2],
 
@@ -895,12 +903,69 @@ def _motive_rows(top: int, width: Optional[int] = None) -> Iterator[list[int]]:
         s = [0, 0, *row, 0]  # s[b + 2] is entry b of row k - 1
         mid = w * (k - 1)
         row = [1]  # M(2k, 0) = M(2k - 2, 0)
-        for b in range(1, k + 1 if width is None else min(k + 1, width)):
+        for b in range(1, min(k + 1, width)):
             x, y, z = s[b + 2], s[b + 1], s[b]
             row.append(
                 (x << w * b) + ((y - z) << mid) - (y << w * (b - 1)) + (z << w * (2 * k - b))
             )
         yield row
+
+
+def _staircase_levels(top: int) -> Iterator[int]:
+    """The row sums of the motive recursion, ranks 0..top, each packed at
+    q = 2^w, w = _digit_width(5^top), with no row walked.
+
+    Row k as a polynomial, R_k(x) = sum over b of M(2k - b, b) x^b, obeys
+    the row step of _motive_rows in one line,
+
+        R_k(x) = (1 - x) R_(k-1)(qx) + q^(k-1) x (1 - x) R_(k-1)(x)
+                 + q^(2k-2) x^2 R_(k-1)(x/q),   R_0 = 1,
+
+    so rank k is R_k(1) = E_k(0), where E_k(i) = R_k(q^-i) obeys
+
+        E_k(i) = (1 - q^-i) (E_(k-1)(i-1) + q^(k-1-i) E_(k-1)(i))
+                 + q^(2k-2-2i) E_(k-1)(i+1),   E_0(i) = 1,
+
+    whose first term is 0 at i = 0.  The walk goes by levels n = k + i:
+    level n reads levels n - 1 and n - 2 and its own items of lower k,
+    ends with rank n, and only the last two levels are kept.  Each item is
+    (low, X), the Laurent polynomial q^low times X at q = 2^w, with the
+    zero low digits of X shifted out (its lowest set bit, X & -X, as
+    _unpack finds it), so it holds only the span of its exponents.
+
+    w is wide enough: each item is five signed monomial multiples of items
+    of rank k - 1, so by induction its coefficient L1 norm is at most 5^k
+    <= 5^top < 2^(w - 2), and the digits never carry into each other.
+    """
+    w = _digit_width(5**top)
+    two: list[tuple[int, int]] = []  # level n - 2, E_k(n - 2 - k) at index k
+    one = [(0, 1)]  # level n - 1
+    yield 1
+    for n in range(1, top + 1):
+        level = [(0, 1)]  # E_0(n) = 1
+        for k in range(1, n + 1):
+            i = n - k
+            low, x = level[k - 1]  # E_(k-1)(i+1)
+            low += 2 * (k - 1 - i)
+            if i:
+                la, a = two[k - 1]  # E_(k-1)(i-1)
+                lb, b = one[k - 1]  # E_(k-1)(i)
+                lb += k - 1 - i
+                if la <= lb:
+                    s, ls = a + (b << w * (lb - la)), la
+                else:
+                    s, ls = (a << w * (la - lb)) + b, lb
+                s, ls = (s << w * i) - s, ls - i  # times 1 - q^-i
+                if ls <= low:
+                    x, low = s + (x << w * (low - ls)), ls
+                else:
+                    x = (s << w * (ls - low)) + x
+                zeros = (x & -x).bit_length() // w
+                x >>= w * zeros
+                low += zeros
+            level.append((low, x))
+        two, one = one, level
+        yield x << w * low  # rank n, E_n(0), a polynomial in q
 
 
 def _digit_width(bound: int) -> int:
@@ -984,33 +1049,36 @@ class MotiveTable:
 
 
 @functools.cache
-def _staircase_walk() -> tuple[list[LaurentPolyQ], Generator[list[int], None, None]]:
-    """The row sums of _motive_rows(MAX_MOTIVE_D) decoded so far, rank d at
-    index d, and the rest of that walk, which staircase_motive advances."""
-    return [], _motive_rows(MAX_MOTIVE_D)
+def _staircase_walk() -> tuple[list[LaurentPolyQ], Generator[int, None, None]]:
+    """The ranks of _staircase_levels(MAX_MOTIVE_D) decoded so far, rank d
+    at index d, and the rest of that walk, which staircase_motive advances."""
+    return [], _staircase_levels(MAX_MOTIVE_D)
 
 
 def staircase_motive(d: int) -> LaurentPolyQ:
     """Motive of the rank-d staircase variety as a polynomial in q.
 
     It is the sum of M(2d - b, b) over b, the row sum of row d of the
-    motive recursion.  One walk to MAX_MOTIVE_D (_staircase_walk) is
-    advanced only as far as d, so each row is walked and decoded once in any
-    order of ranks, and it is closed at its last row.  A step that raises
-    drops the walk, so the next call starts over from row 0 rather than read
-    a sum out of step with its row.
+    motive recursion, R_d(1) for the row polynomial R_d, read off the level
+    walk of R_k(q^-i) (_staircase_levels), which carries no table entry
+    and at most 5^k in coefficient L1 norm at rank k.  One walk to
+    MAX_MOTIVE_D (_staircase_walk) is advanced only as far as d, so each
+    level is walked and each rank decoded once in any order of ranks, and
+    it is closed at its last level.  A step that raises drops the walk, so
+    the next call starts over from level 0 rather than read a sum out of
+    step with its rank.
     """
     d = _check_motive_rank(d)
-    sums, rows = _staircase_walk()
+    sums, levels = _staircase_walk()
     w = _digit_width(5**MAX_MOTIVE_D)
     try:
         while len(sums) <= d:
-            sums.append(_unpack(sum(next(rows)), w))
+            sums.append(_unpack(next(levels), w))
     except BaseException:
         _staircase_walk.cache_clear()
         raise
     if len(sums) > MAX_MOTIVE_D:
-        rows.close()  # frees the packed last row
+        levels.close()  # frees the packed last two levels
     return sums[d]
 
 

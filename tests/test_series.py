@@ -2,6 +2,7 @@
 independent solve/guess routes, and the identities that stress them."""
 
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -587,6 +588,24 @@ def test_a_raise_mid_walk_never_serves_another_ranks_numerator(monkeypatch, wher
         solve_nh(10)
     for d in [5, 4, 5, 6, 12, 0, 20, 10]:
         assert solve_nh(d) == nh_guess(d), (where, d)
+
+
+def test_the_solve_walk_is_closed_once_its_last_rank_is_read(monkeypatch):
+    # a cold solve_nh(MAX_SOLVE_D) takes seconds, so the cap is lowered here
+    monkeypatch.setattr(series_module, "MAX_SOLVE_D", 6)
+    try:
+        for ranks in ([6], [2, 6, 4], range(7)):
+            _cold_solve()
+            for d in ranks:
+                assert solve_nh(d) == nh_guess(d), (ranks, d)
+            sums, steps = series_module._solved_walk()
+            assert len(sums) == 7 and all(isinstance(k, TPoly) for k in sums[1:])
+            assert inspect.getgeneratorstate(steps) == inspect.GEN_CLOSED and steps.gi_frame is None
+        _cold_solve()
+        assert solve_nh(5) == nh_guess(5)  # the walk stays open below its last rank
+        assert inspect.getgeneratorstate(series_module._solved_walk()[1]) == inspect.GEN_SUSPENDED
+    finally:
+        _cold_solve()  # no closed walk is left for the ranks past 6
 
 
 def test_solve_refuses_past_its_rank_before_any_work(monkeypatch):

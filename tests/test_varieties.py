@@ -865,7 +865,7 @@ def test_motive_entries_walk_only_as_wide_as_asked(monkeypatch):
     walks = []
     walk = varieties._motive_rows
 
-    def spy(top, width=None):
+    def spy(top, width):
         walks.append((top, width))
         return walk(top, width)
 
@@ -883,11 +883,13 @@ def test_motive_entries_walk_only_as_wide_as_asked(monkeypatch):
 
 
 def test_motive_ranks_past_the_limit_raise_before_any_walk(monkeypatch):
-    def no_walk(*args):  # stands in for _motive_rows(top, width) and _staircase_walk()
+    def no_walk(*args):  # stands in for _motive_rows(top, width), _staircase_levels(top) and _staircase_walk()
         raise AssertionError(f"walked {args}")
 
     monkeypatch.setattr(varieties, "_motive_rows", no_walk)
+    monkeypatch.setattr(varieties, "_staircase_levels", no_walk)
     monkeypatch.setattr(varieties, "_staircase_walk", no_walk)
+    _staircase_walk.cache_clear()
     _motive.cache_clear()
     limit = 2 * MAX_MOTIVE_D
     for call, message in (
@@ -930,15 +932,16 @@ def test_staircase_table_to_rank_64_is_pinned():
 
 @functools.cache
 def _staircase_from_row_0():
-    """Every rank to 64 from one walk of _motive_rows from row 0, decoded
-    through the checking constructor."""
+    """Every rank to 64 as the row sums of one walk of _motive_rows from row
+    0, decoded through the checking constructor: the entry walk, which
+    shares no recursion with the level walk of staircase_motive."""
     w = _digit_width(5**64)
-    return [poly(dict(enumerate(_digits(sum(row), w)))) for row in varieties._motive_rows(64)]
+    return [poly(dict(enumerate(_digits(sum(row), w)))) for row in varieties._motive_rows(64, 65)]
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_staircase_blocks_match_a_walk_from_row_0(order):
-    ranks = [15, 16, 17, 31, 32, 33, 47, 48, 49, 64]
+    ranks = list(range(MAX_MOTIVE_D + 1))
     if order == "descending":
         ranks.reverse()
     elif order == "shuffled":
@@ -953,19 +956,19 @@ def test_staircase_blocks_match_a_walk_from_row_0(order):
 
 
 def _spy_on_walks(monkeypatch):
-    """The top of every _motive_rows walk, and the width of every decode."""
+    """The top of every _staircase_levels walk, and the width of every decode."""
     walks, decoded = [], []
-    walk, unpack = varieties._motive_rows, varieties._unpack
+    walk, unpack = varieties._staircase_levels, varieties._unpack
 
-    def spy_walk(top, width=None):
+    def spy_walk(top):
         walks.append(top)
-        return walk(top, width)
+        return walk(top)
 
     def spy_unpack(n, w):
         decoded.append(w)
         return unpack(n, w)
 
-    monkeypatch.setattr(varieties, "_motive_rows", spy_walk)
+    monkeypatch.setattr(varieties, "_staircase_levels", spy_walk)
     monkeypatch.setattr(varieties, "_unpack", spy_unpack)
     return walks, decoded
 
@@ -975,7 +978,7 @@ def test_a_cold_block_fills_every_block_below_it(monkeypatch):
     walks, decoded = _spy_on_walks(monkeypatch)
     _staircase_walk.cache_clear()
     assert staircase_motive(64) == reference[64]
-    assert walks == [64] and decoded == [_digit_width(5**64)] * 65  # rows 1..64 once
+    assert walks == [64] and decoded == [_digit_width(5**64)] * 65  # ranks 0..64 once
     for d in range(MAX_MOTIVE_D + 1):
         assert staircase_motive(d) == reference[d], d
     assert walks == [64] and len(decoded) == 65  # the lower ranks came with it
@@ -991,17 +994,17 @@ def test_any_pass_decodes_each_rank_once(monkeypatch, seed):
     _staircase_walk.cache_clear()
     for d in ranks:
         assert staircase_motive(d) == reference[d], d
-    # one walk serves every order, each row walked and decoded once
+    # one walk serves every order, each level walked and each rank decoded once
     assert walks == [64] and len(decoded) == 65
 
 
 @pytest.mark.parametrize("where", ["decode", "walk"])
 def test_a_raise_mid_walk_never_serves_another_ranks_sum(monkeypatch, where):
-    # an interrupt between taking a row and keeping its sum, or inside the
-    # walk, must not leave the kept sums out of step with the rows
+    # an interrupt between taking a rank and keeping its decode, or inside
+    # the walk, must not leave the kept sums out of step with the ranks
     reference = _staircase_from_row_0()
     calls = []
-    unpack, walk = varieties._unpack, varieties._motive_rows
+    unpack, walk = varieties._unpack, varieties._staircase_levels
 
     def interrupt_once():
         calls.append(None)
@@ -1012,15 +1015,15 @@ def test_a_raise_mid_walk_never_serves_another_ranks_sum(monkeypatch, where):
         interrupt_once()
         return unpack(n, w)
 
-    def flaky_walk(top, width=None):
-        for row in walk(top, width):
+    def flaky_walk(top):
+        for rank in walk(top):
             interrupt_once()
-            yield row
+            yield rank
 
     if where == "decode":
         monkeypatch.setattr(varieties, "_unpack", flaky_unpack)
     else:
-        monkeypatch.setattr(varieties, "_motive_rows", flaky_walk)
+        monkeypatch.setattr(varieties, "_staircase_levels", flaky_walk)
     _staircase_walk.cache_clear()
     with pytest.raises(KeyboardInterrupt):
         staircase_motive(10)
@@ -1033,9 +1036,21 @@ def test_the_walk_holds_no_packed_row_once_rank_64_is_read():
         _staircase_walk.cache_clear()
         for d in ranks:
             staircase_motive(d)
-        sums, rows = _staircase_walk()
+        sums, levels = _staircase_walk()
         assert len(sums) == 65
-        assert inspect.getgeneratorstate(rows) == inspect.GEN_CLOSED and rows.gi_frame is None
+        assert inspect.getgeneratorstate(levels) == inspect.GEN_CLOSED and levels.gi_frame is None
+    _staircase_walk.cache_clear()
+    staircase_motive(63)  # the walk stays open below its last level
+    assert inspect.getgeneratorstate(_staircase_walk()[1]) == inspect.GEN_SUSPENDED
+
+
+def test_the_row_sums_of_the_table_are_the_staircase_motives():
+    # the table's entry walk and the level walk share no recursion
+    _motive.cache_clear()
+    _antidiagonal.cache_clear()
+    for d in [*range(25), 32]:
+        total = sum((MotiveTable().get(2 * d - b, b) for b in range(d + 1)), poly({}))
+        assert total == staircase_motive(d), d
 
 
 def test_csv_exports():
