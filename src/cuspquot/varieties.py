@@ -921,7 +921,9 @@ def _staircase_levels(top: int) -> Iterator[int]:
         R_k(x) = (1 - x) R_(k-1)(qx) + q^(k-1) x (1 - x) R_(k-1)(x)
                  + q^(2k-2) x^2 R_(k-1)(x/q),   R_0 = 1,
 
-    so rank k is R_k(1) = E_k(0), where E_k(i) = R_k(q^-i) obeys
+    whose terms in x^(k+1) cancel and whose constant term stays 1, as
+    M(2k, 0) does.  So rank k is R_k(1) = E_k(0), where E_k(i) = R_k(q^-i)
+    obeys
 
         E_k(i) = (1 - q^-i) (E_(k-1)(i-1) + q^(k-1-i) E_(k-1)(i))
                  + q^(2k-2-2i) E_(k-1)(i+1),   E_0(i) = 1,

@@ -883,13 +883,12 @@ def test_motive_entries_walk_only_as_wide_as_asked(monkeypatch):
 
 
 def test_motive_ranks_past_the_limit_raise_before_any_walk(monkeypatch):
-    def no_walk(*args):  # stands in for _motive_rows(top, width), _staircase_levels(top) and _staircase_walk()
+    def no_walk(*args):  # stands in for _motive_rows, _staircase_levels and _staircase_walk
         raise AssertionError(f"walked {args}")
 
     monkeypatch.setattr(varieties, "_motive_rows", no_walk)
     monkeypatch.setattr(varieties, "_staircase_levels", no_walk)
     monkeypatch.setattr(varieties, "_staircase_walk", no_walk)
-    _staircase_walk.cache_clear()
     _motive.cache_clear()
     limit = 2 * MAX_MOTIVE_D
     for call, message in (
